@@ -15,7 +15,7 @@ rate times that weight.  Split gain is the usual
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class _Tree:
             live = feature[node] >= 0
         return value[node]
 
-    def to_doc(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
     @classmethod
     def from_doc(cls, doc: dict) -> "_Tree":
         return cls(
@@ -146,15 +137,12 @@ class GBDTClassifier:
             round_trees = []
             for k in range(K):
                 tree = _Tree()
-                self._grow(tree, X, order, G[:, k], H[:, k])
+                root = np.ones(n, dtype=bool)
+                self._grow_node(tree, X, order, G[:, k], H[:, k], root, depth=0)
                 round_trees.append(tree)
                 scores[:, k] += self.params.learning_rate * tree.predict(X)
             self.trees_.append(round_trees)
         return self
-
-    def _grow(self, tree: _Tree, X, order, g, h) -> int:
-        mask = np.ones(len(g), dtype=bool)
-        return self._grow_node(tree, X, order, g, h, mask, depth=0)
 
     def _grow_node(self, tree, X, order, g, h, mask, depth) -> int:
         lam = self.params.reg_lambda
@@ -253,17 +241,11 @@ class GBDTClassifier:
             {
                 "model": "gbdt-softmax",
                 "version": 1,
-                "params": {
-                    "n_rounds": self.params.n_rounds,
-                    "max_depth": self.params.max_depth,
-                    "learning_rate": self.params.learning_rate,
-                    "reg_lambda": self.params.reg_lambda,
-                    "min_child_weight": self.params.min_child_weight,
-                },
+                "params": asdict(self.params),
                 "classes": self.classes_,
                 "feature_names": self.feature_names,
                 "gain": [float(v) for v in self._gain],
-                "trees": [[t.to_doc() for t in row] for row in self.trees_],
+                "trees": [[asdict(t) for t in row] for row in self.trees_],
             }
         )
 
@@ -296,18 +278,13 @@ class CVReport:
     recall: dict[str, float]
 
     def to_doc(self) -> dict:
-        return {
-            "classes": self.classes,
-            "fold_accuracies": self.fold_accuracies,
-            "accuracy": self.accuracy,
-            "confusion": self.confusion,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
+        return asdict(self)
 
 
 def stratified_folds(y: list[str], n_folds: int, seed: int) -> list[np.ndarray]:
     """Shuffle within class, deal round-robin; every class lands in every fold."""
+    if n_folds < 2:
+        raise InvalidConfig(f"n_folds must be >= 2, got {n_folds}")
     classes = sorted(set(y))
     if len(classes) < 2:
         raise SingleClass("need at least two classes")
@@ -331,8 +308,18 @@ def cross_validate(
     n_folds: int = 10,
     seed: int = 0,
     feature_names: list[str] | None = None,
+    X_test: np.ndarray | None = None,
 ) -> CVReport:
+    """Stratified k-fold CV: fit on each fold's complement, score the fold.
+
+    Each fold's model trains on rows of ``X`` and predicts the held-out rows
+    of ``X_test`` (default ``X``), so a model fitted on clean traffic can be
+    scored on the same captures after a defense.
+    """
     X = np.asarray(X, dtype=np.float64)
+    X_test = X if X_test is None else np.asarray(X_test, dtype=np.float64)
+    if X_test.shape != X.shape:
+        raise SchemaMismatch(f"X_test has shape {X_test.shape}, X has {X.shape}")
     folds = stratified_folds(y, n_folds, seed)
     classes = sorted(set(y))
     class_index = {c: k for k, c in enumerate(classes)}
@@ -345,7 +332,7 @@ def cross_validate(
         train = np.setdiff1d(np.arange(len(y)), heldout)
         model = GBDTClassifier(params, feature_names)
         model.fit(X[train], list(y_arr[train]))
-        pred = model.predict(X[heldout])
+        pred = model.predict(X_test[heldout])
         truth = y_arr[heldout]
         fold_accuracies.append(float(np.mean(pred == truth)))
         for t, p in zip(truth, pred):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .classifier import GBDTClassifier
 from .defenses import MODULATION_INTERVALS, PaddingConfig, apply_defense, modulation_preset
-from .errors import RobofpError
+from .errors import InvalidConfig, RobofpError
 from .features import (
     FeatureSchema,
     featurize_dataset,
@@ -155,22 +155,33 @@ def _cmd_sweep_defense(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    path = Path(args.run_dir) / "report.json"
+def _report_lines(path: Path) -> list[str]:
     doc = json.loads(path.read_text())
     cv = doc["cv"]
-    print(f"run: {path}")
-    print(f"traces: {doc['n_traces']}  feature set: {doc['config']['feature_set']}")
-    print(f"accuracy: {cv['accuracy']:.4f}")
-    print(f"fold accuracies: {' '.join(f'{a:.3f}' for a in cv['fold_accuracies'])}")
-    print("confusion (true rows / predicted columns):")
+    lines = [
+        f"run: {path}",
+        f"traces: {doc['n_traces']}  feature set: {doc['config']['feature_set']}",
+        f"accuracy: {cv['accuracy']:.4f}",
+        f"fold accuracies: {' '.join(f'{a:.3f}' for a in cv['fold_accuracies'])}",
+        "confusion (true rows / predicted columns):",
+    ]
     width = max(len(c) for c in cv["classes"])
-    print(" " * (width + 2) + "  ".join(f"{c[:10]:>10}" for c in cv["classes"]))
+    lines.append(" " * (width + 2) + "  ".join(f"{c[:10]:>10}" for c in cv["classes"]))
     for c, row in zip(cv["classes"], cv["confusion"]):
-        print(f"{c:>{width}}  " + "  ".join(f"{v:>10}" for v in row))
-    print("top features by split gain:")
+        lines.append(f"{c:>{width}}  " + "  ".join(f"{v:>10}" for v in row))
+    lines.append("top features by split gain:")
     for item in doc["top_features"][:10]:
-        print(f"  {item['gain']:10.2f}  {item['name']}")
+        lines.append(f"  {item['gain']:10.2f}  {item['name']}")
+    return lines
+
+
+def _cmd_report(args) -> int:
+    path = Path(args.run_dir) / "report.json"
+    try:
+        lines = _report_lines(path)
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise InvalidConfig(f"bad report {path}: {e!r}") from None
+    print("\n".join(lines))
     return 0
 
 

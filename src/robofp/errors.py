@@ -118,7 +118,3 @@ class OutOfRange(RobofpError):
 
 class InvalidConfig(RobofpError):
     pass
-
-
-class IoError(RobofpError):
-    pass

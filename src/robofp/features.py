@@ -23,7 +23,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +92,8 @@ def summary_feature_names() -> list[str]:
 
 
 def command_feature_names() -> list[str]:
-    return [
-        f"{_KIND_STEMS[kind]}_{stat}" for kind in ALL_KINDS for stat in CommandStats.FIELDS
-    ]
+    stats = [f.name for f in fields(CommandStats)]
+    return [f"{_KIND_STEMS[kind]}_{stat}" for kind in ALL_KINDS for stat in stats]
 
 
 def feature_names(feature_set: str = "full") -> list[str]:
@@ -239,7 +238,7 @@ def compute_features(
         for kind in ALL_KINDS:
             response, clusters = _scan(signal, kind, bank, config)
             stats = cluster_statistics(response, clusters)
-            blocks.append(np.array([getattr(stats, f) for f in CommandStats.FIELDS]))
+            blocks.append(np.array(astuple(stats)))
     if feature_set in ("full", "summary"):
         blocks.append(_summary_features(trace))
     vector = np.concatenate(blocks)

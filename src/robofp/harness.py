@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import GBDTClassifier, GBDTParams, cross_validate, stratified_folds
+from .classifier import GBDTClassifier, GBDTParams, cross_validate
 from .defenses import (
     MODULATION_INTERVALS,
     PaddingConfig,
@@ -65,10 +65,7 @@ class ExperimentConfig:
     workers: int = 0  # 0 defers to ROBOFP_WORKERS, then 1
 
     def to_doc(self) -> dict:
-        doc = asdict(self)
-        doc["sigproc"] = asdict(self.sigproc)
-        doc["classifier"] = asdict(self.classifier)
-        return doc
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
@@ -124,7 +121,7 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 # attack evaluation
 
 
-def _evaluate_matrix(matrix: FeatureMatrix, config: ExperimentConfig):
+def _evaluate_matrix(matrix: FeatureMatrix, config: ExperimentConfig, X_test=None):
     return cross_validate(
         matrix.X,
         matrix.labels,
@@ -132,6 +129,7 @@ def _evaluate_matrix(matrix: FeatureMatrix, config: ExperimentConfig):
         n_folds=config.n_folds,
         seed=config.seed,
         feature_names=list(matrix.schema.names),
+        X_test=X_test,
     )
 
 
@@ -217,16 +215,9 @@ def _defended_matrix(dataset, bank, defense, config):
 def _defended_accuracy(clean: FeatureMatrix, defended: FeatureMatrix, config) -> float:
     if config.retrain_on_defended:
         return _evaluate_matrix(defended, config).accuracy
-    # fixed adversary: model fitted on clean traffic, scored on defended
-    folds = stratified_folds(defended.labels, config.n_folds, config.seed)
-    y = np.array(defended.labels)
-    hits = 0
-    for heldout in folds:
-        train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(config.classifier, feature_names=list(clean.schema.names))
-        model.fit(clean.X[train], list(y[train]))
-        hits += int(np.sum(np.array(model.predict(defended.X[heldout])) == y[heldout]))
-    return hits / len(y)
+    # fixed adversary: each fold's model is fitted on clean traffic and
+    # scores the same held-out captures after the defense
+    return _evaluate_matrix(clean, config, X_test=defended.X).accuracy
 
 
 def padding_sweep(

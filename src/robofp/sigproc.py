@@ -21,13 +21,20 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyKernel, EmptyWindow, InvalidConfig, KernelTooShort, MissingFile
+from .errors import (
+    EmptyKernel,
+    EmptyWindow,
+    InvalidConfig,
+    KernelTooShort,
+    MissingFile,
+    MissingKernel,
+)
 from .trace import Trace
 
 _EPS = 1e-30
@@ -45,19 +52,12 @@ class CommandKind(str, enum.Enum):
 ALL_KINDS = tuple(CommandKind)
 
 
-class BinMode(str, enum.Enum):
-    SIGNED = "signed"
-    OUTGOING_ONLY = "outgoing_only"
-    INCOMING_ONLY = "incoming_only"
-
-
 @dataclass
 class Signal:
-    """Regularly sampled series; values[i] covers [t0 + i*bw, t0 + (i+1)*bw)."""
+    """Regularly sampled series from time 0; values[i] covers [i*bw, (i+1)*bw)."""
 
     values: np.ndarray
     bin_width: float
-    t0: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -100,53 +100,29 @@ class Cluster:
         return self.end - self.start
 
 
-@dataclass
-class ClusterSet:
-    clusters: list[Cluster] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.clusters)
-
-    def __iter__(self):
-        return iter(self.clusters)
-
-
 # ---------------------------------------------------------------------------
 # binning
 
 
-def bin_trace(trace: Trace, bin_width: float = 0.01, mode: BinMode = BinMode.SIGNED) -> Signal:
-    """Accumulate packet bytes into fixed-width time bins.
+def _bin(times: np.ndarray, weights: np.ndarray, span: float, bin_width: float) -> np.ndarray:
+    # ceil(span / bin_width) bins from time 0, at least one; packets at or
+    # past the last bin's end land in the last bin
+    n_bins = max(1, math.ceil(span / bin_width - 1e-9))
+    idx = np.minimum((times / bin_width).astype(np.int64), n_bins - 1)
+    return np.bincount(idx, weights=weights, minlength=n_bins)
 
-    Signed mode adds ``dir * size`` so opposing directions cancel; the
-    single-direction modes add plain sizes for the selected direction.
-    The signal spans ceil(duration / bin_width) bins (at least one); a
-    packet falling exactly on the end boundary lands in the last bin.
+
+def bin_trace(trace: Trace, bin_width: float = 0.01) -> Signal:
+    """Accumulate signed packet bytes (``dir * size``) into fixed-width time bins.
+
+    Opposing directions cancel within a bin.  The signal starts at time 0
+    and spans ceil(duration / bin_width) bins (at least one); a packet
+    falling exactly on the end boundary lands in the last bin.
     """
     if bin_width <= 0:
         raise InvalidConfig("bin_width must be positive")
-    duration = trace.duration
-    n_bins = max(1, math.ceil(duration / bin_width - 1e-9))
-    if len(trace) == 0:
-        return Signal(np.zeros(n_bins), bin_width, 0.0)
-
-    if mode == BinMode.SIGNED:
-        weights = (trace.dirs * trace.sizes).astype(np.float64)
-        idx_src = trace.times
-    elif mode == BinMode.OUTGOING_ONLY:
-        sel = trace.dirs > 0
-        weights = trace.sizes[sel].astype(np.float64)
-        idx_src = trace.times[sel]
-    elif mode == BinMode.INCOMING_ONLY:
-        sel = trace.dirs < 0
-        weights = trace.sizes[sel].astype(np.float64)
-        idx_src = trace.times[sel]
-    else:
-        raise InvalidConfig(f"unknown bin mode {mode!r}")
-
-    idx = np.minimum((idx_src / bin_width).astype(np.int64), n_bins - 1)
-    values = np.bincount(idx, weights=weights, minlength=n_bins)
-    return Signal(values, bin_width, 0.0)
+    weights = (trace.dirs * trace.sizes).astype(np.float64)
+    return Signal(_bin(trace.times, weights, trace.duration, bin_width), bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +151,7 @@ def convolve(signal: Signal, kernel: Kernel) -> Signal:
     full = _full_scan(x, h) / (kernel.norm**2)
     lo = (k - 1) // 2
     out = full[lo : lo + n]
-    return Signal(out, signal.bin_width, signal.t0)
+    return Signal(out, signal.bin_width)
 
 
 def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
@@ -211,7 +187,7 @@ def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(denom > _EPS, cov / np.where(denom > _EPS, denom, 1.0), 0.0)
     r = np.clip(r, -1.0, 1.0)
-    return Signal(r, signal.bin_width, signal.t0)
+    return Signal(r, signal.bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +199,18 @@ def detect_clusters(
     threshold: float,
     merge_gap: float = 0.2,
     min_duration: float = 0.0,
-) -> ClusterSet:
+) -> list[Cluster]:
     """Find maximal runs of bins whose value exceeds the threshold.
 
     Runs separated by a gap shorter than ``merge_gap`` are merged; merged
     runs shorter than ``min_duration`` are discarded.  Cluster times are in
-    seconds relative to the signal's origin.
+    seconds from the signal's start.
     """
     v = signal.values
     bw = signal.bin_width
     above = v > threshold
     if not above.any():
-        return ClusterSet([])
+        return []
 
     edges = np.flatnonzero(np.diff(above.astype(np.int8)))
     starts = list(np.flatnonzero(above[:1]) if above[0] else [])
@@ -259,12 +235,12 @@ def detect_clusters(
             continue
         clusters.append(
             Cluster(
-                start=signal.t0 + s * bw,
-                end=signal.t0 + (e + 1) * bw,
+                start=s * bw,
+                end=(e + 1) * bw,
                 peak_value=float(v[s : e + 1].max()),
             )
         )
-    return ClusterSet(clusters)
+    return clusters
 
 
 @dataclass
@@ -286,26 +262,6 @@ class CommandStats:
     total_time_span: float
     avg_time_gap: float
 
-    FIELDS = (
-        "mean",
-        "std",
-        "median",
-        "p25",
-        "p75",
-        "max",
-        "min",
-        "skewness",
-        "kurtosis",
-        "cluster_count",
-        "total_cluster_length",
-        "avg_cluster_length",
-        "total_time_span",
-        "avg_time_gap",
-    )
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in self.FIELDS}
-
 
 def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
     # population moments; zero-variance input maps skewness/kurtosis to 0
@@ -319,7 +275,7 @@ def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
     return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def cluster_statistics(signal: Signal, clusters: ClusterSet) -> CommandStats:
+def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
     """Reduce a scan output and its clusters to a fixed statistics block.
 
     Moment statistics run over the full scan output, not only the clusters.
@@ -336,15 +292,15 @@ def cluster_statistics(signal: Signal, clusters: ClusterSet) -> CommandStats:
         vmax = float(v.max())
         vmin = float(v.min())
 
-    cl = clusters.clusters
-    count = len(cl)
+    count = len(clusters)
     if count == 0:
         total_len = avg_len = span = gap = 0.0
     else:
-        total_len = float(sum(c.length for c in cl))
+        first, last = clusters[0], clusters[-1]
+        total_len = float(sum(c.length for c in clusters))
         avg_len = total_len / count
-        span = cl[-1].end - cl[0].start
-        gap = (cl[-1].start - cl[0].start) / (count - 1) if count > 1 else 0.0
+        span = last.end - first.start
+        gap = (last.start - first.start) / (count - 1) if count > 1 else 0.0
 
     return CommandStats(
         mean=mu,
@@ -388,10 +344,8 @@ def extract_kernel(
     sel = (trace.times >= start) & (trace.times < end)
     if not sel.any():
         raise EmptyWindow(f"no packets in [{start}, {end})")
-    n_bins = max(1, math.ceil((end - start) / bin_width - 1e-9))
-    idx = np.minimum(((trace.times[sel] - start) / bin_width).astype(np.int64), n_bins - 1)
     weights = (trace.dirs[sel] * trace.sizes[sel]).astype(np.float64)
-    values = np.bincount(idx, weights=weights, minlength=n_bins)
+    values = _bin(trace.times[sel] - start, weights, end - start, bin_width)
     return Kernel(kind=kind, bin_width=bin_width, values=values, source_id=source_id)
 
 
@@ -411,12 +365,7 @@ class KernelBank:
         for k in self.kernels:
             if k.kind == kind:
                 return k
-        from .errors import MissingKernel
-
         raise MissingKernel(kind)
-
-    def has(self, kind: CommandKind) -> bool:
-        return any(k.kind == kind for k in self.kernels)
 
     def fingerprint(self) -> str:
         payload = json.dumps(self._as_jsonable(), sort_keys=True).encode()
@@ -458,6 +407,6 @@ class KernelBank:
                         source_id=str(entry.get("source_id", "")),
                     )
                 )
-            except (KeyError, ValueError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise InvalidConfig(f"bad kernel entry in {path}: {e}") from None
         return cls(kernels)

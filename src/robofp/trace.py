@@ -142,12 +142,6 @@ class Dataset:
     def labels(self) -> list[ActionLabel]:
         return [tr.label for tr in self.traces]
 
-    def class_counts(self) -> dict[ActionLabel, int]:
-        counts: dict[ActionLabel, int] = {}
-        for tr in self.traces:
-            counts[tr.label] = counts.get(tr.label, 0) + 1
-        return counts
-
 
 # ---------------------------------------------------------------------------
 # trace CSV

@@ -28,7 +28,6 @@ from robofp.harness import (
 )
 from robofp.sigproc import (
     Cluster,
-    ClusterSet,
     CommandKind,
     Kernel,
     Signal,
@@ -190,13 +189,13 @@ def test_c03_scan_operators_match_definitional_oracles():
 def test_c04_cluster_spacing_statistic(seed42):
     response = Signal(np.linspace(0.5, 1.5, 2000), 0.01)
     starts = [0.0, 2.73, 7.4, 9.01, 12.66, 16.9991]
-    clusters = ClusterSet([Cluster(s, s + 0.05, 1.0) for s in starts])
+    clusters = [Cluster(s, s + 0.05, 1.0) for s in starts]
     stats = cluster_statistics(response, clusters)
     assert stats.cluster_count == 6
     assert abs(stats.avg_time_gap - 16.9991 / 5) <= 1e-12
     assert round(stats.avg_time_gap, 4) == 3.3998
 
-    single = cluster_statistics(response, ClusterSet([Cluster(4.0, 5.0, 1.2)]))
+    single = cluster_statistics(response, [Cluster(4.0, 5.0, 1.2)])
     assert single.avg_time_gap == 0.0
 
     # the identity holds on real detections, not only hand-built clusters

@@ -179,6 +179,9 @@ def test_stratified_folds_errors():
         stratified_folds(["a"] * 10, 5, seed=0)
     with pytest.raises(errors.TooFewSamples):
         stratified_folds(["a"] * 3 + ["b"] * 10, 5, seed=0)
+    for n_folds in (0, 1):
+        with pytest.raises(errors.InvalidConfig):
+            stratified_folds(["a"] * 10 + ["b"] * 10, n_folds, seed=0)
 
 
 def test_cross_validate_on_separable_data():
@@ -194,3 +197,14 @@ def test_cross_validate_on_separable_data():
     assert set(report.precision) == set(report.recall) == {"a", "b", "c"}
     doc = report.to_doc()
     assert doc["accuracy"] == report.accuracy
+
+
+def test_cross_validate_scores_x_test():
+    X, y = _blobs(n_per=20)
+    base = cross_validate(X, y, FAST, n_folds=5, seed=0)
+    assert cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X) == base
+    # every test row sits on class a's centre, so only class a is recovered
+    shifted = cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=np.zeros_like(X))
+    assert shifted.recall == {"a": 1.0, "b": 0.0, "c": 0.0}
+    with pytest.raises(errors.SchemaMismatch):
+        cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X[:, :1])

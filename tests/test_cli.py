@@ -101,6 +101,20 @@ def test_report_on_missing_run_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_report_on_invalid_json_exits_1(tmp_path, capsys):
+    (tmp_path / "report.json").write_text("{not json")
+    assert cli(["report", "--run-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_missing_key_exits_1(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(json.dumps({"n_traces": 40}))
+    assert cli(["report", "--run-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'cv'" in err
+
+
 def test_defend_padding(tmp_path, capsys):
     out = tmp_path / "defended"
     assert cli(["defend", "--seed", "3", "--samples-per-class", "2",

@@ -147,7 +147,7 @@ def test_profile_shape_separates_run_lengths(bank):
                 _, cs = command_clusters(
                     _trace_from(rows), CommandKind.GRIPPER_SPEED, bank, cfg
                 )
-                lens[profile] = sum(c.end - c.start for c in cs.clusters)
+                lens[profile] = sum(c.end - c.start for c in cs)
             assert lens["rise_slow"] > lens["rise_fast"]
 
 

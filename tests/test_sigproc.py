@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from robofp import errors
 from robofp.sigproc import (
-    BinMode,
     Cluster,
-    ClusterSet,
     CommandKind,
     Kernel,
     KernelBank,
@@ -62,8 +60,8 @@ def oracle_sliding_pearson(x, h):
     return out
 
 
-def sig(values, bw=0.01, t0=0.0):
-    return Signal(np.asarray(values, dtype=float), bw, t0)
+def sig(values, bw=0.01):
+    return Signal(np.asarray(values, dtype=float), bw)
 
 
 def ker(values, kind=CommandKind.CARTESIAN_MOVE, bw=0.01):
@@ -106,9 +104,7 @@ class TestBinTrace:
 
     def test_direction_modes(self):
         tr = Trace.from_records([(0.0, 1, 100), (0.004, -1, 60), (0.015, 1, 30)])
-        assert list(bin_trace(tr, 0.01, BinMode.SIGNED).values) == [40.0, 30.0]
-        assert list(bin_trace(tr, 0.01, BinMode.OUTGOING_ONLY).values) == [100.0, 30.0]
-        assert list(bin_trace(tr, 0.01, BinMode.INCOMING_ONLY).values) == [60.0, 0.0]
+        assert list(bin_trace(tr, 0.01).values) == [40.0, 30.0]
 
     def test_bad_bin_width(self):
         with pytest.raises(errors.InvalidConfig):
@@ -262,7 +258,7 @@ class TestDetectClusters:
         s = sig([0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], bw=0.01)
         cs = detect_clusters(s, threshold=0.5, merge_gap=0.05, min_duration=0.0)
         assert len(cs) == 2
-        a, b = cs.clusters
+        a, b = cs
         assert a.start == pytest.approx(0.01)
         assert a.end == pytest.approx(0.03)
         assert b.start == pytest.approx(0.21)
@@ -281,7 +277,7 @@ class TestDetectClusters:
         v = [0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
         cs = detect_clusters(sig(v), 0.5, merge_gap=0.05, min_duration=0.02)
         assert len(cs) == 1
-        assert cs.clusters[0].length == pytest.approx(0.03)
+        assert cs[0].length == pytest.approx(0.03)
 
     def test_min_duration_keeps_exact_length(self):
         cs = detect_clusters(sig([1, 1, 0]), 0.5, merge_gap=0.0, min_duration=0.02)
@@ -289,14 +285,10 @@ class TestDetectClusters:
 
     def test_peak_value(self):
         cs = detect_clusters(sig([0, 2, 7, 3, 0]), 1.0, merge_gap=0.0)
-        assert cs.clusters[0].peak_value == 7.0
+        assert cs[0].peak_value == 7.0
 
     def test_all_below_threshold(self):
         assert len(detect_clusters(sig([0.1, 0.2]), 0.5)) == 0
-
-    def test_t0_offsets_cluster_times(self):
-        cs = detect_clusters(sig([0, 1, 0], t0=5.0), 0.5)
-        assert cs.clusters[0].start == pytest.approx(5.01)
 
     def test_shift_covariance(self):
         rng = np.random.default_rng(5)
@@ -309,8 +301,8 @@ class TestDetectClusters:
         c0 = detect_clusters(convolve(sig(base), k), 0.5, merge_gap=0.05)
         c1 = detect_clusters(convolve(sig(shifted), k), 0.5, merge_gap=0.05)
         assert len(c0) == len(c1) == 1
-        assert c1.clusters[0].start - c0.clusters[0].start == pytest.approx(0.5, abs=1e-9)
-        assert c1.clusters[0].end - c0.clusters[0].end == pytest.approx(0.5, abs=1e-9)
+        assert c1[0].start - c0[0].start == pytest.approx(0.5, abs=1e-9)
+        assert c1[0].end - c0[0].end == pytest.approx(0.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +310,14 @@ class TestDetectClusters:
 
 
 def clusters_from_starts(starts, length):
-    return ClusterSet([Cluster(s, s + length, 1.0) for s in starts])
+    return [Cluster(s, s + length, 1.0) for s in starts]
 
 
 class TestClusterStatistics:
     def test_moments_against_plain_loops(self):
         rng = np.random.default_rng(17)
         v = rng.normal(3, 2, 500)
-        st_ = cluster_statistics(sig(v), ClusterSet([]))
+        st_ = cluster_statistics(sig(v), [])
         mu = sum(v) / len(v)
         m2 = sum((x - mu) ** 2 for x in v) / len(v)
         m3 = sum((x - mu) ** 3 for x in v) / len(v)
@@ -341,7 +333,7 @@ class TestClusterStatistics:
         assert st_.min == v.min()
 
     def test_zero_variance_maps_to_zero(self):
-        st_ = cluster_statistics(sig([5.0] * 20), ClusterSet([]))
+        st_ = cluster_statistics(sig([5.0] * 20), [])
         assert st_.skewness == 0.0
         assert st_.kurtosis == 0.0
         assert st_.std == 0.0
@@ -364,7 +356,7 @@ class TestClusterStatistics:
         assert st_.total_time_span == pytest.approx(2.091)
 
     def test_no_clusters_all_zero(self):
-        st_ = cluster_statistics(sig([1.0, 2.0]), ClusterSet([]))
+        st_ = cluster_statistics(sig([1.0, 2.0]), [])
         assert st_.cluster_count == 0
         assert st_.total_cluster_length == 0.0
         assert st_.avg_cluster_length == 0.0
@@ -378,20 +370,12 @@ class TestClusterStatistics:
             n = rng.integers(1, 8)
             starts = np.cumsum(rng.uniform(0.5, 3.0, n))
             lengths = rng.uniform(0.05, 0.4, n)
-            cl = ClusterSet(
-                [Cluster(float(s), float(s + l), 1.0) for s, l in zip(starts, lengths)]
-            )
+            cl = [Cluster(float(s), float(s + l), 1.0) for s, l in zip(starts, lengths)]
             st_ = cluster_statistics(sig(np.zeros(2)), cl)
-            gaps = [
-                cl.clusters[i + 1].start - cl.clusters[i].end for i in range(n - 1)
-            ]
+            gaps = [cl[i + 1].start - cl[i].end for i in range(n - 1)]
             assert st_.total_time_span == pytest.approx(
                 sum(lengths) + sum(gaps), abs=1e-9
             )
-
-    def test_as_dict_field_order(self):
-        st_ = cluster_statistics(sig([1.0]), ClusterSet([]))
-        assert list(st_.as_dict()) == list(st_.FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +433,12 @@ class TestKernels:
     def test_load_bad_json(self, tmp_path):
         p = tmp_path / "bank.json"
         p.write_text("{not json")
+        with pytest.raises(errors.InvalidConfig):
+            KernelBank.load(p)
+
+    def test_load_entry_not_an_object(self, tmp_path):
+        p = tmp_path / "bank.json"
+        p.write_text("[[1, 2]]")
         with pytest.raises(errors.InvalidConfig):
             KernelBank.load(p)
 

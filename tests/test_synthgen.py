@@ -267,4 +267,4 @@ def test_speed_cluster_counts_smoke():
     }
     for t in ds.traces:
         _, cs = command_clusters(t, CommandKind.GRIPPER_SPEED, bank, cfg)
-        assert len(cs.clusters) in expect[t.label], t.trace_id
+        assert len(cs) in expect[t.label], t.trace_id
