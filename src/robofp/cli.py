@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .classifier import GBDTClassifier
-from .defenses import MODULATION_INTERVALS, PaddingConfig, apply_defense, modulation_preset
+from .defenses import MODULATION_INTERVALS, PaddingConfig, modulation_preset
 from .errors import InvalidConfig, RobofpError
 from .features import (
     FeatureSchema,
@@ -24,6 +24,7 @@ from .features import (
 from .harness import (
     DEFAULT_THRESHOLD_GRID,
     ExperimentConfig,
+    defend_dataset,
     load_inputs,
     run_attack_experiment,
     run_defense_sweep,
@@ -32,7 +33,7 @@ from .harness import (
     write_report,
 )
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
-from .trace import Dataset, save_dataset
+from .trace import save_dataset
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -108,7 +109,7 @@ def _cmd_evaluate(args) -> int:
         dict(zip(["true_label", *cv["classes"]], [c, *counts]))
         for c, counts in zip(cv["classes"], cv["confusion"])
     ]
-    write_csv(out_dir / "confusion.csv", ["true_label", *cv["classes"]], rows)
+    write_csv(out_dir / "confusion.csv", rows)
     print(f"accuracy {cv['accuracy']:.4f} over {report['n_traces']} traces")
     print(f"report {out_dir / 'report.json'}")
     return 0
@@ -120,7 +121,7 @@ def _cmd_sweep_threshold(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "threshold_sweep.csv"
-    write_csv(path, ["t", "accuracy"], rows)
+    write_csv(path, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -132,14 +133,14 @@ def _cmd_defend(args) -> int:
         defense = PaddingConfig(args.x)
     else:
         defense = modulation_preset(args.s_p, args.t_i, tail_dummies=args.tail_dummies)
-    defended = [apply_defense(t, defense) for t in dataset.traces]
+    defended, overhead, max_latency = defend_dataset(dataset, defense)
     out_dir = Path(args.out_dir)
-    manifest = save_dataset(Dataset([d.trace for d in defended]), out_dir)
+    manifest = save_dataset(defended, out_dir)
     summary = {
         "config": defense.to_doc(),
         "traces": len(defended),
-        "mean_overhead": sum(d.bandwidth_overhead() for d in defended) / len(defended),
-        "max_added_latency": max(d.max_added_latency for d in defended),
+        "mean_overhead": overhead,
+        "max_added_latency": max_latency,
     }
     (out_dir / "defense_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {len(defended)} defended traces, manifest {manifest}")

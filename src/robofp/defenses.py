@@ -18,10 +18,8 @@ latency is its last segment's slot time minus its arrival time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -117,23 +115,6 @@ class ModulationConfig:
         }
 
 
-def config_from_doc(doc: dict) -> PaddingConfig | ModulationConfig:
-    try:
-        kind = doc["type"]
-        if kind == "padding":
-            return PaddingConfig(x=int(doc["x"]))
-        if kind == "modulation":
-            return ModulationConfig(
-                s_p=int(doc["s_p"]),
-                t_i=float(doc["t_i"]),
-                big_l=float(doc["L"]),
-                tail_dummies=float(doc.get("tail_dummies", 0.0)),
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidConfig(f"bad defense config: {e}") from e
-    raise InvalidConfig(f"unknown defense type {kind!r}")
-
-
 @dataclass
 class DefendedTrace:
     """A defended capture plus the bookkeeping linking it to the original.
@@ -162,26 +143,6 @@ class DefendedTrace:
         if self.original_bytes == 0:
             return 0.0
         return (self.defended_bytes - self.original_bytes) / self.original_bytes
-
-    def summary_doc(self) -> dict:
-        return {
-            "config": self.config.to_doc(),
-            "trace_id": self.trace.trace_id,
-            "original_bytes": self.original_bytes,
-            "defended_bytes": self.defended_bytes,
-            "bandwidth_overhead": self.bandwidth_overhead(),
-            "max_added_latency": self.max_added_latency,
-            "packets": len(self.trace),
-            "dummy_packets": int((self.orig_index < 0).sum()),
-        }
-
-    def save(self, csv_path: str | Path) -> None:
-        from .trace import save_trace
-
-        csv_path = Path(csv_path)
-        save_trace(self.trace, csv_path)
-        sidecar = csv_path.with_suffix(".defense.json")
-        sidecar.write_text(json.dumps(self.summary_doc(), indent=2) + "\n")
 
 
 def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:

@@ -297,12 +297,20 @@ def read_feature_csv(path: str | Path, schema: FeatureSchema) -> FeatureMatrix:
             raise SchemaMismatch("feature file is empty") from None
         if header != ["trace_id", "label", *schema.names]:
             raise SchemaMismatch("feature file header does not match schema")
+        width = len(header)
         ids, labels, rows = [], [], []
         for rec in reader:
             if not rec:
                 continue
+            if len(rec) != width:
+                raise SchemaMismatch(
+                    f"expected {width} fields, got {len(rec)} (line {reader.line_num})"
+                )
+            try:
+                rows.append([float(v) for v in rec[2:]])
+            except ValueError as e:
+                raise SchemaMismatch(f"{e} (line {reader.line_num})") from None
             ids.append(rec[0])
             labels.append(rec[1])
-            rows.append([float(v) for v in rec[2:]])
     X = np.array(rows, dtype=float).reshape(len(rows), len(schema.names))
     return FeatureMatrix(X, labels, ids, schema)

@@ -4,9 +4,10 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
-Sweep points are independent, so they run on a small worker pool (bounded
-by the config or the ROBOFP_WORKERS environment variable); results are
-assembled in sweep-key order regardless of completion order.
+Sweep points are independent, so they run on ``config.workers`` threads;
+results are assembled in sweep-key order regardless of completion order.
+``defend_dataset`` is the one defended-dataset path, shared by both defense
+sweeps and ``robofp defend``.
 
 Emitted tables, all plain CSV:
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -62,7 +62,17 @@ class ExperimentConfig:
     n_folds: int = 10
     retrain_on_defended: bool = True  # adapting adversary; False reuses the clean model
     tail_dummies: float = 0.0
-    workers: int = 0  # 0 defers to ROBOFP_WORKERS, then 1
+    workers: int = 0  # sweep-point threads; 0 and 1 both run serially
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.samples_per_class < 1:
+            raise InvalidConfig("samples_per_class must be >= 1")
+        if self.n_folds < 2:
+            raise InvalidConfig(f"n_folds must be >= 2, got {self.n_folds}")
+        if self.workers < 0:
+            raise InvalidConfig(f"workers must be >= 0, got {self.workers}")
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -90,17 +100,7 @@ class ExperimentConfig:
 
 
 def resolve_workers(config: ExperimentConfig) -> int:
-    if config.workers > 0:
-        return config.workers
-    env = os.environ.get("ROBOFP_WORKERS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidConfig(f"ROBOFP_WORKERS must be an integer, got {env!r}") from None
-        if n > 0:
-            return n
-    return 1
+    return max(config.workers, 1)
 
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
@@ -166,9 +166,10 @@ def write_report(report: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """Plain CSV of non-empty rows; the header is the first row's keys."""
     with Path(path).open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
 
@@ -202,40 +203,47 @@ def threshold_sweep(
     return _pool_map(config, job, sorted(thresholds))
 
 
-def _defended_matrix(dataset, bank, defense, config):
+def defend_dataset(dataset: Dataset, defense) -> tuple[Dataset, float, float]:
+    """Apply one defense config to every trace.
+
+    Returns the defended dataset, the mean per-trace bandwidth overhead and
+    the worst added latency over all traces."""
     defended = [apply_defense(t, defense) for t in dataset.traces]
-    matrix = featurize_dataset(
-        Dataset([d.trace for d in defended]), bank, config.sigproc, config.feature_set
-    )
     overhead = float(np.mean([d.bandwidth_overhead() for d in defended]))
     max_latency = float(max(d.max_added_latency for d in defended))
-    return matrix, overhead, max_latency
+    return Dataset([d.trace for d in defended]), overhead, max_latency
 
 
-def _defended_accuracy(clean: FeatureMatrix, defended: FeatureMatrix, config) -> float:
-    if config.retrain_on_defended:
-        return _evaluate_matrix(defended, config).accuracy
-    # fixed adversary: each fold's model is fitted on clean traffic and
-    # scores the same held-out captures after the defense
-    return _evaluate_matrix(clean, config, X_test=defended.X).accuracy
+def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float, float, float]]:
+    """(accuracy, overhead, max added latency) per defense, in order.
+
+    The adapting adversary (retrain_on_defended) cross-validates on the
+    defended features.  The fixed one fits each fold on clean traffic and
+    scores the same held-out captures after the defense."""
+    dataset, bank = load_inputs(config)
+    clean = None
+    if not config.retrain_on_defended:
+        clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
+
+    def job(defense) -> tuple[float, float, float]:
+        defended, overhead, max_latency = defend_dataset(dataset, defense)
+        matrix = featurize_dataset(defended, bank, config.sigproc, config.feature_set)
+        if clean is None:
+            report = _evaluate_matrix(matrix, config)
+        else:
+            report = _evaluate_matrix(clean, config, X_test=matrix.X)
+        return report.accuracy, overhead, max_latency
+
+    return _pool_map(config, job, defenses)
 
 
 def padding_sweep(
     config: ExperimentConfig, xs: tuple[int, ...] = DEFAULT_PADDING_GRID
 ) -> list[dict]:
     """Accuracy and mean bandwidth overhead per padding factor."""
-    dataset, bank = load_inputs(config)
-    clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
-
-    def job(x: int) -> dict:
-        matrix, overhead, _ = _defended_matrix(dataset, bank, PaddingConfig(x), config)
-        return {
-            "x": x,
-            "accuracy": _defended_accuracy(clean, matrix, config),
-            "overhead": overhead,
-        }
-
-    return _pool_map(config, job, sorted(xs))
+    xs = sorted(xs)
+    results = _defense_sweep(config, [PaddingConfig(x) for x in xs])
+    return [{"x": x, "accuracy": a, "overhead": o} for x, (a, o, _) in zip(xs, results)]
 
 
 def modulation_sweep(
@@ -244,23 +252,15 @@ def modulation_sweep(
     intervals: tuple[float, ...] = MODULATION_INTERVALS,
 ) -> list[dict]:
     """Accuracy, overhead and worst added latency per (s_p, t_i) point."""
-    dataset, bank = load_inputs(config)
-    clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
     points = [(s_p, t_i) for s_p in sorted(dummy_sizes) for t_i in sorted(intervals)]
-
-    def job(point: tuple[int, float]) -> dict:
-        s_p, t_i = point
-        defense = modulation_preset(s_p, t_i, tail_dummies=config.tail_dummies)
-        matrix, overhead, max_latency = _defended_matrix(dataset, bank, defense, config)
-        return {
-            "s_p": s_p,
-            "t_i": t_i,
-            "accuracy": _defended_accuracy(clean, matrix, config),
-            "overhead": overhead,
-            "max_added_latency": max_latency,
-        }
-
-    return _pool_map(config, job, points)
+    defenses = [
+        modulation_preset(s_p, t_i, tail_dummies=config.tail_dummies) for s_p, t_i in points
+    ]
+    results = _defense_sweep(config, defenses)
+    return [
+        {"s_p": s_p, "t_i": t_i, "accuracy": a, "overhead": o, "max_added_latency": lat}
+        for (s_p, t_i), (a, o, lat) in zip(points, results)
+    ]
 
 
 def run_defense_sweep(
@@ -277,12 +277,10 @@ def run_defense_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "padding":
         rows = padding_sweep(config, grid or DEFAULT_PADDING_GRID)
-        path = out_dir / "padding_sweep.csv"
-        write_csv(path, ["x", "accuracy", "overhead"], rows)
     elif kind == "modulation":
         rows = modulation_sweep(config, grid or DEFAULT_DUMMY_SIZES)
-        path = out_dir / "modulation_sweep.csv"
-        write_csv(path, ["s_p", "t_i", "accuracy", "overhead", "max_added_latency"], rows)
     else:
         raise InvalidConfig(f"unknown defense sweep kind {kind!r}")
+    path = out_dir / f"{kind}_sweep.csv"
+    write_csv(path, rows)
     return path

@@ -204,6 +204,8 @@ class GenConfig:
     actions: dict[ActionLabel, ActionTemplate] = field(default_factory=default_action_templates)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_class < 1:
             raise InvalidConfig("samples_per_class must be >= 1")
 

@@ -49,9 +49,6 @@ class ActionLabel(str, enum.Enum):
         return self.value
 
 
-ALL_LABELS = tuple(ActionLabel)
-
-
 class PacketRecord(NamedTuple):
     t: float
     dir: int
@@ -109,10 +106,6 @@ class Trace:
             t, d, s = (), (), ()
         return cls(np.array(t, dtype=np.float64), np.array(d), np.array(s), label, trace_id)
 
-    def records(self) -> Iterator[PacketRecord]:
-        for t, d, s in zip(self.times, self.dirs, self.sizes):
-            yield PacketRecord(float(t), int(d), int(s))
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -138,9 +131,6 @@ class Dataset:
 
     def __iter__(self) -> Iterator[Trace]:
         return iter(self.traces)
-
-    def labels(self) -> list[ActionLabel]:
-        return [tr.label for tr in self.traces]
 
 
 # ---------------------------------------------------------------------------

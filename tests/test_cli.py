@@ -4,7 +4,7 @@ import pytest
 
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import cli
-from robofp.harness import ExperimentConfig
+from robofp.harness import ExperimentConfig, padding_sweep
 
 FAST_CFG = ExperimentConfig(
     seed=5,
@@ -39,6 +39,12 @@ def test_generate_writes_dataset(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().out
 
 
+def test_generate_negative_seed_exits_1(tmp_path, capsys):
+    assert cli(["generate", "--seed", "-1", "--out-dir", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
 def test_kernels_subcommand(tmp_path, capsys):
     out = tmp_path / "kernels.json"
     assert cli(["kernels", "--out", str(out)]) == 0
@@ -68,6 +74,20 @@ def test_train_runtime_error_exits_1(tmp_path, capsys):
     assert cli(["train", "--features", "missing.csv", "--schema", str(schema),
                 "--out", str(tmp_path / "m.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_train_ragged_feature_csv_exits_1(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    assert cli(["featurize", "--seed", "3", "--samples-per-class", "2",
+                "--feature-set", "summary", "--out", str(features)]) == 0
+    lines = features.read_text().split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    features.write_text("\n".join(lines))
+    assert cli(["train", "--features", str(features),
+                "--schema", str(features.with_suffix(".schema.json")),
+                "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(line 4)" in err
 
 
 def test_evaluate_and_report(tmp_path, fast_config_path, capsys):
@@ -124,6 +144,10 @@ def test_defend_padding(tmp_path, capsys):
     assert summary["traces"] == 8
     assert summary["mean_overhead"] > 0
     assert (out / "manifest.csv").is_file()
+    # the same figure the padding sweep reports for these traces
+    cfg = ExperimentConfig(seed=3, samples_per_class=2, n_folds=2,
+                           classifier=GBDTParams(n_rounds=15, max_depth=3))
+    assert summary["mean_overhead"] == padding_sweep(cfg, (5,))[0]["overhead"]
     capsys.readouterr()
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -15,12 +14,11 @@ from robofp.defenses import (
     apply_defense,
     apply_modulation_defense,
     apply_padding_defense,
-    config_from_doc,
     modulation_preset,
     pad_packet,
     segment_plan,
 )
-from robofp.trace import MTU, ActionLabel, Trace, read_trace
+from robofp.trace import MTU, Trace
 
 
 def _trace(rows, **kw):
@@ -162,15 +160,6 @@ def test_modulation_preset_pairs_interval_with_controller_budget():
     assert modulation_preset(200, 0.01).big_l == 0.01  # coarser than the budget
 
 
-def test_config_doc_round_trip():
-    for cfg in (PaddingConfig(7), ModulationConfig(300, 0.001, 0.001, tail_dummies=2.0)):
-        assert config_from_doc(cfg.to_doc()) == cfg
-    with pytest.raises(errors.InvalidConfig):
-        config_from_doc({"type": "teleport"})
-    with pytest.raises(errors.InvalidConfig):
-        config_from_doc({"type": "modulation"})
-
-
 # ---------------------------------------------------------------------------
 # padding defense on traces
 
@@ -308,20 +297,3 @@ def test_apply_defense_dispatch():
     with pytest.raises(errors.InvalidConfig):
         apply_defense(trace, object())
 
-
-def test_defended_trace_save_round_trip(tmp_path):
-    trace = _trace(
-        [(0.0, 1, 150), (0.5, -1, 620)],
-        label=ActionLabel.POUR_WATER, trace_id="pour_water_000",
-    )
-    d = apply_padding_defense(trace, PaddingConfig(5))
-    path = tmp_path / "defended.csv"
-    d.save(path)
-    back = read_trace(path)
-    assert np.array_equal(back.sizes, d.trace.sizes)
-    assert np.array_equal(back.times, d.trace.times)
-    doc = json.loads((tmp_path / "defended.defense.json").read_text())
-    assert doc["config"] == {"type": "padding", "x": 5}
-    assert doc["original_bytes"] == 770
-    assert doc["dummy_packets"] == 0
-    assert config_from_doc(doc["config"]) == PaddingConfig(5)

@@ -266,6 +266,30 @@ def test_csv_header_mismatch(tmp_path, bank):
         read_feature_csv(path, other)
 
 
+def test_csv_ragged_row_names_line(tmp_path, bank):
+    m = featurize_dataset(_tiny_dataset(), bank)
+    path = tmp_path / "features.csv"
+    write_feature_csv(m, path)
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2].rsplit(",", 1)[0]  # drop the last field of the second row
+    path.write_text("\n".join(lines))
+    with pytest.raises(errors.SchemaMismatch, match=r"expected 72 fields, got 71 \(line 3\)"):
+        read_feature_csv(path, m.schema)
+
+
+def test_csv_non_numeric_value_names_line(tmp_path, bank):
+    m = featurize_dataset(_tiny_dataset(), bank)
+    path = tmp_path / "features.csv"
+    write_feature_csv(m, path)
+    lines = path.read_text().split("\n")
+    fields = lines[1].split(",")
+    fields[5] = "abc"
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    with pytest.raises(errors.SchemaMismatch, match=r"'abc'.*\(line 2\)"):
+        read_feature_csv(path, m.schema)
+
+
 def test_csv_missing_file(tmp_path, bank):
     with pytest.raises(errors.MissingFile):
         read_feature_csv(tmp_path / "nope.csv", make_schema(bank))

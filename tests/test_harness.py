@@ -48,18 +48,19 @@ def test_config_rejects_bad_documents():
         ExperimentConfig.from_doc({"unknown_field": 1})
     with pytest.raises(errors.InvalidConfig):
         ExperimentConfig.from_doc({"sigproc": {"bin_width": -1.0}})
-
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("ROBOFP_WORKERS", raising=False)
-    assert resolve_workers(SMALL) == 1
-    assert resolve_workers(replace(SMALL, workers=4)) == 4
-    monkeypatch.setenv("ROBOFP_WORKERS", "3")
-    assert resolve_workers(SMALL) == 3
-    assert resolve_workers(replace(SMALL, workers=2)) == 2  # explicit wins
-    monkeypatch.setenv("ROBOFP_WORKERS", "two")
+    for bad in ({"seed": -1}, {"samples_per_class": 0}, {"n_folds": 1}, {"workers": -5}):
+        with pytest.raises(errors.InvalidConfig):
+            ExperimentConfig.from_doc(bad)
+        with pytest.raises(errors.InvalidConfig):
+            ExperimentConfig(**bad)
     with pytest.raises(errors.InvalidConfig):
-        resolve_workers(SMALL)
+        GenConfig(seed=-1)
+
+
+def test_resolve_workers():
+    assert resolve_workers(SMALL) == 1
+    assert resolve_workers(replace(SMALL, workers=1)) == 1
+    assert resolve_workers(replace(SMALL, workers=4)) == 4
 
 
 def test_load_inputs_from_manifest(tmp_path):
@@ -156,11 +157,9 @@ def test_threshold_sweep_validates_range():
         threshold_sweep(SMALL, (0.5, 1.4))
 
 
-def test_sweeps_identical_across_worker_counts(monkeypatch):
-    monkeypatch.delenv("ROBOFP_WORKERS", raising=False)
+def test_sweeps_identical_across_worker_counts():
     serial = threshold_sweep(SMALL, (0.0, 0.9))
-    monkeypatch.setenv("ROBOFP_WORKERS", "2")
-    pooled = threshold_sweep(SMALL, (0.0, 0.9))
+    pooled = threshold_sweep(replace(SMALL, workers=2), (0.0, 0.9))
     assert serial == pooled
 
 

@@ -176,7 +176,7 @@ class TestManifest:
         manifest = save_dataset(ds, tmp_path / "data")
         ds2 = load_dataset(manifest)
         assert len(ds2) == len(ds)
-        assert ds2.labels() == ds.labels()
+        assert [t.label for t in ds2.traces] == [t.label for t in ds.traces]
         assert [t.trace_id for t in ds2] == [t.trace_id for t in ds]
         assert np.array_equal(ds2.traces[0].sizes, ds.traces[0].sizes)
 
