@@ -10,6 +10,25 @@ p = softmax(F), gradient g = p - y and hessian h = p (1 - p) per class;
 each leaf takes weight -G / (H + lambda) and scores move by the learning
 rate times that weight.  Split gain is the usual
 0.5 (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)).
+
+The search runs only where a split can exist, which cannot change a model:
+
+* A node whose hessian sum is below 2 * min_child_weight becomes a leaf
+  unsearched, since each child needs hessian mass >= min_child_weight.  A
+  1e-9 relative margin absorbs rounding differences between the node's sum
+  and the search's running sums, so no admissible split is lost.
+* A column whose presorted training values never rise is never searched.
+  A node's rows are a subsequence of that order, so the column offers no
+  split between two distinct values at any node.  The other columns are
+  searched in ascending order, which keeps the lowest-feature tie-break.
+* A node's per-column sorted rows are filtered from its parent's, not from
+  the full presort; the order within each column is the same.
+
+Training scores move by the leaf weights written as the tree grows: the
+rows reach each leaf by the same ``X[:, f] <= threshold`` tests that
+``predict`` follows.  Non-finite inputs are rejected: a split midpoint next
+to inf is inf, which would send every row left whatever side the gain was
+computed for.
 """
 
 from __future__ import annotations
@@ -91,6 +110,15 @@ class _Tree:
         )
 
 
+def _check_finite(X: np.ndarray, names: list[str] | None) -> None:
+    """Raise SchemaMismatch naming the first column that holds inf or nan."""
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        name = names[j] if names else f"f{j}"
+        raise SchemaMismatch(f"column {j} ({name}) holds a non-finite value")
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -115,6 +143,7 @@ class GBDTClassifier:
             raise SchemaMismatch(
                 f"{X.shape[1]} columns but {len(self.feature_names)} feature names"
             )
+        _check_finite(X, self.feature_names)
         self.classes_ = sorted(set(y))
         if len(self.classes_) < 2:
             raise SingleClass("training data contains a single class")
@@ -124,12 +153,16 @@ class GBDTClassifier:
         Y = np.zeros((n, K))
         Y[np.arange(n), [class_index[v] for v in y]] = 1.0
 
-        # presort once; node membership is filtered through these orders
+        # presort once; search only the columns whose sorted values rise
         order = np.argsort(X, axis=0, kind="stable")
+        sorted_x = np.take_along_axis(X, order, axis=0)
+        features = np.flatnonzero((sorted_x[1:] > sorted_x[:-1]).any(axis=0))
+        presorted = (order[:, features].T.copy(), sorted_x[:, features].T.copy())
 
         self._gain = np.zeros(n_features)
         self.trees_ = []
         scores = np.zeros((n, K))
+        root = np.ones(n, dtype=bool)
         for _ in range(self.params.n_rounds):
             P = _softmax(scores)
             G = P - Y
@@ -137,67 +170,78 @@ class GBDTClassifier:
             round_trees = []
             for k in range(K):
                 tree = _Tree()
-                root = np.ones(n, dtype=bool)
-                self._grow_node(tree, X, order, G[:, k], H[:, k], root, depth=0)
+                update = np.zeros(n)
+                self._grow_node(tree, X, features, G[:, k], H[:, k], root, presorted, update, 0)
                 round_trees.append(tree)
-                scores[:, k] += self.params.learning_rate * tree.predict(X)
+                scores[:, k] += self.params.learning_rate * update
             self.trees_.append(round_trees)
         return self
 
-    def _grow_node(self, tree, X, order, g, h, mask, depth) -> int:
+    def _grow_node(self, tree, X, features, g, h, mask, parent_sorted, update, depth) -> int:
+        """Grow the subtree over the rows in ``mask`` and write its leaf
+        weights into ``update``.  ``parent_sorted`` is the parent's (rows,
+        values) per searched column in sorted order, a superset of this node's."""
         lam = self.params.reg_lambda
         g_sum = g[mask].sum()
         h_sum = h[mask].sum()
         denom = h_sum + lam
         weight = -g_sum / denom if denom > 0 else 0.0
-        if depth >= self.params.max_depth or mask.sum() < 2:
+        n_node = int(mask.sum())
+        # each child needs hessian mass >= min_child_weight; the margin covers
+        # rounding differences between h_sum and the search's running sums
+        hopeless = h_sum < 2.0 * self.params.min_child_weight * (1.0 - 1e-9)
+        if depth >= self.params.max_depth or n_node < 2 or hopeless:
+            update[mask] = weight
             return tree.add_leaf(weight)
 
-        found = self._best_split(X, order, g, h, mask, g_sum, h_sum)
+        keep = mask[parent_sorted[0]]
+        shape = (len(features), n_node)
+        node_sorted = tuple(a[keep].reshape(shape) for a in parent_sorted)
+        found = self._best_split(features, *node_sorted, g, h, g_sum, h_sum)
         if found is None:
+            update[mask] = weight
             return tree.add_leaf(weight)
         f, threshold, gain = found
         self._gain[f] += gain
 
         node = tree.add_split(f, threshold)
         left_mask = mask & (X[:, f] <= threshold)
-        tree.left[node] = self._grow_node(tree, X, order, g, h, left_mask, depth + 1)
-        tree.right[node] = self._grow_node(tree, X, order, g, h, mask & ~left_mask, depth + 1)
+        tree.left[node] = self._grow_node(
+            tree, X, features, g, h, left_mask, node_sorted, update, depth + 1
+        )
+        tree.right[node] = self._grow_node(
+            tree, X, features, g, h, mask & ~left_mask, node_sorted, update, depth + 1
+        )
         return node
 
-    def _best_split(self, X, order, g, h, mask, g_sum, h_sum):
+    def _best_split(self, features, rows, xs, g, h, g_sum, h_sum):
+        """Best (feature, threshold, gain) over a node's rows and values,
+        each sorted per searched column, or None."""
         lam = self.params.reg_lambda
         mcw = self.params.min_child_weight
 
-        # rows of the node in per-feature sorted order: (n_node, n_features)
-        keep = mask[order]
-        n_node = int(mask.sum())
-        rows = order.T[keep.T].reshape(X.shape[1], n_node).T
+        # running sums of the rows left of each candidate split: (cols, n_node)
+        gs = np.cumsum(g[rows], axis=1)
+        hs = np.cumsum(h[rows], axis=1)
 
-        gs = np.cumsum(g[rows], axis=0)[:-1]
-        hs = np.cumsum(h[rows], axis=0)[:-1]
-        xs = np.take_along_axis(X, rows, axis=0)
-
-        valid = xs[1:] > xs[:-1]  # no split between equal values
-        valid &= (hs >= mcw) & (h_sum - hs >= mcw)
-        if not valid.any():
+        valid = xs[:, 1:] > xs[:, :-1]  # no split between equal values
+        valid &= (hs[:, :-1] >= mcw) & (h_sum - hs[:, :-1] >= mcw)
+        # nonzero scans column by column, then position: the first maximum
+        # breaks ties toward the lowest feature index, then lowest threshold
+        j, pos = np.nonzero(valid)
+        if not len(j):
             return None
-
+        gl = gs[j, pos]
+        hl = hs[j, pos]
         parent = g_sum * g_sum / (h_sum + lam)
-        gain = np.where(
-            valid,
-            gs * gs / (hs + lam) + (g_sum - gs) ** 2 / (h_sum - hs + lam) - parent,
-            -np.inf,
-        )
-        # first maximum in (position, feature) scan order breaks ties toward
-        # the lowest feature index, then the lowest threshold
-        flat = np.argmax(gain.T)
-        f, pos = divmod(int(flat), gain.shape[0])
-        best = gain[pos, f]
+        gain = gl * gl / (hl + lam) + (g_sum - gl) ** 2 / (h_sum - hl + lam) - parent
+        i = int(np.argmax(gain))
+        best = gain[i]
         if best <= _MIN_GAIN:
             return None
-        threshold = 0.5 * (xs[pos, f] + xs[pos + 1, f])
-        return f, float(threshold), float(0.5 * best)
+        j, pos = j[i], pos[i]
+        threshold = 0.5 * (xs[j, pos] + xs[j, pos + 1])
+        return int(features[j]), float(threshold), float(0.5 * best)
 
     # -- inference --------------------------------------------------------
 
@@ -214,6 +258,7 @@ class GBDTClassifier:
             raise SchemaMismatch(
                 f"{X.shape[1]} columns but model expects {len(self.feature_names)}"
             )
+        _check_finite(X, self.feature_names)
         scores = np.zeros((len(X), len(self.classes_)))
         for round_trees in self.trees_:
             for k, tree in enumerate(round_trees):

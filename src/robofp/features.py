@@ -207,14 +207,14 @@ def _summary_features(trace: Trace) -> np.ndarray:
             values.extend([0.0, 0.0])
     for sizes in per_dir_sizes:
         if sizes.size:
-            values.extend(float(np.percentile(sizes, p)) for p in _SIZE_PERCENTILES)
+            values.extend(np.percentile(sizes, _SIZE_PERCENTILES).tolist())
         else:
             values.extend([0.0] * len(_SIZE_PERCENTILES))
     for mask in (out, ~out):
         times = trace.times[mask]
         if times.size >= 2:
             iat = np.diff(times)
-            values.extend(float(np.percentile(iat, p)) for p in _IAT_PERCENTILES)
+            values.extend(np.percentile(iat, _IAT_PERCENTILES).tolist())
         else:
             values.extend([0.0] * len(_IAT_PERCENTILES))
     return np.array(values)

@@ -80,16 +80,16 @@ class Trace:
         self.sizes = np.asarray(self.sizes, dtype=np.int64)
         n = len(self.times)
         if len(self.dirs) != n or len(self.sizes) != n:
-            raise ValueError("times, dirs and sizes must have equal length")
+            raise MalformedRow("times, dirs and sizes must have equal length")
         if n:
             if self.times[0] != 0.0:
-                raise ValueError("trace must start at t=0 (times are trace-relative)")
+                raise MalformedRow("trace must start at t=0 (times are trace-relative)")
             if np.any(np.diff(self.times) < 0):
-                raise ValueError("timestamps must be non-decreasing")
+                raise NonMonotonicTime("timestamps must be non-decreasing")
             if np.any((self.dirs != 1) & (self.dirs != -1)):
-                raise ValueError("direction must be +1 or -1")
+                raise BadDirection("direction must be +1 or -1")
             if np.any((self.sizes < 1) | (self.sizes > MTU)):
-                raise ValueError(f"sizes must lie in [1, {MTU}]")
+                raise SizeOutOfRange(f"sizes must lie in [1, {MTU}]")
         for a in (self.times, self.dirs, self.sizes):
             a.flags.writeable = False
 

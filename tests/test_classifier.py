@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,12 +6,17 @@ import pytest
 
 from robofp import errors
 from robofp.classifier import (
+    _MIN_GAIN,
     CVReport,
     GBDTClassifier,
     GBDTParams,
+    _softmax,
+    _Tree,
     cross_validate,
     stratified_folds,
 )
+from robofp.features import featurize_dataset
+from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
 
 FAST = GBDTParams(n_rounds=20, max_depth=3)
 
@@ -126,6 +132,159 @@ def test_feature_importance_names_and_zeros():
     assert set(imp) == {"u", "v", "dead"}
     assert imp["dead"] == 0.0
     assert imp["u"] > 0 and imp["v"] > 0
+
+
+def test_fit_rejects_non_finite_values():
+    # a midpoint next to inf is inf, so such a split would send every row left
+    X = np.zeros((40, 1))
+    X[20:] = np.inf
+    y = ["a"] * 20 + ["b"] * 20
+    with pytest.raises(errors.SchemaMismatch, match=r"column 0 \(f0\)"):
+        GBDTClassifier(FAST).fit(X, y)
+    X2 = np.column_stack([np.arange(40.0), np.zeros(40)])
+    X2[5, 1] = np.nan
+    with pytest.raises(errors.SchemaMismatch, match=r"column 1 \(v\)"):
+        GBDTClassifier(FAST, feature_names=["u", "v"]).fit(X2, y)
+
+
+def test_decision_scores_rejects_non_finite_values():
+    X, y = _blobs(n_per=10)
+    model = GBDTClassifier(FAST, feature_names=["u", "v"]).fit(X, y)
+    Xt = X.copy()
+    Xt[3, 1] = -np.inf
+    with pytest.raises(errors.SchemaMismatch, match=r"column 1 \(v\)"):
+        model.predict(Xt)
+
+
+# ---------------------------------------------------------------------------
+# split search against a reference: the recursive full-column search, which
+# re-gathers every column's presorted rows from the whole order at each node
+
+
+def _reference_split(params, X, order, g, h, mask, g_sum, h_sum):
+    lam, mcw = params.reg_lambda, params.min_child_weight
+    keep = mask[order]
+    n_node = int(mask.sum())
+    rows = order.T[keep.T].reshape(X.shape[1], n_node).T
+    gs = np.cumsum(g[rows], axis=0)[:-1]
+    hs = np.cumsum(h[rows], axis=0)[:-1]
+    xs = np.take_along_axis(X, rows, axis=0)
+    valid = xs[1:] > xs[:-1]
+    valid &= (hs >= mcw) & (h_sum - hs >= mcw)
+    if not valid.any():
+        return None
+    parent = g_sum * g_sum / (h_sum + lam)
+    gain = np.where(
+        valid,
+        gs * gs / (hs + lam) + (g_sum - gs) ** 2 / (h_sum - hs + lam) - parent,
+        -np.inf,
+    )
+    f, pos = divmod(int(np.argmax(gain.T)), gain.shape[0])
+    best = gain[pos, f]
+    if best <= _MIN_GAIN:
+        return None
+    return f, float(0.5 * (xs[pos, f] + xs[pos + 1, f])), float(0.5 * best)
+
+
+def _reference_grow(params, tree, gain_sum, X, order, g, h, mask, depth):
+    g_sum = g[mask].sum()
+    h_sum = h[mask].sum()
+    denom = h_sum + params.reg_lambda
+    weight = -g_sum / denom if denom > 0 else 0.0
+    found = None
+    if depth < params.max_depth and mask.sum() >= 2:
+        found = _reference_split(params, X, order, g, h, mask, g_sum, h_sum)
+    if found is None:
+        return tree.add_leaf(weight)
+    f, threshold, gain = found
+    gain_sum[f] += gain
+    node = tree.add_split(f, threshold)
+    left = mask & (X[:, f] <= threshold)
+    tree.left[node] = _reference_grow(params, tree, gain_sum, X, order, g, h, left, depth + 1)
+    tree.right[node] = _reference_grow(
+        params, tree, gain_sum, X, order, g, h, mask & ~left, depth + 1
+    )
+    return node
+
+
+def _reference_fit(params, X, y):
+    model = GBDTClassifier(params)
+    model.classes_ = sorted(set(y))
+    n, K = len(y), len(model.classes_)
+    Y = np.zeros((n, K))
+    Y[np.arange(n), [model.classes_.index(v) for v in y]] = 1.0
+    order = np.argsort(X, axis=0, kind="stable")
+    model._gain = np.zeros(X.shape[1])
+    scores = np.zeros((n, K))
+    for _ in range(params.n_rounds):
+        P = _softmax(scores)
+        G, H = P - Y, P * (1.0 - P)
+        round_trees = []
+        for k in range(K):
+            tree = _Tree()
+            root = np.ones(n, dtype=bool)
+            _reference_grow(params, tree, model._gain, X, order, G[:, k], H[:, k], root, 0)
+            round_trees.append(tree)
+            scores[:, k] += params.learning_rate * tree.predict(X)
+        model.trees_.append(round_trees)
+    return model
+
+
+def _random_problem(seed, n=60, d=6, levels=None, constant=()):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if levels:
+        X = rng.integers(0, levels, size=(n, d)).astype(float)
+    y = list(rng.choice(["a", "b", "c"], size=n))
+    # a learnable signal in column 1 so that trees grow past the root
+    X[:, 1] += np.array([{"a": 0.0, "b": 1.0, "c": 2.0}[v] for v in y])
+    for j in constant:
+        X[:, j] = 3.0
+    return X, y
+
+
+SEARCH_CASES = {
+    "plain": (dict(), GBDTParams(n_rounds=10)),
+    "constant_columns": (dict(constant=(0, 3, 5)), GBDTParams(n_rounds=10)),
+    "all_constant": (dict(d=4, constant=(0, 1, 2, 3)), GBDTParams(n_rounds=5)),
+    "heavy_ties": (dict(levels=3), GBDTParams(n_rounds=10)),
+    "near_zero_hessians": (
+        dict(n=40, d=3),
+        GBDTParams(n_rounds=60, learning_rate=1.0, min_child_weight=1e-3),
+    ),
+    "mcw_0": (dict(levels=4), GBDTParams(n_rounds=10, min_child_weight=0.0)),
+    "mcw_5": (dict(n=90), GBDTParams(n_rounds=10, min_child_weight=5.0)),
+    "depth_1": (dict(constant=(2,)), GBDTParams(n_rounds=10, max_depth=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_reference_search(case, seed):
+    shape, params = SEARCH_CASES[case]
+    X, y = _random_problem(seed, **shape)
+    expected = _reference_fit(params, X, y).to_json()
+    assert GBDTClassifier(params).fit(X, y).to_json() == expected
+
+
+def test_seed42_fold_models_pinned():
+    # sha256 over the to_json() of the ten seed-42 fold models and the full
+    # fit, recorded before the split search skipped nodes and columns
+    matrix = featurize_dataset(
+        gen_dataset(GenConfig(seed=42, samples_per_class=50)), default_kernel_bank()
+    )
+    names = list(matrix.schema.names)
+    y = np.array(matrix.labels)
+    digest = hashlib.sha256()
+    for heldout in stratified_folds(matrix.labels, 10, seed=42):
+        train = np.setdiff1d(np.arange(len(y)), heldout)
+        model = GBDTClassifier(GBDTParams(), names).fit(matrix.X[train], list(y[train]))
+        digest.update(model.to_json().encode())
+    full = GBDTClassifier(GBDTParams(), names).fit(matrix.X, matrix.labels)
+    digest.update(full.to_json().encode())
+    assert digest.hexdigest() == (
+        "61424b979821033581ea59d9af886eca71a6e65ecc33f624282442112467a489"
+    )
 
 
 # ---------------------------------------------------------------------------

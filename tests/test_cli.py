@@ -90,6 +90,23 @@ def test_train_ragged_feature_csv_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "(line 4)" in err
 
 
+def test_train_non_finite_feature_exits_1(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    assert cli(["featurize", "--seed", "3", "--samples-per-class", "2",
+                "--feature-set", "summary", "--out", str(features)]) == 0
+    lines = features.read_text().split("\n")
+    fields = lines[3].split(",")
+    fields[4] = "inf"  # third feature column of the third trace
+    lines[3] = ",".join(fields)
+    features.write_text("\n".join(lines))
+    assert cli(["train", "--features", str(features),
+                "--schema", str(features.with_suffix(".schema.json")),
+                "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "column 2" in err and "non-finite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_and_report(tmp_path, fast_config_path, capsys):
     run_dir = tmp_path / "run"
     assert cli(["evaluate", "--config", fast_config_path, "--out-dir", str(run_dir)]) == 0

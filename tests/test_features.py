@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from robofp import errors
+from robofp.defenses import PaddingConfig, apply_defense, modulation_preset
 from robofp.features import (
     FEATURE_SETS,
     FeatureMatrix,
@@ -18,7 +21,14 @@ from robofp.features import (
     write_feature_csv,
 )
 from robofp.sigproc import CommandKind
-from robofp.synthgen import default_kernel_bank, gen_command, default_command_templates, trace_rng
+from robofp.synthgen import (
+    GenConfig,
+    default_command_templates,
+    default_kernel_bank,
+    gen_command,
+    gen_dataset,
+    trace_rng,
+)
 from robofp.trace import ActionLabel, Dataset, PacketRecord, Trace
 
 
@@ -237,6 +247,31 @@ def test_featurize_dataset_shapes(bank):
     assert featurize_dataset(ds, bank).X.shape == (2, 70)
     assert featurize_dataset(ds, bank, feature_set="command").X.shape == (2, 42)
     assert featurize_dataset(ds, bank, feature_set="summary").X.shape == (2, 28)
+
+
+@pytest.mark.parametrize(
+    "defense, expected",
+    [
+        (None, "4bd5c61a0dc2773878339ed85d37cf498fa89394c03458d952013144c6e57ddf"),
+        (PaddingConfig(3), "77b855e589e64b9131f6e5c54bad0c30882a04e581d907cfa5f4336d0eea082d"),
+        (
+            modulation_preset(500, 0.001),
+            "da3494cb5e49aca109b107765da9eee8b5218fa6ab52eae62961a4afa336ef9f",
+        ),
+        (
+            modulation_preset(300, 0.01),
+            "f73050ba812465e4f8eb0b67051279c8884d8ad87bd13ebeca6c0dadc4de2a48",
+        ),
+    ],
+    ids=["clean", "padding_x3", "modulation_500_1ms", "modulation_300_10ms"],
+)
+def test_feature_matrix_pinned(bank, defense, expected):
+    # sha256 of the matrix bytes; any change to a feature's value moves it
+    dataset = gen_dataset(GenConfig(seed=7, samples_per_class=5))
+    if defense is not None:
+        dataset = Dataset([apply_defense(t, defense).trace for t in dataset.traces])
+    X = featurize_dataset(dataset, bank).X
+    assert hashlib.sha256(X.tobytes()).hexdigest() == expected
 
 
 def test_feature_matrix_validates_shape(bank):

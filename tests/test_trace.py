@@ -130,21 +130,25 @@ class TestWrite:
 
 class TestTraceType:
     def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.MalformedRow):
             make_trace([(0.5, 1, 100)])
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(errors.MalformedRow):
+            Trace(np.array([0.0, 0.1]), np.array([1]), np.array([9, 9]))
+
     def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.NonMonotonicTime):
             Trace(np.array([0.0, 0.2, 0.1]), np.array([1, 1, 1]), np.array([9, 9, 9]))
 
     def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadDirection):
             make_trace([(0.0, 0, 100)])
 
     def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.SizeOutOfRange):
             make_trace([(0.0, 1, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.SizeOutOfRange):
             make_trace([(0.0, 1, MTU + 1)])
 
     def test_duration_and_bytes(self):
