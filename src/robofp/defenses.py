@@ -13,7 +13,18 @@ message is out the door within the deadline L:
     otherwise                  -> s_p-sized segments     (s_p, ceil(s_o / s_p))
 
 Messages queue FIFO per direction and never interleave; a message's added
-latency is its last segment's slot time minus its arrival time.
+latency is its last segment's slot time minus its arrival time.  The queue
+has a closed form.  With arrival_k = ceil(t_k / t_i) the first free slot at
+message k's time and before_k = n_0 + ... + n_(k-1) the slots its
+predecessors take, message k starts at
+
+    first_k = before_k + max(arrival_0 - before_0, ..., arrival_k - before_k)
+
+(a running maximum, exact in integers).  Both directions fill one
+(n_slots, 2) grid, outgoing in column 0.  For t_i >= 1 us the
+microsecond-rounded slot times strictly increase, so reading the grid row
+by row is time order with the outgoing packet first in each slot.  The
+slot count is checked against MAX_SLOTS before the grid is allocated.
 """
 
 from __future__ import annotations
@@ -39,6 +50,10 @@ MODULATION_INTERVALS = (0.01, 0.001, 0.0001)
 CONTROLLER_LATENCY_BUDGET = 0.001
 
 _MIN_INTERVAL = 1e-6  # slot times must stay distinct on the microsecond grid
+
+# slots per direction one modulated trace may allocate: 2**22 covers 419 s
+# at t_i = 0.1 ms, but only 4.2 s at 1 us
+MAX_SLOTS = 2**22
 
 
 def modulation_preset(s_p: int, t_i: float, tail_dummies: float = 0.0) -> "ModulationConfig":
@@ -125,7 +140,6 @@ class DefendedTrace:
     """
 
     trace: Trace
-    config: PaddingConfig | ModulationConfig
     original_bytes: int
     orig_index: np.ndarray
     added_latency: np.ndarray
@@ -134,99 +148,75 @@ class DefendedTrace:
     def max_added_latency(self) -> float:
         return float(self.added_latency.max()) if self.added_latency.size else 0.0
 
-    @property
-    def defended_bytes(self) -> int:
-        return self.trace.total_bytes
-
     def bandwidth_overhead(self) -> float:
         """(defended - original) / original, in bytes."""
         if self.original_bytes == 0:
             return 0.0
-        return (self.defended_bytes - self.original_bytes) / self.original_bytes
+        return (self.trace.total_bytes - self.original_bytes) / self.original_bytes
 
 
 def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:
     """Pad sizes in place; timing, direction and count are untouched."""
     step = PAD_STEP * config.x
     padded = np.minimum((trace.sizes + step - 1) // step * step, MTU)
-    defended = Trace(
-        trace.times.copy(), trace.dirs.copy(), padded.astype(np.int64),
-        label=trace.label, trace_id=trace.trace_id,
-    )
+    defended = Trace(trace.times, trace.dirs, padded, label=trace.label, trace_id=trace.trace_id)
     return DefendedTrace(
         trace=defended,
-        config=config,
         original_bytes=trace.total_bytes,
         orig_index=np.arange(len(trace), dtype=np.int64),
         added_latency=np.zeros(len(trace)),
     )
 
 
-def _assign_slots(times, sizes, orig_idx, config):
-    """FIFO slot assignment for one direction.
-
-    Returns (slot -> (orig index, segment size, n segments)) plus the
-    per-message added latency and the last occupied slot.
-    """
-    t_i = config.t_i
-    assigned = {}
-    latency = np.zeros(len(times))
-    cursor = 0  # next free slot
-    last = -1
-    for pos, (t, s, oi) in enumerate(zip(times, sizes, orig_idx)):
-        s_c, n = segment_plan(int(s), config.s_p, t_i, config.big_l)
-        slot = max(cursor, math.ceil(t / t_i - 1e-12))
-        assigned[slot] = (oi, s_c, n)
-        cursor = slot + n
-        latency[pos] = (slot + n - 1) * t_i - t
-        last = slot + n - 1
-    return assigned, latency, last
-
-
 def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> DefendedTrace:
     """Re-emit both directions at one packet per t_i with dummy fill."""
-    span = trace.duration + config.tail_dummies
-    per_dir = {}
-    latencies = np.zeros(len(trace))
-    last = math.ceil(span / config.t_i)
+    t_i = config.t_i
+    last = math.ceil((trace.duration + config.tail_dummies) / t_i)
+    sizes, inverse = np.unique(trace.sizes, return_inverse=True)
+    plans = np.array(
+        [segment_plan(int(s), config.s_p, t_i, config.big_l) for s in sizes], dtype=np.int64
+    ).reshape(-1, 2)
+    seg, n = plans[inverse, 0], plans[inverse, 1]
+    arrival = np.ceil(trace.times / t_i - 1e-12).astype(np.int64)
+
+    latency = np.zeros(len(trace))
+    queues = []
     for direction in (1, -1):
         idx = np.flatnonzero(trace.dirs == direction)
-        assigned, lat, dir_last = _assign_slots(
-            trace.times[idx], trace.sizes[idx], idx, config
-        )
-        latencies[idx] = lat
-        per_dir[direction] = assigned
-        last = max(last, dir_last)
+        n_d = n[idx]
+        before = np.cumsum(n_d) - n_d
+        shift = np.maximum.accumulate(arrival[idx] - before)
+        first = before + shift
+        ends = first + n_d - 1
+        latency[idx] = ends * t_i - trace.times[idx]
+        last = max(last, int(ends.max(initial=0)))
+        queues.append((idx, first, shift))
 
-    # both directions emit the same slot grid, 0 .. last
     n_slots = last + 1
-    slot_times = np.round(np.arange(n_slots) * config.t_i * 1e6) / 1e6
-    parts = []
-    for direction in (1, -1):
-        slot_sizes = np.full(n_slots, config.s_p, dtype=np.int64)
-        slot_orig = np.full(n_slots, -1, dtype=np.int64)
-        for slot, (oi, s_c, n) in per_dir[direction].items():
-            slot_sizes[slot : slot + n] = s_c
-            slot_orig[slot] = oi
-        parts.append((slot_times, np.full(n_slots, direction, dtype=np.int32), slot_sizes, slot_orig))
+    if n_slots > MAX_SLOTS:
+        raise OutOfRange(f"t_i={t_i} needs {n_slots} slots per direction, more than {MAX_SLOTS}")
+    grid_sizes = np.full((n_slots, 2), config.s_p, dtype=np.int64)
+    grid_orig = np.full((n_slots, 2), -1, dtype=np.int64)
+    for column, (idx, first, shift) in enumerate(queues):
+        # segment j of message k sits at first_k + j = shift_k + (before_k + j),
+        # and before_k + j counts the direction's segments in order
+        n_d = n[idx]
+        rows = np.repeat(shift, n_d) + np.arange(n_d.sum())
+        grid_sizes[rows, column] = np.repeat(seg[idx], n_d)
+        grid_orig[first, column] = idx
 
-    times = np.concatenate([p[0] for p in parts])
-    dirs = np.concatenate([p[1] for p in parts])
-    sizes = np.concatenate([p[2] for p in parts])
-    orig = np.concatenate([p[3] for p in parts])
-    # stable sort keeps the outgoing slot first when both directions share a time
-    order = np.argsort(times, kind="stable")
-
+    slot_times = np.round(np.arange(n_slots) * t_i * 1e6) / 1e6
     defended = Trace(
-        times[order], dirs[order], sizes[order],
+        np.repeat(slot_times, 2),
+        np.tile(np.array([1, -1], dtype=np.int32), n_slots),
+        grid_sizes.ravel(),
         label=trace.label, trace_id=trace.trace_id,
     )
     return DefendedTrace(
         trace=defended,
-        config=config,
         original_bytes=trace.total_bytes,
-        orig_index=orig[order],
-        added_latency=latencies,
+        orig_index=grid_orig.ravel(),
+        added_latency=latency,
     )
 
 

@@ -53,12 +53,6 @@ CORRELATION_KINDS = frozenset({CommandKind.GRIPPER_SPEED})
 _IAT_PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
 _SIZE_PERCENTILES = (50, 90)
 
-_KIND_STEMS = {
-    CommandKind.CARTESIAN_MOVE: "cartesian_move",
-    CommandKind.GRIPPER_POSITION: "gripper_position",
-    CommandKind.GRIPPER_SPEED: "gripper_speed",
-}
-
 
 @dataclass(frozen=True)
 class SigprocConfig:
@@ -93,7 +87,7 @@ def summary_feature_names() -> list[str]:
 
 def command_feature_names() -> list[str]:
     stats = [f.name for f in fields(CommandStats)]
-    return [f"{_KIND_STEMS[kind]}_{stat}" for kind in ALL_KINDS for stat in stats]
+    return [f"{kind.name.lower()}_{stat}" for kind in ALL_KINDS for stat in stats]
 
 
 def feature_names(feature_set: str = "full") -> list[str]:

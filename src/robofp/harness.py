@@ -35,7 +35,7 @@ from .defenses import (
     apply_defense,
     modulation_preset,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SchemaMismatch
 from .features import FeatureMatrix, SigprocConfig, featurize_dataset
 from .sigproc import KernelBank
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
@@ -112,6 +112,12 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
         )
     if config.kernel_bank_path:
         bank = KernelBank.load(config.kernel_bank_path)
+        for kernel in bank:
+            if kernel.bin_width != config.sigproc.bin_width:
+                raise SchemaMismatch(
+                    f"{kernel.kind} kernel has bin_width {kernel.bin_width}, "
+                    f"sigproc bin_width is {config.sigproc.bin_width}"
+                )
     else:
         bank = default_kernel_bank(bin_width=config.sigproc.bin_width)
     return dataset, bank

@@ -34,10 +34,14 @@ from .errors import (
     KernelTooShort,
     MissingFile,
     MissingKernel,
+    OutOfRange,
 )
 from .trace import Trace
 
 _EPS = 1e-30
+
+# bins one binned signal may allocate: 2**24 bins of 10 ms cover 46 hours
+MAX_BINS = 2**24
 
 
 class CommandKind(str, enum.Enum):
@@ -82,11 +86,13 @@ class Kernel:
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.values) == 0:
             raise EmptyKernel(f"kernel for {self.kind} has no bins")
+        if not np.isfinite(self.values).all():
+            raise InvalidConfig(f"kernel for {self.kind} has a non-finite value")
         self.norm = float(np.sqrt(np.sum(self.values**2)))
         if self.norm <= 0.0:
             raise EmptyKernel(f"kernel for {self.kind} has zero L2 norm")
-        if self.bin_width <= 0:
-            raise InvalidConfig("bin_width must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise InvalidConfig(f"kernel bin_width {self.bin_width} must be positive and finite")
 
 
 @dataclass
@@ -108,6 +114,10 @@ def _bin(times: np.ndarray, weights: np.ndarray, span: float, bin_width: float) 
     # ceil(span / bin_width) bins from time 0, at least one; packets at or
     # past the last bin's end land in the last bin
     n_bins = max(1, math.ceil(span / bin_width - 1e-9))
+    if n_bins > MAX_BINS:
+        raise OutOfRange(
+            f"{span} s at bin width {bin_width} needs {n_bins} bins, more than {MAX_BINS}"
+        )
     idx = np.minimum((times / bin_width).astype(np.int64), n_bins - 1)
     return np.bincount(idx, weights=weights, minlength=n_bins)
 

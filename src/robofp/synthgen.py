@@ -289,9 +289,7 @@ def gen_command(
             u = (i + 0.5) / n
             size = floor + amp * _envelope(u, template.envelope_skew, profile)
             size *= 1.0 + rng.uniform(-template.jitter, template.jitter)
-            rows.append(
-                PacketRecord(t0 + i * spacing, 1, int(np.clip(round(size), floor, peak)))
-            )
+            rows.append(PacketRecord(t0 + i * spacing, 1, min(max(round(size), floor), peak)))
         return rows, t0 + (n - 1) * spacing
 
     raise InvalidConfig(f"unknown command kind {kind!r}")
@@ -386,14 +384,6 @@ def gen_action(
     )
 
 
-_ID_STEMS = {
-    ActionLabel.PICK_AND_PLACE: "pick_and_place",
-    ActionLabel.POUR_WATER: "pour_water",
-    ActionLabel.TURN_ON_SWITCH: "turn_on_switch",
-    ActionLabel.PRESS_KEY: "press_key",
-}
-
-
 def trace_rng(seed: int, class_index: int, sample_index: int) -> np.random.Generator:
     """Per-trace generator; the (seed, class, sample) derivation is the
     determinism contract, so traces are independent of generation order."""
@@ -407,7 +397,7 @@ def gen_dataset(config: GenConfig) -> Dataset:
         for i in range(config.samples_per_class):
             rng = trace_rng(config.seed, c, i)
             traces.append(
-                gen_action(rng, action, config.commands, trace_id=f"{_ID_STEMS[label]}_{i:03d}")
+                gen_action(rng, action, config.commands, trace_id=f"{label.name.lower()}_{i:03d}")
             )
     return Dataset(traces)
 

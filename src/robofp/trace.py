@@ -137,6 +137,14 @@ class Dataset:
 # trace CSV
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise MalformedRow(f"byte {data[e.start]:#04x} is not UTF-8", line=line) from None
+
+
 def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
     """Parse a trace CSV document into a Trace.
 
@@ -146,7 +154,7 @@ def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
     Out-of-order timestamps are rejected, not sorted.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = _decode(data)
     lines = data.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -229,7 +237,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not manifest_path.is_file():
         raise MissingFile(str(manifest_path))
     base = manifest_path.parent
-    lines = manifest_path.read_text("utf-8").split("\n")
+    lines = _decode(manifest_path.read_bytes()).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0].rstrip("\r") != MANIFEST_HEADER:

@@ -107,6 +107,54 @@ def test_train_non_finite_feature_exits_1(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def _manifest(tmp_path, trace_csv: bytes):
+    (tmp_path / "a.csv").write_bytes(trace_csv)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\na.csv,PressKey\n")
+    return str(manifest)
+
+
+def _assert_exit_1(argv, capsys, *needles):
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_featurize_non_utf8_trace_exits_1(tmp_path, capsys):
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,6\xff\n")
+    _assert_exit_1(["featurize", "--manifest", manifest, "--out", str(tmp_path / "f.csv")],
+                   capsys, "not UTF-8", "(line 3)")
+
+
+@pytest.mark.parametrize(
+    "bank_width, edit, needle",
+    [(0.01, "nan", "non-finite"), (0.05, None, "bin_width 0.05")],
+    ids=["nan_value", "other_bin_width"],
+)
+def test_featurize_bad_kernel_bank_exits_1(tmp_path, capsys, bank_width, edit, needle):
+    bank = tmp_path / "kernels.json"
+    assert cli(["kernels", "--out", str(bank), "--bin-width", str(bank_width)]) == 0
+    if edit == "nan":
+        doc = json.loads(bank.read_text())
+        doc[0]["values"][0] = float("nan")
+        bank.write_text(json.dumps(doc))
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(manifest=manifest, kernel_bank_path=str(bank)).to_json())
+    _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
+                   capsys, needle)
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_defend_modulation_over_slot_cap_exits_1(tmp_path, capsys):
+    # 10 s at t_i = 1 us would be 10M slots per direction
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n10.0,-1,60\n")
+    _assert_exit_1(["defend", "--manifest", manifest, "--defense", "modulation",
+                    "--t-i", "1e-6", "--out-dir", str(tmp_path / "out")], capsys, "slots")
+
+
 def test_evaluate_and_report(tmp_path, fast_config_path, capsys):
     run_dir = tmp_path / "run"
     assert cli(["evaluate", "--config", fast_config_path, "--out-dir", str(run_dir)]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 from robofp import errors
 from robofp.defenses import (
     CONTROLLER_LATENCY_BUDGET,
+    MAX_SLOTS,
     MODULATION_INTERVALS,
-    DefendedTrace,
     ModulationConfig,
     PaddingConfig,
     apply_defense,
@@ -18,6 +19,7 @@ from robofp.defenses import (
     pad_packet,
     segment_plan,
 )
+from robofp.synthgen import GenConfig, gen_dataset
 from robofp.trace import MTU, Trace
 
 
@@ -181,7 +183,7 @@ def test_padding_defense_is_idempotent_and_counts_bytes():
     d2 = apply_padding_defense(d1.trace, PaddingConfig(3))
     assert np.array_equal(d1.trace.sizes, d2.trace.sizes)
     assert d1.original_bytes == 770
-    assert d1.defended_bytes == 300 + 900
+    assert d1.trace.total_bytes == 300 + 900
     assert d1.bandwidth_overhead() == pytest.approx((1200 - 770) / 770)
 
 
@@ -290,10 +292,156 @@ def test_modulation_queue_pushes_later_arrivals():
 
 def test_apply_defense_dispatch():
     trace = _trace([(0.0, 1, 123), (0.1, -1, 456)])
-    assert isinstance(apply_defense(trace, PaddingConfig(2)).config, PaddingConfig)
-    assert isinstance(
-        apply_defense(trace, ModulationConfig(100, 0.01, 0.01)).config, ModulationConfig
-    )
+    padded = apply_defense(trace, PaddingConfig(2))
+    assert list(padded.trace.sizes) == [200, 600]
+    modulated = apply_defense(trace, ModulationConfig(100, 0.01, 0.01))
+    assert len(modulated.trace) == 2 * 11  # slots 0 .. 10 in both directions
     with pytest.raises(errors.InvalidConfig):
         apply_defense(trace, object())
 
+
+# ---------------------------------------------------------------------------
+# modulation against the per-message reference
+
+
+def _assign_slots(times, sizes, orig_idx, config):
+    """FIFO slot assignment for one direction, one message at a time.
+
+    Returns (slot -> (orig index, segment size, n segments)) plus the
+    per-message added latency and the last occupied slot.
+    """
+    t_i = config.t_i
+    assigned = {}
+    latency = np.zeros(len(times))
+    cursor = 0  # next free slot
+    last = -1
+    for pos, (t, s, oi) in enumerate(zip(times, sizes, orig_idx)):
+        s_c, n = segment_plan(int(s), config.s_p, t_i, config.big_l)
+        slot = max(cursor, math.ceil(t / t_i - 1e-12))
+        assigned[slot] = (oi, s_c, n)
+        cursor = slot + n
+        latency[pos] = (slot + n - 1) * t_i - t
+        last = slot + n - 1
+    return assigned, latency, last
+
+
+def reference_modulation(trace, config):
+    """The slot-dict implementation: (times, dirs, sizes, orig_index, added_latency)."""
+    span = trace.duration + config.tail_dummies
+    per_dir = {}
+    latencies = np.zeros(len(trace))
+    last = math.ceil(span / config.t_i)
+    for direction in (1, -1):
+        idx = np.flatnonzero(trace.dirs == direction)
+        assigned, lat, dir_last = _assign_slots(trace.times[idx], trace.sizes[idx], idx, config)
+        latencies[idx] = lat
+        per_dir[direction] = assigned
+        last = max(last, dir_last)
+
+    n_slots = last + 1
+    slot_times = np.round(np.arange(n_slots) * config.t_i * 1e6) / 1e6
+    parts = []
+    for direction in (1, -1):
+        slot_sizes = np.full(n_slots, config.s_p, dtype=np.int64)
+        slot_orig = np.full(n_slots, -1, dtype=np.int64)
+        for slot, (oi, s_c, n) in per_dir[direction].items():
+            slot_sizes[slot : slot + n] = s_c
+            slot_orig[slot] = oi
+        parts.append((slot_times, np.full(n_slots, direction, dtype=np.int32), slot_sizes, slot_orig))
+    times, dirs, sizes, orig = (np.concatenate(cols) for cols in zip(*parts))
+    # stable sort keeps the outgoing slot first when both directions share a time
+    order = np.argsort(times, kind="stable")
+    return times[order], dirs[order], sizes[order], orig[order], latencies
+
+
+def _random_trace(rng, n, horizon, dirs=(1, -1), sizes=(1, MTU + 1)):
+    t = np.sort(np.round(rng.uniform(0.0, horizon, n), 6))
+    if n:
+        t -= t[0]
+    return Trace(t, rng.choice(dirs, n), rng.integers(*sizes, n))
+
+
+def _back_to_back_mtu(rng, n, gap):
+    # bursts of MTU messages closer together than their segments take to send
+    t = np.round(np.cumsum(np.r_[0.0, rng.uniform(0.0, gap, n - 1)]), 6)
+    return Trace(t, rng.choice((1, -1), n, p=(0.8, 0.2)), np.full(n, MTU))
+
+
+def _assert_matches_reference(trace, config):
+    d = apply_modulation_defense(trace, config)
+    got = (d.trace.times, d.trace.dirs, d.trace.sizes, d.orig_index, d.added_latency)
+    for name, a, b in zip(("times", "dirs", "sizes", "orig_index", "added_latency"),
+                          got, reference_modulation(trace, config)):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), (name, config)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_modulation_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    traces = [
+        _random_trace(rng, 40, 0.5),  # both directions
+        _random_trace(rng, 25, 0.5, dirs=(1,)),  # outgoing only
+        _random_trace(rng, 25, 0.5, dirs=(-1,)),  # incoming only
+        _random_trace(rng, 1, 0.0),
+        _back_to_back_mtu(rng, 30, 0.002),  # queue pressure
+        _random_trace(rng, 60, 0.3, sizes=(40, 200)),  # every message fits one slot
+    ]
+    configs = [
+        modulation_preset(200, 0.001),
+        modulation_preset(500, 0.0001, tail_dummies=0.05),
+        modulation_preset(100, 0.01),  # coarse: s_c != s_p for big messages
+        ModulationConfig(150, 0.003, 0.009),  # L an exact multiple of t_i
+        ModulationConfig(300, 0.001, 0.005, tail_dummies=0.2),
+        ModulationConfig(1000, 0.0005, 0.0005),  # one segment per slot, s_c up to the MTU
+    ]
+    for trace in traces:
+        for config in configs:
+            _assert_matches_reference(trace, config)
+
+
+def test_modulation_matches_reference_on_empty_trace():
+    empty = Trace.from_records([])
+    for config in (ModulationConfig(100, 0.01, 0.01), ModulationConfig(100, 0.01, 0.01, 0.1)):
+        _assert_matches_reference(empty, config)
+    d = apply_modulation_defense(empty, ModulationConfig(100, 0.01, 0.01, 0.1))
+    assert len(d.trace) == 2 * 11 and set(d.orig_index) == {-1}  # dummies only
+
+
+@pytest.mark.parametrize("t_i", [1e-6, 1.5e-6])
+def test_modulation_matches_reference_at_microsecond_intervals(t_i):
+    # the grid's row order equals the time order only while the rounded slot
+    # times strictly increase; keep the traces short (20 ms = 20k slots)
+    rng = np.random.default_rng(5)
+    for trace in (_random_trace(rng, 30, 0.02), _back_to_back_mtu(rng, 20, 1e-5)):
+        for s_p in (100, 1000):
+            _assert_matches_reference(trace, ModulationConfig(s_p, t_i, 1e-3))
+            _assert_matches_reference(trace, ModulationConfig(s_p, t_i, t_i, tail_dummies=0.001))
+
+
+@pytest.mark.parametrize(
+    "s_p, t_i, expected",
+    [
+        (500, 0.0001, "419ae633599a9ba0bed9254997e064258151b3bfd11a6a398290b1dac076f076"),
+        (300, 0.01, "8ec59d798eaa0eb6dc3522d02d406ea91963f51ce3fd985e15f3a7a48b85bb37"),
+    ],
+)
+def test_modulated_arrays_pinned(s_p, t_i, expected):
+    # sha256 over all five defended arrays of the seed-7, 20-trace set
+    h = hashlib.sha256()
+    for trace in gen_dataset(GenConfig(seed=7, samples_per_class=5)).traces:
+        d = apply_defense(trace, modulation_preset(s_p, t_i))
+        for a in (d.trace.times, d.trace.dirs, d.trace.sizes, d.orig_index, d.added_latency):
+            h.update(a.tobytes())
+    assert h.hexdigest() == expected
+
+
+def test_modulation_slot_cap_raises_before_allocating():
+    # two packets 10 s apart: 10M slots per direction at 1 us
+    trace = _trace([(0.0, 1, 100), (10.0, -1, 100)])
+    with pytest.raises(errors.OutOfRange, match="slots"):
+        apply_modulation_defense(trace, ModulationConfig(100, 1e-6, 1e-3))
+    # the span fits, but the last message's five segments run past the cap
+    trace = _trace([(0.0, 1, 100), ((MAX_SLOTS - 2) * 1e-3, 1, MTU)])
+    with pytest.raises(errors.OutOfRange, match="slots"):
+        apply_modulation_defense(trace, ModulationConfig(300, 1e-3, 5e-3))

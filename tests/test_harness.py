@@ -5,6 +5,7 @@ import pytest
 
 from robofp import errors
 from robofp.classifier import GBDTParams
+from robofp.features import SigprocConfig
 from robofp.harness import (
     DEFAULT_PADDING_GRID,
     DEFAULT_THRESHOLD_GRID,
@@ -79,6 +80,13 @@ def test_load_inputs_kernel_bank_path(tmp_path):
     cfg = replace(SMALL, kernel_bank_path=str(path))
     _, loaded = load_inputs(cfg)
     assert loaded.fingerprint() == bank.fingerprint()
+
+
+def test_load_inputs_rejects_bank_at_other_bin_width(tmp_path):
+    path = tmp_path / "kernels.json"
+    load_inputs(replace(SMALL, sigproc=SigprocConfig(bin_width=0.05)))[1].save(path)
+    with pytest.raises(errors.SchemaMismatch, match="bin_width"):
+        load_inputs(replace(SMALL, kernel_bank_path=str(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from robofp import errors
 from robofp.sigproc import (
+    MAX_BINS,
     Cluster,
     CommandKind,
     Kernel,
@@ -110,6 +111,15 @@ class TestBinTrace:
         with pytest.raises(errors.InvalidConfig):
             bin_trace(Trace.from_records([]), 0.0)
 
+    def test_bin_cap_raises_before_allocating(self):
+        # 1e9 bins of 10 ms; the last packet alone sets the count
+        tr = Trace.from_records([(0.0, 1, 100), (1e7, -1, 100)])
+        with pytest.raises(errors.OutOfRange, match="bins"):
+            bin_trace(tr, 0.01)
+        one_over = Trace.from_records([(0.0, 1, 100), (MAX_BINS + 1.0, -1, 100)])
+        with pytest.raises(errors.OutOfRange):
+            bin_trace(one_over, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # convolution scan
@@ -182,6 +192,14 @@ class TestConvolve:
     def test_zero_norm_kernel_rejected(self):
         with pytest.raises(errors.EmptyKernel):
             ker([0.0, 0.0])
+
+    def test_non_finite_kernel_rejected(self):
+        for bad in ([1.0, float("nan")], [float("inf"), 2.0]):
+            with pytest.raises(errors.InvalidConfig):
+                ker(bad)
+        for width in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(errors.InvalidConfig):
+                Kernel(CommandKind.CARTESIAN_MOVE, width, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +412,11 @@ class TestKernels:
         with pytest.raises(errors.EmptyWindow):
             extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 0.5, 1.0, 0.01)
 
+    def test_extract_bin_cap(self):
+        tr = Trace.from_records([(0.0, 1, 10), (2.0, 1, 10)])
+        with pytest.raises(errors.OutOfRange):
+            extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 1.0, 1e7, 0.01)
+
     def test_extract_bad_window(self):
         tr = Trace.from_records([(0.0, 1, 10)])
         with pytest.raises(errors.EmptyWindow):
@@ -439,6 +462,12 @@ class TestKernels:
     def test_load_entry_not_an_object(self, tmp_path):
         p = tmp_path / "bank.json"
         p.write_text("[[1, 2]]")
+        with pytest.raises(errors.InvalidConfig):
+            KernelBank.load(p)
+
+    def test_load_nan_value(self, tmp_path):
+        p = tmp_path / "bank.json"
+        p.write_text('[{"kind": "CartesianMove", "bin_width": 0.01, "values": [1.0, NaN]}]')
         with pytest.raises(errors.InvalidConfig):
             KernelBank.load(p)
 

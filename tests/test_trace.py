@@ -74,6 +74,11 @@ class TestParse:
         with pytest.raises(errors.MalformedRow):
             parse_trace_csv("t,dir,size\n0.0,1,12.5\n")
 
+    def test_non_utf8_byte_reports_line(self):
+        with pytest.raises(errors.MalformedRow) as ei:
+            parse_trace_csv(b"t,dir,size\n0.0,1,100\n0.1,1,1\xff0\n")
+        assert ei.value.line == 3
+
     def test_absolute_times_are_stripped(self):
         tr = parse_trace_csv("t,dir,size\n100.25,1,50\n100.35,-1,60\n")
         assert tr.times[0] == 0.0
@@ -216,6 +221,15 @@ class TestManifest:
         (d / "manifest.csv").write_text("file,label\n")
         with pytest.raises(errors.MalformedHeader):
             load_dataset(d / "manifest.csv")
+
+    def test_manifest_non_utf8_byte_reports_line(self, tmp_path):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "a.csv").write_bytes(write_trace_csv(make_trace([(0.0, 1, 10)])))
+        (d / "manifest.csv").write_bytes(b"path,label\na.csv,PourWater\n\xffb.csv,PressKey\n")
+        with pytest.raises(errors.MalformedRow) as ei:
+            load_dataset(d / "manifest.csv")
+        assert ei.value.line == 3
 
     def test_label_comes_from_manifest(self, tmp_path):
         d = tmp_path / "data"
