@@ -295,10 +295,10 @@ class GBDTClassifier:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "GBDTClassifier":
+    def from_json(cls, text: str | bytes) -> "GBDTClassifier":
         try:
             doc = json.loads(text)
-            if doc.get("model") != "gbdt-softmax":
+            if not isinstance(doc, dict) or doc.get("model") != "gbdt-softmax":
                 raise InvalidConfig("not a gbdt-softmax model document")
             model = cls(GBDTParams(**doc["params"]), doc.get("feature_names"))
             model.classes_ = list(doc["classes"])

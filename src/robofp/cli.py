@@ -33,7 +33,7 @@ from .harness import (
     write_report,
 )
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
-from .trace import save_dataset
+from .trace import Dataset, save_dataset
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -45,7 +45,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
-        return ExperimentConfig.from_json(Path(args.config).read_text())
+        return ExperimentConfig.from_json(Path(args.config).read_bytes())
     kw = dict(
         seed=args.seed,
         samples_per_class=args.samples_per_class,
@@ -87,7 +87,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    schema = FeatureSchema.from_json(Path(args.schema).read_text())
+    schema = FeatureSchema.from_json(Path(args.schema).read_bytes())
     matrix = read_feature_csv(args.features, schema)
     model = GBDTClassifier(feature_names=list(schema.names))
     model.fit(matrix.X, matrix.labels)
@@ -133,17 +133,17 @@ def _cmd_defend(args) -> int:
         defense = PaddingConfig(args.x)
     else:
         defense = modulation_preset(args.s_p, args.t_i, tail_dummies=args.tail_dummies)
-    defended, overhead, max_latency = defend_dataset(dataset, defense)
+    traces, overhead, max_latency = defend_dataset(dataset, defense, lambda t: t)
     out_dir = Path(args.out_dir)
-    manifest = save_dataset(defended, out_dir)
+    manifest = save_dataset(Dataset(traces), out_dir)
     summary = {
         "config": defense.to_doc(),
-        "traces": len(defended),
+        "traces": len(traces),
         "mean_overhead": overhead,
         "max_added_latency": max_latency,
     }
     (out_dir / "defense_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {len(defended)} defended traces, manifest {manifest}")
+    print(f"wrote {len(traces)} defended traces, manifest {manifest}")
     print(f"mean overhead {summary['mean_overhead']:.3f}, "
           f"max latency {summary['max_added_latency'] * 1000:.3f} ms")
     return 0

@@ -135,7 +135,7 @@ class FeatureSchema:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "FeatureSchema":
+    def from_json(cls, text: str | bytes) -> "FeatureSchema":
         try:
             doc = json.loads(text)
             schema = cls(
@@ -184,33 +184,22 @@ def _scan(signal, kind, bank, config):
 
 
 def _summary_features(trace: Trace) -> np.ndarray:
-    out = trace.dirs == 1
-    values = [
-        float(len(trace)),
-        float(out.sum()),
-        float((~out).sum()),
-        float(trace.sizes[out].sum()),
-        float(trace.sizes[~out].sum()),
-        trace.duration,
-    ]
-    per_dir_sizes = [trace.sizes[out].astype(float), trace.sizes[~out].astype(float)]
-    for sizes in per_dir_sizes:
-        if sizes.size:
-            values.extend([float(sizes.mean()), float(sizes.std())])
-        else:
-            values.extend([0.0, 0.0])
-    for sizes in per_dir_sizes:
-        if sizes.size:
-            values.extend(np.percentile(sizes, _SIZE_PERCENTILES).tolist())
-        else:
-            values.extend([0.0] * len(_SIZE_PERCENTILES))
-    for mask in (out, ~out):
-        times = trace.times[mask]
-        if times.size >= 2:
-            iat = np.diff(times)
-            values.extend(np.percentile(iat, _IAT_PERCENTILES).tolist())
-        else:
-            values.extend([0.0] * len(_IAT_PERCENTILES))
+    per_dir = []  # count, bytes, size mean/std, size percentiles, iat percentiles
+    for mask in (trace.dirs == 1, trace.dirs == -1):
+        sizes, iat = trace.sizes[mask].astype(float), np.diff(trace.times[mask])
+        count, total = float(sizes.size), float(sizes.sum())
+        # a direction without packets (or gaps) reads 0.0 for their statistics
+        sizes = sizes if sizes.size else np.zeros(1)
+        iat = iat if iat.size else np.zeros(1)
+        per_dir.append([
+            [count], [total], [float(sizes.mean()), float(sizes.std())],
+            np.percentile(sizes, _SIZE_PERCENTILES).tolist(),
+            np.percentile(iat, _IAT_PERCENTILES).tolist(),
+        ])
+    out, inn = per_dir
+    values = [float(len(trace)), *out[0], *inn[0], *out[1], *inn[1], trace.duration]
+    for o, i in zip(out[2:], inn[2:]):
+        values += o + i
     return np.array(values)
 
 
@@ -283,28 +272,31 @@ def read_feature_csv(path: str | Path, schema: FeatureSchema) -> FeatureMatrix:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(str(p))
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaMismatch(f"feature file is not UTF-8: {e}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaMismatch("feature file is empty") from None
+    if header != ["trace_id", "label", *schema.names]:
+        raise SchemaMismatch("feature file header does not match schema")
+    width = len(header)
+    ids, labels, rows = [], [], []
+    for rec in reader:
+        if not rec:
+            continue
+        if len(rec) != width:
+            raise SchemaMismatch(
+                f"expected {width} fields, got {len(rec)} (line {reader.line_num})"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("feature file is empty") from None
-        if header != ["trace_id", "label", *schema.names]:
-            raise SchemaMismatch("feature file header does not match schema")
-        width = len(header)
-        ids, labels, rows = [], [], []
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != width:
-                raise SchemaMismatch(
-                    f"expected {width} fields, got {len(rec)} (line {reader.line_num})"
-                )
-            try:
-                rows.append([float(v) for v in rec[2:]])
-            except ValueError as e:
-                raise SchemaMismatch(f"{e} (line {reader.line_num})") from None
-            ids.append(rec[0])
-            labels.append(rec[1])
+            rows.append([float(v) for v in rec[2:]])
+        except ValueError as e:
+            raise SchemaMismatch(f"{e} (line {reader.line_num})") from None
+        ids.append(rec[0])
+        labels.append(rec[1])
     X = np.array(rows, dtype=float).reshape(len(rows), len(schema.names))
     return FeatureMatrix(X, labels, ids, schema)

@@ -6,8 +6,10 @@ reports apart from the created_at stamp (report_digest excludes it).
 
 Sweep points are independent, so they run on ``config.workers`` threads;
 results are assembled in sweep-key order regardless of completion order.
-``defend_dataset`` is the one defended-dataset path, shared by both defense
-sweeps and ``robofp defend``.
+``defend_dataset`` is the one per-trace defense loop, shared by both defense
+sweeps and ``robofp defend``: it hands each defended trace to a consumer and
+keeps only the consumer's result, so a sweep point holds one defended trace
+at a time and keeps only its feature rows.
 
 Emitted tables, all plain CSV:
 
@@ -36,7 +38,13 @@ from .defenses import (
     modulation_preset,
 )
 from .errors import InvalidConfig, SchemaMismatch
-from .features import FeatureMatrix, SigprocConfig, featurize_dataset
+from .features import (
+    FeatureMatrix,
+    SigprocConfig,
+    compute_features,
+    feature_names,
+    featurize_dataset,
+)
 from .sigproc import KernelBank
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
 from .trace import Dataset, load_dataset
@@ -65,6 +73,10 @@ class ExperimentConfig:
     workers: int = 0  # sweep-point threads; 0 and 1 both run serially
 
     def __post_init__(self):
+        for name in ("seed", "samples_per_class", "n_folds", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_class < 1:
@@ -82,6 +94,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise InvalidConfig("experiment config must be a JSON object")
         try:
             doc = dict(doc)
             doc["sigproc"] = SigprocConfig(**doc.get("sigproc", {}))
@@ -91,10 +105,10 @@ class ExperimentConfig:
             raise InvalidConfig(f"bad experiment config: {e}") from e
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str | bytes) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise InvalidConfig(f"config is not valid JSON: {e}") from None
         return cls.from_doc(doc)
 
@@ -127,14 +141,14 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 # attack evaluation
 
 
-def _evaluate_matrix(matrix: FeatureMatrix, config: ExperimentConfig, X_test=None):
+def _evaluate(config: ExperimentConfig, X, labels, names, X_test=None):
     return cross_validate(
-        matrix.X,
-        matrix.labels,
+        X,
+        labels,
         params=config.classifier,
         n_folds=config.n_folds,
         seed=config.seed,
-        feature_names=list(matrix.schema.names),
+        feature_names=list(names),
         X_test=X_test,
     )
 
@@ -150,7 +164,7 @@ def run_attack_experiment(config: ExperimentConfig) -> dict:
     """Featurize, cross-validate, rank features; returns the report document."""
     dataset, bank = load_inputs(config)
     matrix = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
-    report = _evaluate_matrix(matrix, config)
+    report = _evaluate(config, matrix.X, matrix.labels, matrix.schema.names)
     return {
         "config": config.to_doc(),
         "n_traces": len(dataset.traces),
@@ -204,20 +218,24 @@ def threshold_sweep(
     def job(t: float) -> dict:
         sig = replace(config.sigproc, conv_threshold=float(t))
         matrix = featurize_dataset(dataset, bank, sig, config.feature_set)
-        return {"t": t, "accuracy": _evaluate_matrix(matrix, config).accuracy}
+        report = _evaluate(config, matrix.X, matrix.labels, matrix.schema.names)
+        return {"t": t, "accuracy": report.accuracy}
 
     return _pool_map(config, job, sorted(thresholds))
 
 
-def defend_dataset(dataset: Dataset, defense) -> tuple[Dataset, float, float]:
-    """Apply one defense config to every trace.
+def defend_dataset(dataset: Dataset, defense, consume) -> tuple[list, float, float]:
+    """Defend one trace at a time and pass each defended trace to ``consume``.
 
-    Returns the defended dataset, the mean per-trace bandwidth overhead and
-    the worst added latency over all traces."""
-    defended = [apply_defense(t, defense) for t in dataset.traces]
-    overhead = float(np.mean([d.bandwidth_overhead() for d in defended]))
-    max_latency = float(max(d.max_added_latency for d in defended))
-    return Dataset([d.trace for d in defended]), overhead, max_latency
+    Returns the consumer's results in trace order, the mean per-trace
+    bandwidth overhead and the worst added latency over all traces."""
+    results, overheads, latencies = [], [], []
+    for trace in dataset.traces:
+        defended = apply_defense(trace, defense)
+        results.append(consume(defended.trace))
+        overheads.append(defended.bandwidth_overhead())
+        latencies.append(defended.max_added_latency)
+    return results, float(np.mean(overheads)), float(max(latencies))
 
 
 def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float, float, float]]:
@@ -227,17 +245,20 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
     defended features.  The fixed one fits each fold on clean traffic and
     scores the same held-out captures after the defense."""
     dataset, bank = load_inputs(config)
+    labels = [t.label.value for t in dataset.traces]
+    names = feature_names(config.feature_set)
     clean = None
     if not config.retrain_on_defended:
-        clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
+        clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set).X
+
+    def featurize(trace):
+        return compute_features(trace, bank, config.sigproc, config.feature_set)
 
     def job(defense) -> tuple[float, float, float]:
-        defended, overhead, max_latency = defend_dataset(dataset, defense)
-        matrix = featurize_dataset(defended, bank, config.sigproc, config.feature_set)
-        if clean is None:
-            report = _evaluate_matrix(matrix, config)
-        else:
-            report = _evaluate_matrix(clean, config, X_test=matrix.X)
+        rows, overhead, max_latency = defend_dataset(dataset, defense, featurize)
+        X = np.vstack(rows)
+        X_train = X if clean is None else clean
+        report = _evaluate(config, X_train, labels, names, X_test=X)
         return report.accuracy, overhead, max_latency
 
     return _pool_map(config, job, defenses)

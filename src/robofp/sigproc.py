@@ -401,8 +401,8 @@ class KernelBank:
         if not path.is_file():
             raise MissingFile(str(path))
         try:
-            raw = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as e:
+            raw = json.loads(path.read_bytes())
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise InvalidConfig(f"kernel bank {path} is not valid JSON: {e}") from None
         if not isinstance(raw, list):
             raise InvalidConfig("kernel bank must be a JSON array")

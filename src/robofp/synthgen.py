@@ -35,7 +35,7 @@ a given seed and per-trace output does not depend on generation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,8 +200,6 @@ def default_action_templates() -> dict[ActionLabel, ActionTemplate]:
 class GenConfig:
     seed: int = 42
     samples_per_class: int = 50
-    commands: dict[CommandKind, CommandTemplate] = field(default_factory=default_command_templates)
-    actions: dict[ActionLabel, ActionTemplate] = field(default_factory=default_action_templates)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -392,12 +390,12 @@ def trace_rng(seed: int, class_index: int, sample_index: int) -> np.random.Gener
 
 def gen_dataset(config: GenConfig) -> Dataset:
     traces = []
+    commands, actions = default_command_templates(), default_action_templates()
     for c, label in enumerate(ActionLabel):
-        action = config.actions[label]
         for i in range(config.samples_per_class):
             rng = trace_rng(config.seed, c, i)
             traces.append(
-                gen_action(rng, action, config.commands, trace_id=f"{label.name.lower()}_{i:03d}")
+                gen_action(rng, actions[label], commands, trace_id=f"{label.name.lower()}_{i:03d}")
             )
     return Dataset(traces)
 
@@ -410,12 +408,9 @@ SPEED_KERNEL_SPAN = 2.6  # covers the long end of the grip-burst range
 POSITION_KERNEL_SPAN = 0.75
 
 
-def default_kernel_bank(
-    commands: dict[CommandKind, CommandTemplate] | None = None,
-    bin_width: float = 0.01,
-) -> KernelBank:
+def default_kernel_bank(bin_width: float = 0.01) -> KernelBank:
     """Expected binned waveform of each command kind at nominal parameters."""
-    commands = commands or default_command_templates()
+    commands = default_command_templates()
     kernels = []
 
     cart = commands[CommandKind.CARTESIAN_MOVE]

@@ -307,6 +307,9 @@ def test_from_json_rejects_junk():
         GBDTClassifier.from_json("{}")
     with pytest.raises(errors.InvalidConfig):
         GBDTClassifier.from_json(json.dumps({"model": "something-else"}))
+    for text in ("[]", "null", '"gbdt-softmax"', b"\xff"):
+        with pytest.raises(errors.InvalidConfig):
+            GBDTClassifier.from_json(text)
 
 
 # ---------------------------------------------------------------------------

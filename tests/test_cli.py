@@ -130,8 +130,9 @@ def test_featurize_non_utf8_trace_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bank_width, edit, needle",
-    [(0.01, "nan", "non-finite"), (0.05, None, "bin_width 0.05")],
-    ids=["nan_value", "other_bin_width"],
+    [(0.01, "nan", "non-finite"), (0.05, None, "bin_width 0.05"),
+     (0.01, "non_utf8", "can't decode byte 0xff")],
+    ids=["nan_value", "other_bin_width", "non_utf8"],
 )
 def test_featurize_bad_kernel_bank_exits_1(tmp_path, capsys, bank_width, edit, needle):
     bank = tmp_path / "kernels.json"
@@ -140,12 +141,33 @@ def test_featurize_bad_kernel_bank_exits_1(tmp_path, capsys, bank_width, edit, n
         doc = json.loads(bank.read_text())
         doc[0]["values"][0] = float("nan")
         bank.write_text(json.dumps(doc))
+    if edit == "non_utf8":
+        bank.write_bytes(bank.read_bytes().replace(b"template", b"templ\xffte", 1))
     manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
     config = tmp_path / "config.json"
     config.write_text(ExperimentConfig(manifest=manifest, kernel_bank_path=str(bank)).to_json())
     _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
                    capsys, needle)
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["config", "schema", "features"])
+def test_non_utf8_input_file_exits_1(tmp_path, capsys, target):
+    features = tmp_path / "features.csv"
+    assert cli(["featurize", "--seed", "3", "--samples-per-class", "2",
+                "--feature-set", "summary", "--out", str(features)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(FAST_CFG.to_json())
+    paths = {"config": config, "schema": features.with_suffix(".schema.json"),
+             "features": features}
+    path = paths[target]
+    path.write_bytes(path.read_bytes().replace(b"1", b"\xff", 1))
+    if target == "config":
+        argv = ["evaluate", "--config", str(config), "--out-dir", str(tmp_path / "run")]
+    else:
+        argv = ["train", "--features", str(features), "--schema", str(paths["schema"]),
+                "--out", str(tmp_path / "m.json")]
+    _assert_exit_1(argv, capsys, "can't decode byte 0xff")
 
 
 def test_defend_modulation_over_slot_cap_exits_1(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from robofp import errors
+from robofp import errors, harness
 from robofp.classifier import GBDTParams
 from robofp.features import SigprocConfig
 from robofp.harness import (
@@ -49,7 +50,14 @@ def test_config_rejects_bad_documents():
         ExperimentConfig.from_doc({"unknown_field": 1})
     with pytest.raises(errors.InvalidConfig):
         ExperimentConfig.from_doc({"sigproc": {"bin_width": -1.0}})
-    for bad in ({"seed": -1}, {"samples_per_class": 0}, {"n_folds": 1}, {"workers": -5}):
+    for text in ("[]", "null", '"seed"', '[["seed", 1]]'):
+        with pytest.raises(errors.InvalidConfig, match="JSON object"):
+            ExperimentConfig.from_json(text)
+    with pytest.raises(errors.InvalidConfig):
+        ExperimentConfig.from_json(b'{"seed": 1\xff}')
+    for bad in ({"seed": -1}, {"samples_per_class": 0}, {"n_folds": 1}, {"workers": -5},
+                {"seed": 1.5}, {"samples_per_class": 2.0}, {"n_folds": "3"},
+                {"workers": None}, {"seed": True}):
         with pytest.raises(errors.InvalidConfig):
             ExperimentConfig.from_doc(bad)
         with pytest.raises(errors.InvalidConfig):
@@ -189,6 +197,27 @@ def test_modulation_sweep_rows():
     # deadline equals the interval here, so worst latency is below L + t_i
     assert row["max_added_latency"] <= 0.02 + 1e-9
     assert 0.0 <= row["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("retrain", [True, False])
+def test_sweep_point_holds_one_defended_trace_at_a_time(monkeypatch, retrain):
+    # weak references to every DefendedTrace and its .trace: when the next
+    # trace is defended, at most the previous one may still be alive
+    made, alive_at_call = [], []
+    apply = harness.apply_defense
+
+    def tracked(trace, defense):
+        alive_at_call.append(sum(any(r() is not None for r in refs) for refs in made))
+        result = apply(trace, defense)
+        made.append((weakref.ref(result), weakref.ref(result.trace)))
+        return result
+
+    monkeypatch.setattr(harness, "apply_defense", tracked)
+    cfg = replace(SMALL, samples_per_class=2, n_folds=2, retrain_on_defended=retrain)
+    (row,) = modulation_sweep(cfg, dummy_sizes=(500,), intervals=(0.001,))
+    assert len(alive_at_call) == 8
+    assert max(alive_at_call) <= 1
+    assert row["overhead"] > 0
 
 
 def test_fixed_adversary_flag_changes_protocol():

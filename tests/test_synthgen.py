@@ -184,7 +184,8 @@ def test_traces_independent_of_generation_order():
     full = gen_dataset(cfg)
     label = list(ActionLabel)[2]
     lone = gen_action(
-        trace_rng(9, 2, 3), cfg.actions[label], cfg.commands, trace_id="x"
+        trace_rng(9, 2, 3), default_action_templates()[label], default_command_templates(),
+        trace_id="x",
     )
     ref = [t for t in full.traces if t.label == label][3]
     assert np.array_equal(ref.times, lone.times)
