@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, SchemaMismatch, SingleClass, TooFewSamples
+from .errors import InvalidConfig, SchemaMismatch, SingleClass, TooFewSamples, check_field_types
 
 _MIN_GAIN = 1e-12
 
@@ -52,6 +52,7 @@ class GBDTParams:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_rounds < 1 or self.max_depth < 1:
             raise InvalidConfig("n_rounds and max_depth must be >= 1")
         if not 0 < self.learning_rate <= 1:
@@ -304,7 +305,7 @@ class GBDTClassifier:
             model.classes_ = list(doc["classes"])
             model.trees_ = [[_Tree.from_doc(d) for d in row] for row in doc["trees"]]
             model._gain = np.array(doc["gain"], dtype=float)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise InvalidConfig(f"bad model document: {e}") from e
         return model
 

@@ -178,9 +178,10 @@ def _report_lines(path: Path) -> list[str]:
 
 def _cmd_report(args) -> int:
     path = Path(args.run_dir) / "report.json"
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
     try:
         lines = _report_lines(path)
-    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise InvalidConfig(f"bad report {path}: {e!r}") from None
     print("\n".join(lines))
     return 0

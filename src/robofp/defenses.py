@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, OutOfRange
+from .errors import InvalidConfig, OutOfRange, check_field_types
 from .trace import MTU, Trace
 
 PAD_STEP = 100
@@ -111,6 +111,7 @@ class ModulationConfig:
     tail_dummies: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)  # NaN or inf would reach math.ceil
         if not 1 <= self.s_p <= MTU:
             raise InvalidConfig(f"dummy size {self.s_p} outside [1, {MTU}]")
         if self.t_i < _MIN_INTERVAL:

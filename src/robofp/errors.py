@@ -2,8 +2,12 @@
 
 Every failure mode callers are expected to handle has a named exception.
 Parse-time errors carry the 1-based line number of the offending row
-(the header counts as line 1).
+(the header counts as line 1).  ``check_field_types`` is the one type check
+the config dataclasses share.
 """
+
+import sys
+from dataclasses import fields
 
 
 class RobofpError(Exception):
@@ -118,3 +122,32 @@ class OutOfRange(RobofpError):
 
 class InvalidConfig(RobofpError):
     pass
+
+
+# annotation (a string under postponed evaluation) -> (admitted types, wording)
+_FIELD_TYPES = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise InvalidConfig for a dataclass field whose value its annotation refuses.
+
+    Only a bool field takes a bool, and a float field takes a finite int or
+    float; fields of other annotations are left to their class."""
+    for f in fields(config):
+        if f.type not in _FIELD_TYPES:
+            continue
+        admits, wording = _FIELD_TYPES[f.type]
+        value = getattr(config, f.name)
+        if (
+            not isinstance(value, admits)
+            or isinstance(value, bool) != (f.type == "bool")
+            # comparing, not converting, so NaN, inf and ints past float range all fail
+            or f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max
+        ):
+            raise InvalidConfig(f"{f.name} must be {wording}, got {value!r}")

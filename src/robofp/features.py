@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTrace, InvalidConfig, MissingFile, SchemaMismatch
+from .errors import EmptyTrace, InvalidConfig, MissingFile, SchemaMismatch, check_field_types
 from .sigproc import (
     ALL_KINDS,
     CommandKind,
@@ -66,6 +66,7 @@ class SigprocConfig:
     corr_min_duration: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.bin_width <= 0:
             raise InvalidConfig("bin_width must be positive")
         if self.merge_gap < 0 or self.conv_min_duration < 0 or self.corr_min_duration < 0:
@@ -145,7 +146,7 @@ class FeatureSchema:
                 kernel_fingerprint=doc["kernel_fingerprint"],
                 version=doc["version"],
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise InvalidConfig(f"bad schema document: {e}") from e
         if "fingerprint" in doc and doc["fingerprint"] != schema.fingerprint():
             raise SchemaMismatch("schema fingerprint does not match its contents")

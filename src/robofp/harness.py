@@ -37,7 +37,7 @@ from .defenses import (
     apply_defense,
     modulation_preset,
 )
-from .errors import InvalidConfig, SchemaMismatch
+from .errors import InvalidConfig, SchemaMismatch, check_field_types
 from .features import (
     FeatureMatrix,
     SigprocConfig,
@@ -73,10 +73,7 @@ class ExperimentConfig:
     workers: int = 0  # sweep-point threads; 0 and 1 both run serially
 
     def __post_init__(self):
-        for name in ("seed", "samples_per_class", "n_folds", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_class < 1:
@@ -108,7 +105,7 @@ class ExperimentConfig:
     def from_json(cls, text: str | bytes) -> "ExperimentConfig":
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise InvalidConfig(f"config is not valid JSON: {e}") from None
         return cls.from_doc(doc)
 

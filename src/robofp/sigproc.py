@@ -210,47 +210,28 @@ def detect_clusters(
     merge_gap: float = 0.2,
     min_duration: float = 0.0,
 ) -> list[Cluster]:
-    """Find maximal runs of bins whose value exceeds the threshold.
+    """Find the clusters of bins whose value is strictly above the threshold.
 
-    Runs separated by a gap shorter than ``merge_gap`` are merged; merged
-    runs shorter than ``min_duration`` are discarded.  Cluster times are in
-    seconds from the signal's start.
+    Three rules, in order: a bin belongs to a run when its value exceeds
+    ``threshold`` (strictly); a run joins the cluster before it when the gap
+    between them, ``(start - previous stop) * bin_width``, is under
+    ``merge_gap``; a cluster shorter than ``min_duration`` is dropped.
+    Cluster times are in seconds from the signal's start, ``end`` exclusive.
     """
     v = signal.values
     bw = signal.bin_width
-    above = v > threshold
-    if not above.any():
-        return []
-
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    starts = list(np.flatnonzero(above[:1]) if above[0] else [])
-    # run start indices: position after 0->1 edges; run ends: positions of 1->0 edges
-    starts += [int(e) + 1 for e in edges if above[e + 1]]
-    ends = [int(e) for e in edges if above[e]]
-    if above[-1]:
-        ends.append(len(v) - 1)
-    starts = sorted(int(s) for s in starts)
-
-    merged: list[list[int]] = []
-    for s, e in zip(starts, ends):
-        if merged and (s - merged[-1][1] - 1) * bw < merge_gap:
-            merged[-1][1] = e
-        else:
-            merged.append([s, e])
-
-    clusters = []
-    for s, e in merged:
-        length = (e - s + 1) * bw
-        if length < min_duration - 1e-9:
-            continue
-        clusters.append(
-            Cluster(
-                start=s * bw,
-                end=(e + 1) * bw,
-                peak_value=float(v[s : e + 1].max()),
-            )
-        )
-    return clusters
+    # the False-padded mask changes at run starts and exclusive stops, alternating
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], v > threshold, [False]))))
+    starts, stops = edges[::2], edges[1::2]
+    # both tests keep the `<` form, so a NaN merge_gap merges nothing and a
+    # NaN min_duration drops nothing
+    joins = np.flatnonzero((starts[1:] - stops[:-1]) * bw < merge_gap)
+    starts, stops = np.delete(starts, joins + 1).tolist(), np.delete(stops, joins).tolist()
+    return [
+        Cluster(s * bw, e * bw, float(v[s:e].max()))
+        for s, e in zip(starts, stops)
+        if not (e - s) * bw < min_duration - 1e-9
+    ]
 
 
 @dataclass
@@ -402,7 +383,7 @@ class KernelBank:
             raise MissingFile(str(path))
         try:
             raw = json.loads(path.read_bytes())
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise InvalidConfig(f"kernel bank {path} is not valid JSON: {e}") from None
         if not isinstance(raw, list):
             raise InvalidConfig("kernel bank must be a JSON array")

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .sigproc import CommandKind, Kernel, KernelBank
+from .errors import InvalidConfig, OutOfRange
+from .sigproc import MAX_BINS, CommandKind, Kernel, KernelBank
 from .trace import ActionLabel, Dataset, PacketRecord, Trace, quantize_time
 
 CONTROL_TICK = 0.01  # command dispatch granularity, seconds
@@ -410,6 +410,9 @@ POSITION_KERNEL_SPAN = 0.75
 
 def default_kernel_bank(bin_width: float = 0.01) -> KernelBank:
     """Expected binned waveform of each command kind at nominal parameters."""
+    # the speed kernel is the longest; refuse it before allocating
+    if bin_width > 0 and SPEED_KERNEL_SPAN / bin_width > MAX_BINS:
+        raise OutOfRange(f"bin width {bin_width} needs more than {MAX_BINS} kernel bins")
     commands = default_command_templates()
     kernels = []
 

@@ -84,12 +84,15 @@ class Trace:
         if n:
             if self.times[0] != 0.0:
                 raise MalformedRow("trace must start at t=0 (times are trace-relative)")
-            if np.any(np.diff(self.times) < 0):
+            if np.any(self.times[1:] < self.times[:-1]):
                 raise NonMonotonicTime("timestamps must be non-decreasing")
-            if np.any((self.dirs != 1) & (self.dirs != -1)):
+            if np.any(np.abs(self.dirs) != 1):
                 raise BadDirection("direction must be +1 or -1")
-            if np.any((self.sizes < 1) | (self.sizes > MTU)):
+            if self.sizes.min() < 1 or self.sizes.max() > MTU:
                 raise SizeOutOfRange(f"sizes must lie in [1, {MTU}]")
+            # max() propagates NaN; checked last, so earlier errors keep their kind
+            if not np.isfinite(self.times.max()):
+                raise MalformedRow("timestamps must be finite")
         for a in (self.times, self.dirs, self.sizes):
             a.flags.writeable = False
 

@@ -170,6 +170,39 @@ def test_non_utf8_input_file_exits_1(tmp_path, capsys, target):
     _assert_exit_1(argv, capsys, "can't decode byte 0xff")
 
 
+@pytest.mark.parametrize(
+    "edit, command, needle",
+    [({"classifier": {"n_rounds": 2.5}}, "evaluate", "n_rounds must be an integer"),
+     ({"tail_dummies": "x"}, "sweep-defense", "tail_dummies must be a finite number"),
+     ({"retrain_on_defended": "no"}, "sweep-defense", "retrain_on_defended must be true or false"),
+     ({"sigproc": {"merge_gap": float("nan")}}, "evaluate", "merge_gap must be a finite number")],
+    ids=["float_n_rounds", "str_tail_dummies", "str_retrain", "nan_merge_gap"],
+)
+def test_mistyped_config_field_exits_1(tmp_path, capsys, edit, command, needle):
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
+    doc = {"samples_per_class": 2, "n_folds": 2, "manifest": manifest, **edit}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    extra = ["--kind", "modulation"] if command == "sweep-defense" else []
+    _assert_exit_1([command, "--config", str(config), *extra, "--out-dir", str(tmp_path / "o")],
+                   capsys, needle)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--t-i", "nan"), ("--t-i", "inf"),
+                                         ("--tail-dummies", "nan"), ("--tail-dummies", "inf")])
+def test_defend_non_finite_modulation_flag_exits_1(tmp_path, capsys, flag, value):
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
+    _assert_exit_1(["defend", "--manifest", manifest, "--defense", "modulation", flag, value,
+                    "--out-dir", str(tmp_path / "o")], capsys, "must be a finite number")
+
+
+def test_kernels_tiny_bin_width_exits_1(tmp_path, capsys):
+    # 2.6 s at 1 ns would be 2.6e9 kernel bins; refused before allocating
+    _assert_exit_1(["kernels", "--out", str(tmp_path / "k.json"), "--bin-width", "1e-9"],
+                   capsys, "kernel bins")
+
+
 def test_defend_modulation_over_slot_cap_exits_1(tmp_path, capsys):
     # 10 s at t_i = 1 us would be 10M slots per direction
     manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n10.0,-1,60\n")
@@ -213,6 +246,12 @@ def test_report_on_invalid_json_exits_1(tmp_path, capsys):
     assert cli(["report", "--run-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_report_deeply_nested_json_exits_1(tmp_path, capsys):
+    (tmp_path / "report.json").write_text("[" * 5000)
+    assert cli(["report", "--run-dir", str(tmp_path)]) == 1
+    assert "recursion" in capsys.readouterr().err
 
 
 def test_report_missing_key_exits_1(tmp_path, capsys):

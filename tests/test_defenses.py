@@ -154,6 +154,12 @@ def test_modulation_config_validation():
         ModulationConfig(s_p=100, t_i=0.002, big_l=0.001)
     with pytest.raises(errors.InvalidConfig):
         ModulationConfig(s_p=100, t_i=0.001, big_l=0.001, tail_dummies=-1.0)
+    # non-finite values would reach math.ceil; wrong types would reach comparisons
+    for bad in (dict(t_i=math.nan), dict(t_i=math.inf), dict(big_l=math.nan),
+                dict(tail_dummies=math.nan), dict(tail_dummies=math.inf), dict(s_p=100.0),
+                dict(tail_dummies="x")):
+        with pytest.raises(errors.InvalidConfig, match="must be"):
+            ModulationConfig(**{"s_p": 100, "t_i": 0.001, "big_l": 0.001, **bad})
 
 
 def test_modulation_preset_pairs_interval_with_controller_budget():

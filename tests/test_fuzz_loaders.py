@@ -87,6 +87,7 @@ def test_load_dataset(workdir, data):
 @FUZZ
 @given(data=DOCUMENTS | _encoded(st.lists(st.dictionaries(WORDS, JSON, max_size=4), max_size=3)))
 @example(data=b"[\xff]")
+@example(data=b"[" * 5000)  # json raises RecursionError this deep
 def test_kernel_bank_load(workdir, data):
     (workdir / "kernels.json").write_bytes(data)
     _loads_or_refuses(KernelBank.load, workdir / "kernels.json")
@@ -97,6 +98,7 @@ def test_kernel_bank_load(workdir, data):
 @example(b'{"seed": 1.5}')
 @example(b"[]")
 @example(b'{"n_folds": 2\xff}')
+@example(b"[" * 5000)
 def test_experiment_config_from_json(data):
     config = _loads_or_refuses(ExperimentConfig.from_json, data)
     if config is not None:
@@ -107,6 +109,7 @@ def test_experiment_config_from_json(data):
 
 @FUZZ
 @given(DOCUMENTS)
+@example(b"[" * 5000)
 def test_feature_schema_from_json(data):
     _loads_or_refuses(FeatureSchema.from_json, data)
 
@@ -129,5 +132,6 @@ def test_read_feature_csv(workdir, data):
 })))
 @example(b"[]")
 @example(b"null")
+@example(b"[" * 5000)
 def test_gbdt_from_json(data):
     _loads_or_refuses(GBDTClassifier.from_json, data)

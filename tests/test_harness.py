@@ -57,11 +57,30 @@ def test_config_rejects_bad_documents():
         ExperimentConfig.from_json(b'{"seed": 1\xff}')
     for bad in ({"seed": -1}, {"samples_per_class": 0}, {"n_folds": 1}, {"workers": -5},
                 {"seed": 1.5}, {"samples_per_class": 2.0}, {"n_folds": "3"},
-                {"workers": None}, {"seed": True}):
+                {"workers": None}, {"seed": True}, {"retrain_on_defended": "no"},
+                {"retrain_on_defended": 1}, {"tail_dummies": "x"}, {"tail_dummies": True},
+                {"tail_dummies": float("nan")}, {"tail_dummies": float("inf")},
+                {"feature_set": []}, {"manifest": 5}, {"kernel_bank_path": False}):
         with pytest.raises(errors.InvalidConfig):
             ExperimentConfig.from_doc(bad)
         with pytest.raises(errors.InvalidConfig):
             ExperimentConfig(**bad)
+    for section, bad in (("classifier", {"n_rounds": 2.5}), ("classifier", {"max_depth": True}),
+                         ("classifier", {"learning_rate": "0.3"}),
+                         ("classifier", {"reg_lambda": float("nan")}),
+                         ("sigproc", {"merge_gap": float("nan")}),
+                         ("sigproc", {"bin_width": float("inf")}),
+                         ("sigproc", {"conv_threshold": None}),
+                         ("sigproc", {"corr_min_duration": 10**400})):
+        with pytest.raises(errors.InvalidConfig, match=next(iter(bad))):
+            ExperimentConfig.from_doc({section: bad})
+    for text in ('{"sigproc": {"merge_gap": NaN}}', '{"tail_dummies": Infinity}', "[" * 5000):
+        with pytest.raises(errors.InvalidConfig):
+            ExperimentConfig.from_json(text)
+    # ints stand for floats, and a well-typed document still loads
+    config = ExperimentConfig.from_doc({"tail_dummies": 2, "sigproc": {"merge_gap": 0},
+                                        "classifier": {"learning_rate": 1}})
+    assert (config.tail_dummies, config.sigproc.merge_gap) == (2, 0)
     with pytest.raises(errors.InvalidConfig):
         GenConfig(seed=-1)
 

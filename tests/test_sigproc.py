@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robofp import errors
+from robofp.features import SigprocConfig, command_clusters
 from robofp.sigproc import (
     MAX_BINS,
     Cluster,
@@ -20,6 +21,7 @@ from robofp.sigproc import (
     extract_kernel,
     sliding_correlation,
 )
+from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
 from robofp.trace import Trace
 
 
@@ -321,6 +323,110 @@ class TestDetectClusters:
         assert len(c0) == len(c1) == 1
         assert c1[0].start - c0[0].start == pytest.approx(0.5, abs=1e-9)
         assert c1[0].end - c0[0].end == pytest.approx(0.5, abs=1e-9)
+
+
+def reference_detect_clusters(signal, threshold, merge_gap=0.2, min_duration=0.0):
+    """The edge-list and merge-loop implementation detect_clusters replaced."""
+    v = signal.values
+    bw = signal.bin_width
+    above = v > threshold
+    if not above.any():
+        return []
+
+    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
+    starts = list(np.flatnonzero(above[:1]) if above[0] else [])
+    # run start indices: position after 0->1 edges; run ends: positions of 1->0 edges
+    starts += [int(e) + 1 for e in edges if above[e + 1]]
+    ends = [int(e) for e in edges if above[e]]
+    if above[-1]:
+        ends.append(len(v) - 1)
+    starts = sorted(int(s) for s in starts)
+
+    merged: list[list[int]] = []
+    for s, e in zip(starts, ends):
+        if merged and (s - merged[-1][1] - 1) * bw < merge_gap:
+            merged[-1][1] = e
+        else:
+            merged.append([s, e])
+
+    clusters = []
+    for s, e in merged:
+        length = (e - s + 1) * bw
+        if length < min_duration - 1e-9:
+            continue
+        clusters.append(
+            Cluster(
+                start=s * bw,
+                end=(e + 1) * bw,
+                peak_value=float(v[s : e + 1].max()),
+            )
+        )
+    return clusters
+
+
+def cluster_fields(clusters):
+    # repr is exact for floats and equal for two NaNs (a merged gap may hold NaN bins)
+    return [[(repr(x), type(x)) for x in (c.start, c.end, c.peak_value)] for c in clusters]
+
+
+def assert_same_clusters(signal, threshold, merge_gap, min_duration):
+    got = detect_clusters(signal, threshold, merge_gap, min_duration)
+    want = reference_detect_clusters(signal, threshold, merge_gap, min_duration)
+    assert cluster_fields(got) == cluster_fields(want)
+
+
+BIN_WIDTHS = st.sampled_from([0.01, 0.05, 0.1, 1 / 3, 1.0])
+# whole multiples of a bin width hit a gap or a length exactly
+DURATIONS = (
+    st.integers(0, 6)
+    | st.floats(0.0, 0.5, allow_nan=False)
+    | st.just(math.nan)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0, 2.0, -1.0, math.nan]), max_size=30),
+    threshold=st.sampled_from([-2.0, 0.0, 0.3, 0.5, 0.9, 1.3, 3.0]),
+    bw=BIN_WIDTHS,
+    merge_gap=DURATIONS,
+    min_duration=DURATIONS,
+)
+def test_detect_clusters_matches_reference(values, threshold, bw, merge_gap, min_duration):
+    # an integer duration counts bins, so the gap or length equals it exactly
+    merge_gap = merge_gap * bw if isinstance(merge_gap, int) else merge_gap
+    min_duration = min_duration * bw if isinstance(min_duration, int) else min_duration
+    assert_same_clusters(Signal(np.array(values), bw), threshold, merge_gap, min_duration)
+
+
+@pytest.mark.parametrize(
+    "values, merge_gap, min_duration",
+    [
+        ([1.0] * 5, 0.0, 0.0),  # every bin above, one run touching both ends
+        ([0.0] * 5, 0.0, 0.0),  # every bin below
+        ([1.0], 0.0, 0.01),  # one bin, exactly min_duration long
+        ([0.0], 0.0, 0.0),
+        ([], 0.2, 0.0),
+        ([1.0, 0.0, 0.0, 1.0], 0.02, 0.0),  # gap exactly merge_gap: not merged
+        ([1.0, 0.0, 1.0, 0.0, 1.0], 0.02, 0.03),  # merged into one 0.05 s cluster
+        ([1.0, 0.0, 1.0], math.nan, 0.0),  # NaN merge_gap merges nothing
+        ([1.0, 0.0, 1.0], 0.2, math.nan),  # NaN min_duration drops nothing
+    ],
+)
+def test_detect_clusters_matches_reference_at_edges(values, merge_gap, min_duration):
+    assert_same_clusters(sig(values), 0.5, merge_gap, min_duration)
+
+
+def test_detect_clusters_matches_reference_on_generated_scans():
+    dataset = gen_dataset(GenConfig(seed=3, samples_per_class=3))
+    bank = default_kernel_bank()
+    config = SigprocConfig()
+    for trace in dataset.traces:
+        for kind in CommandKind:
+            response, _ = command_clusters(trace, kind, bank, config)
+            for threshold in (0.0, 0.3, 0.9, 1.3):
+                for merge_gap, min_duration in ((0.2, 0.0), (0.2, 1.0), (0.0, 0.0), (1.0, 0.3)):
+                    assert_same_clusters(response, threshold, merge_gap, min_duration)
 
 
 # ---------------------------------------------------------------------------

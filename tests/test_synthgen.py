@@ -224,6 +224,12 @@ def test_kernel_bank_has_all_kinds():
         assert k.bin_width == 0.01
 
 
+@pytest.mark.parametrize("bin_width", [1e-9, 5e-324])
+def test_kernel_bank_refuses_too_many_bins_before_allocating(bin_width):
+    with pytest.raises(errors.OutOfRange, match="kernel bins"):
+        default_kernel_bank(bin_width=bin_width)
+
+
 def test_cartesian_kernel_is_feedback_sized():
     bank = default_kernel_bank()
     k = bank.kernel_for(CommandKind.CARTESIAN_MOVE)

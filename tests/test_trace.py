@@ -133,6 +133,47 @@ class TestWrite:
         assert write_trace_csv(tr2) == blob
 
 
+def reference_trace_error(times, dirs, sizes):
+    """The checks Trace ran before they dropped their temporaries; None accepts."""
+    if len(times):
+        if times[0] != 0.0:
+            return errors.MalformedRow
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+            if np.any(np.diff(times) < 0):
+                return errors.NonMonotonicTime
+        if np.any((dirs != 1) & (dirs != -1)):
+            return errors.BadDirection
+        if np.any((sizes < 1) | (sizes > MTU)):
+            return errors.SizeOutOfRange
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]),
+            st.sampled_from([1, -1, 1, -1, 0, 2, -2, -(2**31)]),
+            st.sampled_from([1, 60, MTU, 0, MTU + 1, -5, 2**40]),
+        ),
+        max_size=6,
+    )
+)
+def test_trace_checks_match_reference(rows):
+    times = np.array([r[0] for r in rows], dtype=np.float64)
+    dirs = np.array([r[1] for r in rows], dtype=np.int32)
+    sizes = np.array([r[2] for r in rows], dtype=np.int64)
+    want = reference_trace_error(times, dirs, sizes)
+    if want is None and not np.isfinite(times).all():
+        want = errors.MalformedRow  # accepted before, refused now
+    try:
+        Trace(times, dirs, sizes)
+        got = None
+    except errors.RobofpError as e:
+        got = type(e)
+    assert got is want
+
+
 class TestTraceType:
     def test_rejects_nonzero_start(self):
         with pytest.raises(errors.MalformedRow):
@@ -155,6 +196,13 @@ class TestTraceType:
             make_trace([(0.0, 1, 0)])
         with pytest.raises(errors.SizeOutOfRange):
             make_trace([(0.0, 1, MTU + 1)])
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, np.nan, 1.0], [0.0, np.inf], [0.0, 0.5, np.nan]], ids=["nan", "inf", "last_nan"]
+    )
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(errors.MalformedRow, match="finite"):
+            Trace(np.array(times), np.ones(len(times), int), np.full(len(times), 9))
 
     def test_duration_and_bytes(self):
         tr = make_trace([(0.0, 1, 100), (2.5, -1, 400)])
