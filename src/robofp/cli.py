@@ -33,7 +33,7 @@ from .harness import (
     write_report,
 )
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
-from .trace import Dataset, save_dataset
+from .trace import save_dataset
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -133,17 +133,18 @@ def _cmd_defend(args) -> int:
         defense = PaddingConfig(args.x)
     else:
         defense = modulation_preset(args.s_p, args.t_i, tail_dummies=args.tail_dummies)
-    traces, overhead, max_latency = defend_dataset(dataset, defense, lambda t: t)
     out_dir = Path(args.out_dir)
-    manifest = save_dataset(Dataset(traces), out_dir)
+    manifest, overhead, max_latency = defend_dataset(
+        dataset, defense, lambda defended: save_dataset((d.trace for d in defended), out_dir)
+    )
     summary = {
         "config": defense.to_doc(),
-        "traces": len(traces),
+        "traces": len(dataset.traces),
         "mean_overhead": overhead,
         "max_added_latency": max_latency,
     }
     (out_dir / "defense_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {len(traces)} defended traces, manifest {manifest}")
+    print(f"wrote {len(dataset.traces)} defended traces, manifest {manifest}")
     print(f"mean overhead {summary['mean_overhead']:.3f}, "
           f"max latency {summary['max_added_latency'] * 1000:.3f} ms")
     return 0

@@ -20,11 +20,18 @@ predecessors take, message k starts at
 
     first_k = before_k + max(arrival_0 - before_0, ..., arrival_k - before_k)
 
-(a running maximum, exact in integers).  Both directions fill one
-(n_slots, 2) grid, outgoing in column 0.  For t_i >= 1 us the
-microsecond-rounded slot times strictly increase, so reading the grid row
-by row is time order with the outgoing packet first in each slot.  The
-slot count is checked against MAX_SLOTS before the grid is allocated.
+(a running maximum, exact in integers).  The result is a SlotPlan, not
+wire packets: the slot count, each message's first slot, and the slot rows
+and sizes of the segments that are not s_p bytes.  On the generated
+captures at t_i = 0.1 ms there are none such, and the plan is a few
+arrays per message against millions of wire packets.  The slot count is
+checked against MAX_SLOTS first.
+
+The wire packets are built from the plan only when ``DefendedTrace.trace``
+or ``.orig_index`` is read: both directions fill one (n_slots, 2) grid,
+outgoing in column 0.  For t_i >= 1 us the microsecond-rounded slot times
+strictly increase, so reading the grid row by row is time order with the
+outgoing packet first in each slot.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, OutOfRange, check_field_types
-from .trace import MTU, Trace
+from .trace import MTU, ActionLabel, Trace
 
 PAD_STEP = 100
 PAD_FACTOR_MIN = 1
@@ -131,19 +138,100 @@ class ModulationConfig:
         }
 
 
+@dataclass(frozen=True)
+class SlotPlan:
+    """One modulated capture as its constant-rate schedule, without wire packets.
+
+    Both directions send one packet in each of ``n_slots`` slots, ``t_i``
+    seconds apart.  Every packet is ``s_p`` bytes except the segments in
+    ``odd``, which holds per direction (outgoing first) their slot rows and
+    ``size - s_p``, and is often empty.  ``carriers`` holds per direction
+    each message's index in the original trace and its first slot.
+    """
+
+    t_i: float
+    s_p: int
+    n_slots: int
+    odd: tuple[tuple[np.ndarray, np.ndarray], ...]
+    carriers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    label: ActionLabel | None = None
+    trace_id: str | None = None
+
+    def __len__(self) -> int:
+        return 2 * self.n_slots  # wire packets
+
+    def slot_times(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Microsecond-rounded times of the given slots, all slots by default."""
+        # float rows hold the same whole numbers; in place, because fresh
+        # temporaries of a whole grid cost more than the arithmetic
+        times = np.arange(self.n_slots, dtype=np.float64) if rows is None else rows.astype(float)
+        times *= self.t_i
+        times *= 1e6
+        np.round(times, out=times)
+        times /= 1e6
+        return times
+
+    @property
+    def duration(self) -> float:
+        """Time of the last slot, rounded as in the grid."""
+        return float(self.slot_times(np.array([self.n_slots - 1]))[0])
+
+    def column_sizes(self, column: int) -> np.ndarray:
+        """One direction's packet sizes in slot order."""
+        sizes = np.full(self.n_slots, self.s_p, dtype=np.int64)
+        rows, delta = self.odd[column]
+        sizes[rows] += delta
+        return sizes
+
+    def wire_packets(self) -> tuple[Trace, np.ndarray]:
+        """The defended trace, slot by slot with the outgoing packet first, and
+        the original packet each wire packet carries (-1 for the rest)."""
+        orig = np.full((self.n_slots, 2), -1, dtype=np.int64)
+        for column, (idx, first) in enumerate(self.carriers):
+            orig[first, column] = idx
+        sizes = np.column_stack([self.column_sizes(c) for c in (0, 1)])
+        trace = Trace(
+            np.repeat(self.slot_times(), 2),
+            np.tile(np.array([1, -1], dtype=np.int32), self.n_slots),
+            sizes.ravel(),
+            label=self.label, trace_id=self.trace_id,
+        )
+        return trace, orig.ravel()
+
+
 @dataclass
 class DefendedTrace:
     """A defended capture plus the bookkeeping linking it to the original.
+
+    Padding keeps its wire packets.  Modulation keeps only its slot ``plan``
+    (millions of wire packets at t_i = 0.1 ms come down to a few arrays per
+    message); the wire-packet view, ``trace`` and ``orig_index``, is built
+    from the plan on first read and then kept.  Features can be computed
+    from the plan without it.
 
     orig_index maps each defended packet to the original packet it carries
     (-1 for dummies and, under modulation, for all but the first segment).
     added_latency is per original packet, seconds.
     """
 
-    trace: Trace
     original_bytes: int
-    orig_index: np.ndarray
+    defended_bytes: int
     added_latency: np.ndarray
+    plan: SlotPlan | None = None
+    packets: tuple[Trace, np.ndarray] | None = None  # (trace, orig_index)
+
+    @property
+    def trace(self) -> Trace:
+        return self._wire()[0]
+
+    @property
+    def orig_index(self) -> np.ndarray:
+        return self._wire()[1]
+
+    def _wire(self) -> tuple[Trace, np.ndarray]:
+        if self.packets is None:
+            self.packets = self.plan.wire_packets()
+        return self.packets
 
     @property
     def max_added_latency(self) -> float:
@@ -153,7 +241,7 @@ class DefendedTrace:
         """(defended - original) / original, in bytes."""
         if self.original_bytes == 0:
             return 0.0
-        return (self.trace.total_bytes - self.original_bytes) / self.original_bytes
+        return (self.defended_bytes - self.original_bytes) / self.original_bytes
 
 
 def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:
@@ -162,15 +250,15 @@ def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:
     padded = np.minimum((trace.sizes + step - 1) // step * step, MTU)
     defended = Trace(trace.times, trace.dirs, padded, label=trace.label, trace_id=trace.trace_id)
     return DefendedTrace(
-        trace=defended,
         original_bytes=trace.total_bytes,
-        orig_index=np.arange(len(trace), dtype=np.int64),
+        defended_bytes=defended.total_bytes,
         added_latency=np.zeros(len(trace)),
+        packets=(defended, np.arange(len(trace), dtype=np.int64)),
     )
 
 
 def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> DefendedTrace:
-    """Re-emit both directions at one packet per t_i with dummy fill."""
+    """Schedule both directions at one packet per t_i with dummy fill."""
     t_i = config.t_i
     last = math.ceil((trace.duration + config.tail_dummies) / t_i)
     sizes, inverse = np.unique(trace.sizes, return_inverse=True)
@@ -181,43 +269,33 @@ def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> Defended
     arrival = np.ceil(trace.times / t_i - 1e-12).astype(np.int64)
 
     latency = np.zeros(len(trace))
-    queues = []
+    odd, carriers = [], []
     for direction in (1, -1):
         idx = np.flatnonzero(trace.dirs == direction)
         n_d = n[idx]
         before = np.cumsum(n_d) - n_d
-        shift = np.maximum.accumulate(arrival[idx] - before)
-        first = before + shift
+        first = before + np.maximum.accumulate(arrival[idx] - before)
         ends = first + n_d - 1
         latency[idx] = ends * t_i - trace.times[idx]
         last = max(last, int(ends.max(initial=0)))
-        queues.append((idx, first, shift))
+        carriers.append((idx, first))
+        # segment j of message k sits at first_k + j; keep those not s_p bytes
+        k = seg[idx] != config.s_p
+        n_k = n_d[k]
+        rows = np.repeat(first[k] - (np.cumsum(n_k) - n_k), n_k) + np.arange(n_k.sum())
+        odd.append((rows, np.repeat(seg[idx][k] - config.s_p, n_k)))
 
     n_slots = last + 1
     if n_slots > MAX_SLOTS:
         raise OutOfRange(f"t_i={t_i} needs {n_slots} slots per direction, more than {MAX_SLOTS}")
-    grid_sizes = np.full((n_slots, 2), config.s_p, dtype=np.int64)
-    grid_orig = np.full((n_slots, 2), -1, dtype=np.int64)
-    for column, (idx, first, shift) in enumerate(queues):
-        # segment j of message k sits at first_k + j = shift_k + (before_k + j),
-        # and before_k + j counts the direction's segments in order
-        n_d = n[idx]
-        rows = np.repeat(shift, n_d) + np.arange(n_d.sum())
-        grid_sizes[rows, column] = np.repeat(seg[idx], n_d)
-        grid_orig[first, column] = idx
-
-    slot_times = np.round(np.arange(n_slots) * t_i * 1e6) / 1e6
-    defended = Trace(
-        np.repeat(slot_times, 2),
-        np.tile(np.array([1, -1], dtype=np.int32), n_slots),
-        grid_sizes.ravel(),
-        label=trace.label, trace_id=trace.trace_id,
+    plan = SlotPlan(
+        t_i, config.s_p, n_slots, tuple(odd), tuple(carriers), trace.label, trace.trace_id
     )
     return DefendedTrace(
-        trace=defended,
         original_bytes=trace.total_bytes,
-        orig_index=grid_orig.ravel(),
+        defended_bytes=2 * n_slots * config.s_p + sum(int(delta.sum()) for _, delta in odd),
         added_latency=latency,
+        plan=plan,
     )
 
 

@@ -12,6 +12,14 @@ Two feature families:
   percentiles per direction.  These ignore command structure entirely and
   serve as the ablation baseline.
 
+``compute_features`` also takes a modulated capture as its ``SlotPlan``
+and gives the same vector, bit for bit, as for the plan's wire packets
+without building them: the two directions' s_p-byte packets cancel in
+every signed bin, so only segments of another size are binned (integer
+sums, exact); a direction of s_p-byte packets only has the size statistics
+of one such packet; and both directions share one slot grid, hence one set
+of inter-arrival percentiles.
+
 Feature vectors carry a schema (ordered names + a fingerprint of the
 configuration and kernel bank that produced them) so that models refuse
 mismatched inputs.
@@ -28,13 +36,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTrace, InvalidConfig, MissingFile, SchemaMismatch, check_field_types
+from .defenses import SlotPlan
+from .errors import (
+    EmptyTrace,
+    InvalidConfig,
+    MissingFile,
+    OutOfRange,
+    SchemaMismatch,
+    check_field_types,
+)
 from .sigproc import (
     ALL_KINDS,
     CommandKind,
     CommandStats,
     KernelBank,
+    Signal,
     bin_trace,
+    bin_weights,
     cluster_statistics,
     convolve,
     detect_clusters,
@@ -49,6 +67,10 @@ FEATURE_SETS = ("full", "command", "summary")
 # detection route per command kind: correlation for the rate-sustained
 # burst whose signature is its envelope, convolution for the rest
 CORRELATION_KINDS = frozenset({CommandKind.GRIPPER_SPEED})
+
+# multiply-adds one kernel scan may cost: about 1,400 times the largest
+# shipped scan (some 3,000 bins against the 260-bin speed kernel at 0.01 s)
+MAX_SCAN_WORK = 2**30
 
 _IAT_PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
 _SIZE_PERCENTILES = (50, 90)
@@ -175,6 +197,12 @@ def command_clusters(trace: Trace, kind: CommandKind, bank: KernelBank, config: 
 
 def _scan(signal, kind, bank, config):
     kernel = bank.kernel_for(kind)
+    work = len(signal) * len(kernel.values)
+    if work > MAX_SCAN_WORK:
+        raise OutOfRange(
+            f"scanning {len(signal)} bins with the {len(kernel.values)}-bin {kind} kernel "
+            f"costs {work} multiply-adds, more than {MAX_SCAN_WORK}"
+        )
     if kind in CORRELATION_KINDS:
         response = sliding_correlation(signal, kernel)
         threshold, min_duration = config.corr_threshold, config.corr_min_duration
@@ -184,20 +212,47 @@ def _scan(signal, kind, bank, config):
     return response, detect_clusters(response, threshold, config.merge_gap, min_duration)
 
 
-def _summary_features(trace: Trace) -> np.ndarray:
+def _signal(trace: Trace | SlotPlan, bin_width: float) -> Signal:
+    if isinstance(trace, Trace):
+        return bin_trace(trace, bin_width)
+    (out_rows, out_delta), (in_rows, in_delta) = trace.odd
+    times = trace.slot_times(np.concatenate([out_rows, in_rows]))
+    weights = np.concatenate([out_delta, -in_delta]).astype(np.float64)
+    return Signal(bin_weights(times, weights, trace.duration, bin_width), bin_width)
+
+
+def _iat_percentiles(times: np.ndarray) -> list[float]:
+    # without gaps they read 0.0; iat is ours to reorder, which spares
+    # percentile a copy of it
+    iat = np.diff(times) if len(times) > 1 else np.zeros(1)
+    return np.percentile(iat, _IAT_PERCENTILES, overwrite_input=True).tolist()
+
+
+def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
     per_dir = []  # count, bytes, size mean/std, size percentiles, iat percentiles
-    for mask in (trace.dirs == 1, trace.dirs == -1):
-        sizes, iat = trace.sizes[mask].astype(float), np.diff(trace.times[mask])
-        count, total = float(sizes.size), float(sizes.sum())
-        # a direction without packets (or gaps) reads 0.0 for their statistics
-        sizes = sizes if sizes.size else np.zeros(1)
-        iat = iat if iat.size else np.zeros(1)
-        per_dir.append([
-            [count], [total], [float(sizes.mean()), float(sizes.std())],
-            np.percentile(sizes, _SIZE_PERCENTILES).tolist(),
-            np.percentile(iat, _IAT_PERCENTILES).tolist(),
+    if isinstance(trace, Trace):
+        for mask in (trace.dirs == 1, trace.dirs == -1):
+            sizes = trace.sizes[mask]
+            iat = _iat_percentiles(trace.times[mask])
+            per_dir.append((sizes.size, sizes.sum(), sizes, iat))
+    else:
+        iat = _iat_percentiles(trace.slot_times())
+        for column in (0, 1):
+            rows, delta = trace.odd[column]
+            total = trace.n_slots * trace.s_p + delta.sum()
+            # n_slots packets of s_p bytes have the size statistics of one
+            sizes = trace.column_sizes(column) if rows.size else np.full(1, trace.s_p)
+            per_dir.append((trace.n_slots, total, sizes, iat))
+
+    blocks = []
+    for count, total, sizes, iat in per_dir:
+        # a direction without packets reads 0.0 for its size statistics
+        sizes = sizes.astype(float) if sizes.size else np.zeros(1)
+        blocks.append([
+            [float(count)], [float(total)], [float(sizes.mean()), float(sizes.std())],
+            np.percentile(sizes, _SIZE_PERCENTILES).tolist(), iat,
         ])
-    out, inn = per_dir
+    out, inn = blocks
     values = [float(len(trace)), *out[0], *inn[0], *out[1], *inn[1], trace.duration]
     for o, i in zip(out[2:], inn[2:]):
         values += o + i
@@ -205,11 +260,12 @@ def _summary_features(trace: Trace) -> np.ndarray:
 
 
 def compute_features(
-    trace: Trace,
+    trace: Trace | SlotPlan,
     bank: KernelBank,
     config: SigprocConfig | None = None,
     feature_set: str = "full",
 ) -> np.ndarray:
+    """Feature vector of one capture, or of a modulated capture's slot plan."""
     if len(trace) == 0:
         raise EmptyTrace("cannot featurize an empty trace")
     if feature_set not in FEATURE_SETS:
@@ -218,7 +274,7 @@ def compute_features(
 
     blocks = []
     if feature_set in ("full", "command"):
-        signal = bin_trace(trace, config.bin_width)
+        signal = _signal(trace, config.bin_width)
         for kind in ALL_KINDS:
             response, clusters = _scan(signal, kind, bank, config)
             stats = cluster_statistics(response, clusters)

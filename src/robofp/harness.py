@@ -7,9 +7,11 @@ reports apart from the created_at stamp (report_digest excludes it).
 Sweep points are independent, so they run on ``config.workers`` threads;
 results are assembled in sweep-key order regardless of completion order.
 ``defend_dataset`` is the one per-trace defense loop, shared by both defense
-sweeps and ``robofp defend``: it hands each defended trace to a consumer and
-keeps only the consumer's result, so a sweep point holds one defended trace
-at a time and keeps only its feature rows.
+sweeps and ``robofp defend``: it defends each trace as its consumer reads
+it, so a sweep point holds one defended trace at a time and keeps only its
+feature rows, and ``robofp defend`` writes each defended trace as it is made.
+Sweep points featurize a modulated trace from its slot plan, not from its
+wire packets (84M of them per point at t_i = 0.1 ms).
 
 Emitted tables, all plain CSV:
 
@@ -221,18 +223,23 @@ def threshold_sweep(
     return _pool_map(config, job, sorted(thresholds))
 
 
-def defend_dataset(dataset: Dataset, defense, consume) -> tuple[list, float, float]:
-    """Defend one trace at a time and pass each defended trace to ``consume``.
+def defend_dataset(dataset: Dataset, defense, consume) -> tuple:
+    """Defend the traces one at a time, as ``consume`` reads them.
 
-    Returns the consumer's results in trace order, the mean per-trace
-    bandwidth overhead and the worst added latency over all traces."""
-    results, overheads, latencies = [], [], []
-    for trace in dataset.traces:
-        defended = apply_defense(trace, defense)
-        results.append(consume(defended.trace))
-        overheads.append(defended.bandwidth_overhead())
-        latencies.append(defended.max_added_latency)
-    return results, float(np.mean(overheads)), float(max(latencies))
+    ``consume`` gets an iterator over the defended traces, in trace order,
+    and returns what it makes of them.  Returns that result, the mean
+    per-trace bandwidth overhead and the worst added latency over all traces."""
+    overheads, latencies = [], []
+
+    def each():
+        for trace in dataset.traces:
+            defended = apply_defense(trace, defense)
+            overheads.append(defended.bandwidth_overhead())
+            latencies.append(defended.max_added_latency)
+            yield defended
+
+    result = consume(each())
+    return result, float(np.mean(overheads)), float(max(latencies))
 
 
 def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float, float, float]]:
@@ -240,7 +247,8 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
 
     The adapting adversary (retrain_on_defended) cross-validates on the
     defended features.  The fixed one fits each fold on clean traffic and
-    scores the same held-out captures after the defense."""
+    scores the same held-out captures after the defense.  A modulated
+    trace is featurized from its slot plan, never as wire packets."""
     dataset, bank = load_inputs(config)
     labels = [t.label.value for t in dataset.traces]
     names = feature_names(config.feature_set)
@@ -248,12 +256,14 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
     if not config.retrain_on_defended:
         clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set).X
 
-    def featurize(trace):
-        return compute_features(trace, bank, config.sigproc, config.feature_set)
+    def featurize(defended) -> np.ndarray:
+        sources = (d.trace if d.plan is None else d.plan for d in defended)
+        return np.vstack(
+            [compute_features(s, bank, config.sigproc, config.feature_set) for s in sources]
+        )
 
     def job(defense) -> tuple[float, float, float]:
-        rows, overhead, max_latency = defend_dataset(dataset, defense, featurize)
-        X = np.vstack(rows)
+        X, overhead, max_latency = defend_dataset(dataset, defense, featurize)
         X_train = X if clean is None else clean
         report = _evaluate(config, X_train, labels, names, X_test=X)
         return report.accuracy, overhead, max_latency

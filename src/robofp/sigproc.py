@@ -88,7 +88,10 @@ class Kernel:
             raise EmptyKernel(f"kernel for {self.kind} has no bins")
         if not np.isfinite(self.values).all():
             raise InvalidConfig(f"kernel for {self.kind} has a non-finite value")
-        self.norm = float(np.sqrt(np.sum(self.values**2)))
+        with np.errstate(over="ignore"):  # finite values can square past float range
+            self.norm = float(np.sqrt(np.sum(self.values**2)))
+        if not math.isfinite(self.norm):
+            raise InvalidConfig(f"kernel for {self.kind} has an L2 norm past float range")
         if self.norm <= 0.0:
             raise EmptyKernel(f"kernel for {self.kind} has zero L2 norm")
         if not (math.isfinite(self.bin_width) and self.bin_width > 0):
@@ -110,9 +113,13 @@ class Cluster:
 # binning
 
 
-def _bin(times: np.ndarray, weights: np.ndarray, span: float, bin_width: float) -> np.ndarray:
-    # ceil(span / bin_width) bins from time 0, at least one; packets at or
-    # past the last bin's end land in the last bin
+def bin_weights(
+    times: np.ndarray, weights: np.ndarray, span: float, bin_width: float
+) -> np.ndarray:
+    """Sum weights into ceil(span / bin_width) bins from time 0, at least one.
+
+    Packets at or past the last bin's end land in the last bin.
+    """
     n_bins = max(1, math.ceil(span / bin_width - 1e-9))
     if n_bins > MAX_BINS:
         raise OutOfRange(
@@ -132,7 +139,7 @@ def bin_trace(trace: Trace, bin_width: float = 0.01) -> Signal:
     if bin_width <= 0:
         raise InvalidConfig("bin_width must be positive")
     weights = (trace.dirs * trace.sizes).astype(np.float64)
-    return Signal(_bin(trace.times, weights, trace.duration, bin_width), bin_width)
+    return Signal(bin_weights(trace.times, weights, trace.duration, bin_width), bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,7 @@ def extract_kernel(
     if not sel.any():
         raise EmptyWindow(f"no packets in [{start}, {end})")
     weights = (trace.dirs[sel] * trace.sizes[sel]).astype(np.float64)
-    values = _bin(trace.times[sel] - start, weights, end - start, bin_width)
+    values = bin_weights(trace.times[sel] - start, weights, end - start, bin_width)
     return Kernel(kind=kind, bin_width=bin_width, values=values, source_id=source_id)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -266,12 +266,15 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(traces)
 
 
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write one CSV per trace plus a manifest; returns the manifest path."""
+def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
+    """Write one CSV per trace plus a manifest; returns the manifest path.
+
+    Each trace is written as the dataset or iterable yields it, so traces
+    made on the fly are never all held at once."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [MANIFEST_HEADER]
-    for i, tr in enumerate(dataset.traces):
+    for i, tr in enumerate(dataset):
         name = tr.trace_id or f"trace_{i:04d}"
         rel = f"{name}.csv"
         save_trace(tr, out_dir / rel)

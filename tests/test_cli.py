@@ -1,7 +1,10 @@
 import json
+import warnings
+import weakref
 
 import pytest
 
+from robofp import harness
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import cli
 from robofp.harness import ExperimentConfig, padding_sweep
@@ -203,6 +206,14 @@ def test_kernels_tiny_bin_width_exits_1(tmp_path, capsys):
                    capsys, "kernel bins")
 
 
+def test_kernels_huge_bin_width_exits_1(tmp_path, capsys):
+    # every position-kernel value is about 3e303 at this width, so its norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail the run
+        _assert_exit_1(["kernels", "--out", str(tmp_path / "k.json"), "--bin-width", "1e300"],
+                       capsys, "L2 norm past float range")
+
+
 def test_defend_modulation_over_slot_cap_exits_1(tmp_path, capsys):
     # 10 s at t_i = 1 us would be 10M slots per direction
     manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n10.0,-1,60\n")
@@ -286,6 +297,28 @@ def test_defend_modulation(tmp_path, capsys):
     assert summary["config"]["type"] == "modulation"
     assert summary["config"]["s_p"] == 150
     assert summary["max_added_latency"] <= 0.02
+    capsys.readouterr()
+
+
+def test_defend_writes_each_trace_as_it_is_made(tmp_path, capsys, monkeypatch):
+    # weak references to every DefendedTrace and its wire packets: when the
+    # next trace is defended, at most the previous one may still be alive
+    made, alive_at_call = [], []
+    apply = harness.apply_defense
+
+    def tracked(trace, defense):
+        alive_at_call.append(sum(any(r() is not None for r in refs) for refs in made))
+        result = apply(trace, defense)
+        made.append((weakref.ref(result), weakref.ref(result.trace)))
+        return result
+
+    monkeypatch.setattr(harness, "apply_defense", tracked)
+    out = tmp_path / "defended"
+    assert cli(["defend", "--seed", "3", "--samples-per-class", "2", "--defense", "modulation",
+                "--s-p", "500", "--t-i", "0.001", "--out-dir", str(out)]) == 0
+    assert len(alive_at_call) == 8 and max(alive_at_call) <= 1
+    assert len((out / "manifest.csv").read_text().splitlines()) == 1 + 8
+    assert json.loads((out / "defense_summary.json").read_text())["traces"] == 8
     capsys.readouterr()
 
 

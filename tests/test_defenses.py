@@ -442,6 +442,17 @@ def test_modulated_arrays_pinned(s_p, t_i, expected):
     assert h.hexdigest() == expected
 
 
+def test_modulated_wire_packets_built_on_first_read():
+    trace = _trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
+    d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
+    assert d.packets is None and len(d.plan) == 2 * d.plan.n_slots
+    assert d.trace is d.trace and d.orig_index is d.packets[1]
+    assert len(d.trace) == len(d.plan) and d.defended_bytes == d.trace.total_bytes
+    # the 1400-byte message goes out as three 500-byte segments: no odd sizes
+    assert all(len(rows) == 0 for rows, _ in d.plan.odd)
+    assert d.bandwidth_overhead() == (d.trace.total_bytes - 1550) / 1550
+
+
 def test_modulation_slot_cap_raises_before_allocating():
     # two packets 10 s apart: 10M slots per direction at 1 us
     trace = _trace([(0.0, 1, 100), (10.0, -1, 100)])

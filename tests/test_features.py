@@ -2,11 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from robofp import errors
-from robofp.defenses import PaddingConfig, apply_defense, modulation_preset
+from robofp import errors, features
+from robofp.defenses import (
+    ModulationConfig,
+    PaddingConfig,
+    apply_defense,
+    apply_modulation_defense,
+    modulation_preset,
+)
 from robofp.features import (
     FEATURE_SETS,
+    MAX_SCAN_WORK,
     FeatureMatrix,
     FeatureSchema,
     SigprocConfig,
@@ -20,7 +29,7 @@ from robofp.features import (
     summary_feature_names,
     write_feature_csv,
 )
-from robofp.sigproc import CommandKind
+from robofp.sigproc import CommandKind, bin_trace
 from robofp.synthgen import (
     GenConfig,
     default_command_templates,
@@ -29,7 +38,7 @@ from robofp.synthgen import (
     gen_dataset,
     trace_rng,
 )
-from robofp.trace import ActionLabel, Dataset, PacketRecord, Trace
+from robofp.trace import MTU, ActionLabel, Dataset, PacketRecord, Trace
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +337,95 @@ def test_csv_non_numeric_value_names_line(tmp_path, bank):
 def test_csv_missing_file(tmp_path, bank):
     with pytest.raises(errors.MissingFile):
         read_feature_csv(tmp_path / "nope.csv", make_schema(bank))
+
+
+# ---------------------------------------------------------------------------
+# scan work cap
+
+
+def test_scan_work_cap_raises_before_scanning(bank, monkeypatch):
+    trace = _trace_from(_quiet_rows(2.0))
+    widest = len(bin_trace(trace, 0.01)) * max(len(k.values) for k in bank)
+    monkeypatch.setattr(features, "MAX_SCAN_WORK", widest)
+    assert len(compute_features(trace, bank)) == 70  # the cap is inclusive
+
+    def never(*args):
+        raise AssertionError("scanned past the cap")
+
+    monkeypatch.setattr(features, "convolve", never)
+    monkeypatch.setattr(features, "sliding_correlation", never)
+    monkeypatch.setattr(features, "MAX_SCAN_WORK", 0)
+    with pytest.raises(errors.OutOfRange, match="multiply-adds"):
+        compute_features(trace, bank)
+
+
+def test_scan_work_cap_far_above_shipped_scans(bank):
+    # the longest generated captures run about 30 s: 3,000 bins at 0.01 s
+    widest_kernel = max(len(k.values) for k in bank)
+    assert widest_kernel == 260
+    assert 1000 * 3000 * widest_kernel < MAX_SCAN_WORK
+    # a 1 s capture in 1 us bins against the 0.75 s position kernel is refused
+    assert 10**6 * 750_000 > MAX_SCAN_WORK
+
+
+# ---------------------------------------------------------------------------
+# modulated captures featurized from their slot plan
+
+
+def _assert_plan_features_match(trace, config, bank):
+    d = apply_modulation_defense(trace, config)
+    assert d.packets is None  # nothing built yet
+    for fs in FEATURE_SETS:
+        compact = compute_features(d.plan, bank, feature_set=fs)
+        assert compact.tobytes() == compute_features(d.trace, bank, feature_set=fs).tobytes(), fs
+    assert d.defended_bytes == d.trace.total_bytes
+    return d
+
+
+@st.composite
+def _modulated_cases(draw):
+    n = draw(st.integers(1, 25))
+    shape = draw(st.sampled_from(("both", "outgoing", "incoming", "mtu_burst")))
+    burst = shape == "mtu_burst"
+    gaps = draw(st.lists(st.integers(0, 200 if burst else 20_000), min_size=n - 1, max_size=n - 1))
+    dirs = {"outgoing": st.just(1), "incoming": st.just(-1)}.get(shape, st.sampled_from((1, -1)))
+    sizes = st.just(MTU) if burst else st.integers(1, MTU)
+    trace = Trace(
+        np.cumsum([0, *gaps]) / 1e6,  # whole microseconds, as captures are
+        np.array(draw(st.lists(dirs, min_size=n, max_size=n))),
+        np.array(draw(st.lists(sizes, min_size=n, max_size=n))),
+    )
+    t_i = draw(st.one_of(st.sampled_from((1e-5, 1e-4, 1e-3, 1e-2)), st.floats(1e-5, 1e-2)))
+    big_l = t_i * draw(st.one_of(st.just(1.0), st.floats(1.0, 40.0)))
+    tail = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+    return trace, ModulationConfig(draw(st.integers(1, MTU)), t_i, big_l, tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modulated_cases())
+@example((Trace(np.zeros(1), np.ones(1), np.array([80])), ModulationConfig(100, 1e-3, 1e-3)))
+def test_plan_features_match_wire_packets(bank, case):
+    _assert_plan_features_match(*case, bank)
+
+
+@pytest.mark.parametrize(
+    "rows, config",
+    [
+        # back-to-back MTU messages in both directions, cut in segments of s_c != s_p
+        ([(i * 1e-4, (1, -1)[i % 3 == 0], MTU) for i in range(30)], modulation_preset(100, 0.01)),
+        # uneven segments queue behind each other at a coarse interval
+        ([(0.0, 1, 1400), (0.002, 1, 700), (0.004, -1, 900)], ModulationConfig(300, 0.003, 0.006)),
+    ],
+    ids=["mtu_burst_coarse", "uneven_segments"],
+)
+def test_plan_features_match_with_odd_segments(bank, rows, config):
+    d = _assert_plan_features_match(_trace_from(rows), config, bank)
+    assert all(len(odd_rows) for odd_rows, _ in d.plan.odd)
+
+
+def test_plan_features_match_in_one_slot(bank):
+    # the inter-arrival times fall back to a single zero
+    d = _assert_plan_features_match(
+        _trace_from([(0.0, 1, 80), (0.0, -1, 100)]), ModulationConfig(100, 1e-3, 1e-3), bank
+    )
+    assert d.plan.n_slots == 1

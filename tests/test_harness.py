@@ -1,11 +1,14 @@
+import hashlib
 import json
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from robofp import errors, harness
 from robofp.classifier import GBDTParams
+from robofp.defenses import SlotPlan
 from robofp.features import SigprocConfig
 from robofp.harness import (
     DEFAULT_PADDING_GRID,
@@ -237,6 +240,35 @@ def test_sweep_point_holds_one_defended_trace_at_a_time(monkeypatch, retrain):
     assert len(alive_at_call) == 8
     assert max(alive_at_call) <= 1
     assert row["overhead"] > 0
+
+
+@pytest.mark.parametrize(
+    "s_p, t_i, expected",
+    [
+        # test_feature_matrix_pinned's digests for the same traces' wire packets
+        (500, 0.001, "da3494cb5e49aca109b107765da9eee8b5218fa6ab52eae62961a4afa336ef9f"),
+        (300, 0.01, "f73050ba812465e4f8eb0b67051279c8884d8ad87bd13ebeca6c0dadc4de2a48"),
+        # recorded by featurizing the wire packets, before sweeps featurized slot plans
+        (500, 0.0001, "2912ae32f15b033232392098f4980d5d0d49b48b89db81e69d078d6d90ec54f7"),
+    ],
+)
+def test_sweep_point_features_pinned(monkeypatch, s_p, t_i, expected):
+    # sha256 of the defended matrix a modulation sweep point hands to
+    # cross-validation (seed 7, 20 traces), built without any wire packets
+    seen = []
+
+    def capture(X, labels, X_test=None, **kw):
+        seen.append(X_test)
+        return SimpleNamespace(accuracy=0.0)
+
+    def refuse(plan):
+        raise AssertionError("a sweep point built wire packets")
+
+    monkeypatch.setattr(harness, "cross_validate", capture)
+    monkeypatch.setattr(SlotPlan, "wire_packets", refuse)
+    modulation_sweep(ExperimentConfig(seed=7, samples_per_class=5), (s_p,), (t_i,))
+    (X,) = seen
+    assert hashlib.sha256(X.tobytes()).hexdigest() == expected
 
 
 def test_fixed_adversary_flag_changes_protocol():

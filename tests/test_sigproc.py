@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ class TestConvolve:
         for width in (float("nan"), float("inf"), 0.0):
             with pytest.raises(errors.InvalidConfig):
                 Kernel(CommandKind.CARTESIAN_MOVE, width, [1.0, 2.0])
+
+    def test_overflowing_norm_rejected_without_warning(self):
+        # finite values whose squares overflow: the norm would be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidConfig, match="L2 norm"):
+                ker([1e200, 1e200])
+            assert ker([1e150, 1e150]).norm == pytest.approx(math.sqrt(2) * 1e150)
 
 
 # ---------------------------------------------------------------------------
