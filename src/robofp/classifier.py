@@ -11,7 +11,8 @@ each leaf takes weight -G / (H + lambda) and scores move by the learning
 rate times that weight.  Split gain is the usual
 0.5 (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)).
 
-The search runs only where a split can exist, which cannot change a model:
+The search runs only where a split can exist, and only once per rank
+class, which cannot change a model:
 
 * A node whose hessian sum is below 2 * min_child_weight becomes a leaf
   unsearched, since each child needs hessian mass >= min_child_weight.  A
@@ -19,10 +20,21 @@ The search runs only where a split can exist, which cannot change a model:
   and the search's running sums, so no admissible split is lost.
 * A column whose presorted training values never rise is never searched.
   A node's rows are a subsequence of that order, so the column offers no
-  split between two distinct values at any node.  The other columns are
-  searched in ascending order, which keeps the lowest-feature tie-break.
+  split between two distinct values at any node.
+* Columns with the same stable presort order and the same rise pattern
+  form a rank class; only its first column is searched.  At every node the
+  class shares one row order, one set of valid positions and one set of
+  gains, and the first maximum always falls on the lowest index.  The
+  searched columns run in ascending order, which keeps the lowest-feature
+  tie-break.
 * A node's per-column sorted rows are filtered from its parent's, not from
-  the full presort; the order within each column is the same.
+  the full presort; the order within each column is the same.  The root
+  takes the presort as it is.
+* g and h travel as one complex array, so one gather and one cumsum give
+  both running sums; each component is still a sequential IEEE sum.
+* The candidates are the running sums at valid positions, compressed in C
+  order (column by column, then position); the winner's column and
+  position come back from its flat index.
 
 Training scores move by the leaf weights written as the tree grows: the
 rows reach each leaf by the same ``X[:, f] <= threshold`` tests that
@@ -154,10 +166,13 @@ class GBDTClassifier:
         Y = np.zeros((n, K))
         Y[np.arange(n), [class_index[v] for v in y]] = 1.0
 
-        # presort once; search only the columns whose sorted values rise
+        # presort once; search the first column of each rank class that rises
         order = np.argsort(X, axis=0, kind="stable")
         sorted_x = np.take_along_axis(X, order, axis=0)
-        features = np.flatnonzero((sorted_x[1:] > sorted_x[:-1]).any(axis=0))
+        rise = sorted_x[1:] > sorted_x[:-1]
+        varying = np.flatnonzero(rise.any(axis=0))[::-1]  # the lowest index is kept
+        rank_class = {(order[:, f].tobytes(), rise[:, f].tobytes()): f for f in varying}
+        features = np.array(sorted(rank_class.values()), dtype=np.int64)
         presorted = (order[:, features].T.copy(), sorted_x[:, features].T.copy())
 
         self._gain = np.zeros(n_features)
@@ -166,83 +181,77 @@ class GBDTClassifier:
         root = np.ones(n, dtype=bool)
         for _ in range(self.params.n_rounds):
             P = _softmax(scores)
-            G = P - Y
-            H = P * (1.0 - P)
+            GH = (P - Y) + 1j * (P * (1.0 - P))  # g + i h, both parts exact
             round_trees = []
             for k in range(K):
                 tree = _Tree()
                 update = np.zeros(n)
-                self._grow_node(tree, X, features, G[:, k], H[:, k], root, presorted, update, 0)
+                self._grow_node(tree, X, features, GH[:, k], root, n, presorted, update, 0)
                 round_trees.append(tree)
                 scores[:, k] += self.params.learning_rate * update
             self.trees_.append(round_trees)
         return self
 
-    def _grow_node(self, tree, X, features, g, h, mask, parent_sorted, update, depth) -> int:
-        """Grow the subtree over the rows in ``mask`` and write its leaf
-        weights into ``update``.  ``parent_sorted`` is the parent's (rows,
-        values) per searched column in sorted order, a superset of this node's."""
-        lam = self.params.reg_lambda
-        g_sum = g[mask].sum()
-        h_sum = h[mask].sum()
-        denom = h_sum + lam
+    def _grow_node(self, tree, X, features, gh, mask, n_node, parent_sorted, update, depth) -> int:
+        """Grow the subtree over the ``n_node`` rows in ``mask`` and write its
+        leaf weights into ``update``.  ``gh`` holds g + i h per row.
+        ``parent_sorted`` is the parent's (rows, values) per searched column
+        in sorted order, a superset of this node's."""
+        g_sum = gh.real[mask].sum()
+        h_sum = gh.imag[mask].sum()
+        denom = h_sum + self.params.reg_lambda
         weight = -g_sum / denom if denom > 0 else 0.0
-        n_node = int(mask.sum())
         # each child needs hessian mass >= min_child_weight; the margin covers
         # rounding differences between h_sum and the search's running sums
         hopeless = h_sum < 2.0 * self.params.min_child_weight * (1.0 - 1e-9)
-        if depth >= self.params.max_depth or n_node < 2 or hopeless:
-            update[mask] = weight
-            return tree.add_leaf(weight)
-
-        keep = mask[parent_sorted[0]]
-        shape = (len(features), n_node)
-        node_sorted = tuple(a[keep].reshape(shape) for a in parent_sorted)
-        found = self._best_split(features, *node_sorted, g, h, g_sum, h_sum)
+        found = None
+        if depth < self.params.max_depth and n_node >= 2 and not hopeless:
+            node_sorted = parent_sorted  # the root holds every row
+            if depth:
+                keep = mask[parent_sorted[0]]
+                node_sorted = tuple(a[keep].reshape(len(features), n_node) for a in parent_sorted)
+            found = self._best_split(features, *node_sorted, gh, g_sum, h_sum)
         if found is None:
             update[mask] = weight
             return tree.add_leaf(weight)
-        f, threshold, gain = found
+        f, threshold, gain, n_left = found
         self._gain[f] += gain
 
+        def child(rows, n):
+            return self._grow_node(tree, X, features, gh, rows, n, node_sorted, update, depth + 1)
+
         node = tree.add_split(f, threshold)
-        left_mask = mask & (X[:, f] <= threshold)
-        tree.left[node] = self._grow_node(
-            tree, X, features, g, h, left_mask, node_sorted, update, depth + 1
-        )
-        tree.right[node] = self._grow_node(
-            tree, X, features, g, h, mask & ~left_mask, node_sorted, update, depth + 1
-        )
+        left = mask & (X[:, f] <= threshold)
+        tree.left[node] = child(left, n_left)
+        tree.right[node] = child(mask & ~left, n_node - n_left)
         return node
 
-    def _best_split(self, features, rows, xs, g, h, g_sum, h_sum):
-        """Best (feature, threshold, gain) over a node's rows and values,
-        each sorted per searched column, or None."""
+    def _best_split(self, features, rows, xs, gh, g_sum, h_sum):
+        """Best (feature, threshold, gain, left row count) over a node's rows
+        and values, each sorted per searched column, or None."""
         lam = self.params.reg_lambda
         mcw = self.params.min_child_weight
 
-        # running sums of the rows left of each candidate split: (cols, n_node)
-        gs = np.cumsum(g[rows], axis=1)
-        hs = np.cumsum(h[rows], axis=1)
-
+        # running (g, h) sums left of each candidate split: (cols, n_node - 1)
+        cs = np.cumsum(gh[rows[:, :-1]], axis=1)
         valid = xs[:, 1:] > xs[:, :-1]  # no split between equal values
-        valid &= (hs[:, :-1] >= mcw) & (h_sum - hs[:, :-1] >= mcw)
-        # nonzero scans column by column, then position: the first maximum
+        valid &= (cs.imag >= mcw) & (h_sum - cs.imag >= mcw)
+        # C order scans column by column, then position: the first maximum
         # breaks ties toward the lowest feature index, then lowest threshold
-        j, pos = np.nonzero(valid)
-        if not len(j):
+        cand = cs[valid]
+        if not len(cand):
             return None
-        gl = gs[j, pos]
-        hl = hs[j, pos]
+        gl, hl = cand.real, cand.imag
         parent = g_sum * g_sum / (h_sum + lam)
         gain = gl * gl / (hl + lam) + (g_sum - gl) ** 2 / (h_sum - hl + lam) - parent
         i = int(np.argmax(gain))
-        best = gain[i]
-        if best <= _MIN_GAIN:
+        if gain[i] <= _MIN_GAIN:
             return None
-        j, pos = j[i], pos[i]
+        j, pos = divmod(int(np.flatnonzero(valid)[i]), valid.shape[1])
         threshold = 0.5 * (xs[j, pos] + xs[j, pos + 1])
-        return int(features[j]), float(threshold), float(0.5 * best)
+        # a midpoint can round up to the next value: count the rows it sends left
+        n_left = int(np.searchsorted(xs[j], threshold, side="right"))
+        return int(features[j]), float(threshold), float(0.5 * gain[i]), n_left
 
     # -- inference --------------------------------------------------------
 

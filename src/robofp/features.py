@@ -31,7 +31,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,8 @@ MAX_SCAN_WORK = 2**30
 
 _IAT_PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
 _SIZE_PERCENTILES = (50, 90)
+# a CommandStats as a flat tuple in field order, without astuple's deep copy
+_stat_values = attrgetter(*(f.name for f in fields(CommandStats)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,7 @@ def compute_features(
         for kind in ALL_KINDS:
             response, clusters = _scan(signal, kind, bank, config)
             stats = cluster_statistics(response, clusters)
-            blocks.append(np.array(astuple(stats)))
+            blocks.append(np.array(_stat_values(stats)))
     if feature_set in ("full", "summary"):
         blocks.append(_summary_features(trace))
     vector = np.concatenate(blocks)

@@ -15,7 +15,9 @@ from robofp.classifier import (
     cross_validate,
     stratified_folds,
 )
-from robofp.features import featurize_dataset
+from robofp.defenses import modulation_preset
+from robofp.features import compute_features, feature_names, featurize_dataset
+from robofp.harness import defend_dataset
 from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
 
 FAST = GBDTParams(n_rounds=20, max_depth=3)
@@ -230,7 +232,7 @@ def _reference_fit(params, X, y):
     return model
 
 
-def _random_problem(seed, n=60, d=6, levels=None, constant=()):
+def _random_problem(seed, n=60, d=6, levels=None, constant=(), copies=False):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     if levels:
@@ -240,6 +242,11 @@ def _random_problem(seed, n=60, d=6, levels=None, constant=()):
     X[:, 1] += np.array([{"a": 0.0, "b": 1.0, "c": 2.0}[v] for v in y])
     for j in constant:
         X[:, j] = 3.0
+    if copies:
+        # columns d..d+2 share column 1's rank class and -x reverses its
+        # order; the last two share one order but not where values rise
+        x, t = X[:, 1], np.arange(n, dtype=float)
+        X = np.column_stack([X, x, 3 * x + 1, np.exp(x), -x, t, t // 2])
     return X, y
 
 
@@ -255,6 +262,11 @@ SEARCH_CASES = {
     "mcw_0": (dict(levels=4), GBDTParams(n_rounds=10, min_child_weight=0.0)),
     "mcw_5": (dict(n=90), GBDTParams(n_rounds=10, min_child_weight=5.0)),
     "depth_1": (dict(constant=(2,)), GBDTParams(n_rounds=10, max_depth=1)),
+    "rank_copies": (dict(copies=True), GBDTParams(n_rounds=10)),
+    "rank_copies_unregularized": (
+        dict(copies=True),
+        GBDTParams(n_rounds=10, reg_lambda=0.0, min_child_weight=0.0),
+    ),
 }
 
 
@@ -265,6 +277,34 @@ def test_fit_matches_reference_search(case, seed):
     X, y = _random_problem(seed, **shape)
     expected = _reference_fit(params, X, y).to_json()
     assert GBDTClassifier(params).fit(X, y).to_json() == expected
+
+
+def test_midpoint_rounding_up_matches_reference():
+    # 0.5 * (a + b) rounds to b for these neighbours, so the split sends
+    # every row left: a child's row count must come from the threshold
+    a, b = 1 + 2**-52, 1 + 2**-51
+    assert 0.5 * (a + b) == b
+    X, y = _random_problem(4, d=2)
+    X[:, 0] = np.where(np.array(y) == "a", a, b)
+    params = GBDTParams(n_rounds=4)
+    assert GBDTClassifier(params).fit(X, y).to_json() == _reference_fit(params, X, y).to_json()
+
+
+def test_split_search_gets_one_column_per_rank_class(monkeypatch):
+    X, y = _random_problem(0, copies=True)
+    searched = set()
+    search = GBDTClassifier._best_split
+
+    def spy(self, features, *args):
+        searched.add(tuple(int(f) for f in features))
+        return search(self, features, *args)
+
+    monkeypatch.setattr(GBDTClassifier, "_best_split", spy)
+    model = GBDTClassifier(GBDTParams(n_rounds=3)).fit(X, y)
+    # the copies of column 1 (6, 7, 8) are dropped; -x (9) and the column
+    # that rises less often than its order twin (11) are not
+    assert searched == {(0, 1, 2, 3, 4, 5, 9, 10, 11)}
+    assert model.to_json() == _reference_fit(GBDTParams(n_rounds=3), X, y).to_json()
 
 
 def test_seed42_fold_models_pinned():
@@ -284,6 +324,28 @@ def test_seed42_fold_models_pinned():
     digest.update(full.to_json().encode())
     assert digest.hexdigest() == (
         "61424b979821033581ea59d9af886eca71a6e65ecc33f624282442112467a489"
+    )
+
+
+def test_seed42_c07_fold_models_pinned():
+    # sha256 over the to_json() of the ten seed-42 fold models on the
+    # (500 B, 0.1 ms) modulated matrix, where ten varying columns fall into
+    # three rank classes; recorded before the search skipped rank copies
+    bank = default_kernel_bank()
+    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
+    X, _, _ = defend_dataset(
+        dataset,
+        modulation_preset(500, 0.0001),
+        lambda defended: np.vstack([compute_features(d.plan, bank) for d in defended]),
+    )
+    y = np.array([t.label.value for t in dataset.traces])
+    digest = hashlib.sha256()
+    for heldout in stratified_folds(list(y), 10, seed=42):
+        train = np.setdiff1d(np.arange(len(y)), heldout)
+        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train]))
+        digest.update(model.to_json().encode())
+    assert digest.hexdigest() == (
+        "d095431cc8744039617e21f686c9fd9cc5b1d313ebbc9df8167b0a02a749ccdc"
     )
 
 
