@@ -41,6 +41,15 @@ rows reach each leaf by the same ``X[:, f] <= threshold`` tests that
 ``predict`` follows.  Non-finite inputs are rejected: a split midpoint next
 to inf is inf, which would send every row left whatever side the gain was
 computed for.
+
+Scoring uses one flat forest, built once after ``fit`` and in
+``from_json``: every tree's nodes in one table, leaves as their own
+children.  All trees are walked together for as many steps as the deepest
+tree has levels, and the leaf values are added to the scores round by
+round, in round order, so each class score is the same sum in the same
+order as one tree at a time would give.  Building the table also checks a
+loaded model: children come after their parent and inside its tree, so no
+walk can loop.
 """
 
 from __future__ import annotations
@@ -97,30 +106,76 @@ class _Tree:
         self.value.append(v)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        feature = np.array(self.feature)
-        threshold = np.array(self.threshold)
-        left = np.array(self.left)
-        right = np.array(self.right)
-        value = np.array(self.value)
-        live = feature[node] >= 0
-        while live.any():
-            idx = node[live]
-            goes_left = X[live, feature[idx]] <= threshold[idx]
-            node[live] = np.where(goes_left, left[idx], right[idx])
-            live = feature[node] >= 0
-        return value[node]
-
     @classmethod
     def from_doc(cls, doc: dict) -> "_Tree":
-        return cls(
+        tree = cls(
             feature=[int(v) for v in doc["feature"]],
             threshold=[float(v) for v in doc["threshold"]],
             left=[int(v) for v in doc["left"]],
             right=[int(v) for v in doc["right"]],
             value=[float(v) for v in doc["value"]],
         )
+        if not tree.feature or len({len(v) for v in vars(tree).values()}) != 1:
+            raise InvalidConfig("a tree's node lists must share one non-zero length")
+        return tree
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """Every tree of a model in one node table, trees in (round, class)
+    order.  Child indices are global, and a leaf is its own child with
+    feature 0, so a walk of ``depth`` steps leaves every row on a leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+
+def _flatten(trees: list[list[_Tree]], n_classes: int, n_features: int, max_depth: int) -> _Forest:
+    """One node table for the ensemble; InvalidConfig unless every tree is
+    one that ``fit`` could have written: children after their parent and
+    inside its tree, leaves marked -1, split features below ``n_features``,
+    no deeper than ``max_depth``."""
+    if not trees or any(len(row) != n_classes for row in trees):
+        raise InvalidConfig(f"model needs at least one round of {n_classes} trees")
+    flat = [t for row in trees for t in row]
+    sizes = np.array([len(t.feature) for t in flat])
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    start = np.repeat(roots, sizes)
+    local = np.arange(len(start)) - start
+    feature, left, right = (
+        np.array([v for t in flat for v in getattr(t, name)], dtype=np.int64)
+        for name in ("feature", "left", "right")
+    )
+    split = feature >= 0
+    own, size = local[split], sizes.repeat(sizes)[split]
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise InvalidConfig(f"a node's feature is neither -1 (a leaf) nor below {n_features}")
+    if not all(((c > own) & (c < size)).all() for c in (left[split], right[split])):
+        raise InvalidConfig("a split's children must come after it, inside its tree")
+    node = np.arange(len(start))
+    left = np.where(split, left + start, node)
+    right = np.where(split, right + start, node)
+    depth, level = 0, roots[split[roots]]
+    while len(level):
+        depth += 1
+        if depth > max_depth:
+            raise InvalidConfig(f"a tree is deeper than max_depth {max_depth}")
+        level = np.unique(np.concatenate([left[level], right[level]]))
+        level = level[split[level]]
+    return _Forest(
+        np.where(split, feature, 0),
+        np.array([v for t in flat for v in t.threshold]),
+        left,
+        right,
+        np.array([v for t in flat for v in t.value]),
+        roots,
+        depth,
+    )
 
 
 def _check_finite(X: np.ndarray, names: list[str] | None) -> None:
@@ -145,6 +200,7 @@ class GBDTClassifier:
         self.classes_: list[str] = []
         self.trees_: list[list[_Tree]] = []  # [round][class]
         self._gain: np.ndarray | None = None
+        self._forest: _Forest | None = None
 
     # -- training ---------------------------------------------------------
 
@@ -190,6 +246,7 @@ class GBDTClassifier:
                 round_trees.append(tree)
                 scores[:, k] += self.params.learning_rate * update
             self.trees_.append(round_trees)
+        self._forest = _flatten(self.trees_, K, n_features, self.params.max_depth)
         return self
 
     def _grow_node(self, tree, X, features, gh, mask, n_node, parent_sorted, update, depth) -> int:
@@ -264,15 +321,20 @@ class GBDTClassifier:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise SchemaMismatch("X must be 2-D")
-        if self.feature_names is not None and X.shape[1] != len(self.feature_names):
-            raise SchemaMismatch(
-                f"{X.shape[1]} columns but model expects {len(self.feature_names)}"
-            )
+        if X.shape[1] != len(self._gain):
+            raise SchemaMismatch(f"{X.shape[1]} columns but model expects {len(self._gain)}")
         _check_finite(X, self.feature_names)
+        forest = self._forest
+        rows = np.arange(len(X))
+        node = np.repeat(forest.roots[:, None], len(X), axis=1)  # (trees, rows)
+        for _ in range(forest.depth):
+            goes_left = X[rows, forest.feature[node]] <= forest.threshold[node]
+            node = np.where(goes_left, forest.left[node], forest.right[node])
+        # (rounds, classes, rows), summed round by round as the trees were grown
+        leaf = forest.value[node].reshape(len(self.trees_), len(self.classes_), len(X))
         scores = np.zeros((len(X), len(self.classes_)))
-        for round_trees in self.trees_:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.params.learning_rate * tree.predict(X)
+        for r in range(len(leaf)):
+            scores += self.params.learning_rate * leaf[r].T
         return scores
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -313,8 +375,17 @@ class GBDTClassifier:
             model = cls(GBDTParams(**doc["params"]), doc.get("feature_names"))
             model.classes_ = list(doc["classes"])
             model.trees_ = [[_Tree.from_doc(d) for d in row] for row in doc["trees"]]
-            model._gain = np.array(doc["gain"], dtype=float)
-        except (KeyError, TypeError, ValueError, RecursionError) as e:
+            model._gain = gain = np.array(doc["gain"], dtype=float)
+            if len(model.classes_) < 2 or gain.ndim != 1:
+                raise InvalidConfig("model needs two or more classes and one gain per feature")
+            names = model.feature_names
+            if names is not None and len(names) != len(gain):
+                raise InvalidConfig(f"{len(names)} feature names but {len(gain)} gains")
+            # node indices beyond int64 overflow here
+            model._forest = _flatten(
+                model.trees_, len(model.classes_), len(gain), model.params.max_depth
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
             raise InvalidConfig(f"bad model document: {e}") from e
         return model
 

@@ -71,6 +71,22 @@ def modulation_preset(s_p: int, t_i: float, tail_dummies: float = 0.0) -> "Modul
     )
 
 
+def grid_times(t_i: float, rows: np.ndarray) -> np.ndarray:
+    """Microsecond-rounded times of the given slot rows at interval t_i.
+
+    A slot's time depends only on its row and t_i, so every plan at t_i
+    shares one grid, and any rows of it give the same times wherever taken.
+    """
+    # float rows hold the same whole numbers; in place, because fresh
+    # temporaries of a whole grid cost more than the arithmetic
+    times = rows.astype(np.float64)
+    times *= t_i
+    times *= 1e6
+    np.round(times, out=times)
+    times /= 1e6
+    return times
+
+
 def pad_packet(size: int, x: int) -> int:
     """Round size up to a multiple of 100x bytes, capped at the MTU."""
     if not PAD_FACTOR_MIN <= x <= PAD_FACTOR_MAX:
@@ -162,14 +178,7 @@ class SlotPlan:
 
     def slot_times(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Microsecond-rounded times of the given slots, all slots by default."""
-        # float rows hold the same whole numbers; in place, because fresh
-        # temporaries of a whole grid cost more than the arithmetic
-        times = np.arange(self.n_slots, dtype=np.float64) if rows is None else rows.astype(float)
-        times *= self.t_i
-        times *= 1e6
-        np.round(times, out=times)
-        times /= 1e6
-        return times
+        return grid_times(self.t_i, np.arange(self.n_slots) if rows is None else rows)
 
     @property
     def duration(self) -> float:

@@ -209,6 +209,32 @@ def _reference_grow(params, tree, gain_sum, X, order, g, h, mask, depth):
     return node
 
 
+def _reference_predict(tree, X):
+    # one tree on its own, as decision_scores walked each tree before the
+    # ensemble became one node table
+    node = np.zeros(len(X), dtype=np.int64)
+    feature = np.array(tree.feature)
+    threshold = np.array(tree.threshold)
+    left = np.array(tree.left)
+    right = np.array(tree.right)
+    value = np.array(tree.value)
+    live = feature[node] >= 0
+    while live.any():
+        idx = node[live]
+        goes_left = X[live, feature[idx]] <= threshold[idx]
+        node[live] = np.where(goes_left, left[idx], right[idx])
+        live = feature[node] >= 0
+    return value[node]
+
+
+def _reference_scores(model, X):
+    scores = np.zeros((len(X), len(model.classes_)))
+    for round_trees in model.trees_:
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += model.params.learning_rate * _reference_predict(tree, X)
+    return scores
+
+
 def _reference_fit(params, X, y):
     model = GBDTClassifier(params)
     model.classes_ = sorted(set(y))
@@ -227,7 +253,7 @@ def _reference_fit(params, X, y):
             root = np.ones(n, dtype=bool)
             _reference_grow(params, tree, model._gain, X, order, G[:, k], H[:, k], root, 0)
             round_trees.append(tree)
-            scores[:, k] += params.learning_rate * tree.predict(X)
+            scores[:, k] += params.learning_rate * _reference_predict(tree, X)
         model.trees_.append(round_trees)
     return model
 
@@ -350,6 +376,51 @@ def test_seed42_c07_fold_models_pinned():
 
 
 # ---------------------------------------------------------------------------
+# scoring: the forest walk against the per-tree reference walk
+
+
+def _assert_scores_match_reference(model, X):
+    expected = _reference_scores(model, X)
+    clone = GBDTClassifier.from_json(model.to_json())
+    assert model.decision_scores(X).tobytes() == expected.tobytes()
+    assert clone.decision_scores(X).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def seed42_fold_problems():
+    """(training matrix, labels) of the models the two seed-42 pins cover."""
+    bank = default_kernel_bank()
+    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
+    y = [t.label.value for t in dataset.traces]
+    X_c07, _, _ = defend_dataset(
+        dataset,
+        modulation_preset(500, 0.0001),
+        lambda defended: np.vstack([compute_features(d.plan, bank) for d in defended]),
+    )
+    return {"attack": (featurize_dataset(dataset, bank).X, y), "c07": (X_c07, y)}
+
+
+@pytest.mark.parametrize("matrix", ["attack", "c07"])
+def test_seed42_fold_scores_match_reference_walk(seed42_fold_problems, matrix):
+    X, y = seed42_fold_problems[matrix]
+    y_arr = np.array(y)
+    for heldout in stratified_folds(y, 10, seed=42):
+        train = np.setdiff1d(np.arange(len(y)), heldout)
+        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y_arr[train]))
+        _assert_scores_match_reference(model, X)
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_scores_match_reference_walk(case):
+    shape, params = SEARCH_CASES[case]
+    X, y = _random_problem(5, **shape)
+    model = GBDTClassifier(params).fit(X, y)
+    Xt, _ = _random_problem(6, **shape)
+    _assert_scores_match_reference(model, np.vstack([X, Xt]))
+    _assert_scores_match_reference(model, Xt[:0])  # no rows
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -372,6 +443,102 @@ def test_from_json_rejects_junk():
     for text in ("[]", "null", '"gbdt-softmax"', b"\xff"):
         with pytest.raises(errors.InvalidConfig):
             GBDTClassifier.from_json(text)
+
+
+def _model_doc():
+    X, y = _blobs(n_per=10)
+    return json.loads(GBDTClassifier(FAST, feature_names=["u", "v"]).fit(X, y).to_json())
+
+
+def _first_split(doc):
+    return next(t for row in doc["trees"] for t in row if t["feature"][0] >= 0)
+
+
+def _self_loop(doc):
+    _first_split(doc)["left"][0] = 0
+
+
+def _child_past_end(doc):
+    tree = _first_split(doc)
+    tree["right"][0] = len(tree["feature"])
+
+
+def _child_before_parent(doc):
+    tree = _first_split(doc)
+    child = tree["left"][0]
+    tree["feature"][child], tree["left"][child] = 0, 0
+
+
+def _unknown_feature(doc):
+    _first_split(doc)["feature"][0] = 2
+
+
+def _leaf_not_minus_one(doc):
+    tree = _first_split(doc)
+    tree["feature"][tree["feature"].index(-1)] = -2
+
+
+def _short_values(doc):
+    _first_split(doc)["value"].pop()
+
+
+def _empty_tree(doc):
+    doc["trees"][0][0] = {k: [] for k in doc["trees"][0][0]}
+
+
+def _too_deep(doc):
+    doc["params"]["max_depth"] = 1
+
+
+def _names_not_gains(doc):
+    doc["feature_names"] = ["u"]
+
+
+def _tree_missing_from_round(doc):
+    doc["trees"][-1].pop()
+
+
+def _one_class(doc):
+    doc["classes"] = doc["classes"][:1]
+    doc["trees"] = [row[:1] for row in doc["trees"]]
+
+
+def _index_past_int64(doc):
+    _first_split(doc)["left"][0] = 2**70
+
+
+MALFORMED_MODELS = {
+    _self_loop: "children must come after it",
+    _child_past_end: "children must come after it",
+    _child_before_parent: "children must come after it",
+    _unknown_feature: "feature is neither -1",
+    _leaf_not_minus_one: "feature is neither -1",
+    _short_values: "share one non-zero length",
+    _empty_tree: "share one non-zero length",
+    _too_deep: "deeper than max_depth 1",
+    _names_not_gains: "1 feature names but 2 gains",
+    _tree_missing_from_round: "round of 3 trees",
+    _one_class: "two or more classes",
+    _index_past_int64: "too large",
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_MODELS, ids=lambda f: f.__name__.strip("_"))
+def test_from_json_refuses_malformed_trees(damage):
+    # before these checks, a self-loop made scoring loop forever and the
+    # out-of-range indices raised IndexError
+    doc = _model_doc()
+    GBDTClassifier.from_json(json.dumps(doc))  # the undamaged document loads
+    damage(doc)
+    with pytest.raises(errors.InvalidConfig, match=MALFORMED_MODELS[damage]):
+        GBDTClassifier.from_json(json.dumps(doc))
+
+
+def test_decision_scores_checks_width_without_names():
+    X, y = _blobs(n_per=10)
+    model = GBDTClassifier(FAST).fit(X, y)
+    with pytest.raises(errors.SchemaMismatch, match="3 columns but model expects 2"):
+        model.decision_scores(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

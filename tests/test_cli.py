@@ -7,6 +7,7 @@ import pytest
 from robofp import harness
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import cli
+from robofp.features import SigprocConfig
 from robofp.harness import ExperimentConfig, padding_sweep
 
 FAST_CFG = ExperimentConfig(
@@ -212,6 +213,16 @@ def test_kernels_huge_bin_width_exits_1(tmp_path, capsys):
         warnings.simplefilter("error")  # a RuntimeWarning would fail the run
         _assert_exit_1(["kernels", "--out", str(tmp_path / "k.json"), "--bin-width", "1e300"],
                        capsys, "L2 norm past float range")
+
+
+def test_featurize_fine_bin_width_over_scan_cap_exits_1(tmp_path, capsys):
+    # about 300,000 bins of 0.1 ms per 30 s capture against the 7,500-bin
+    # position kernel: refused by the scan cap before scanning
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(
+        samples_per_class=1, sigproc=SigprocConfig(bin_width=0.0001)).to_json())
+    _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
+                   capsys, "multiply-adds")
 
 
 def test_defend_modulation_over_slot_cap_exits_1(tmp_path, capsys):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from robofp import errors, features
 from robofp.defenses import (
+    MODULATION_INTERVALS,
     ModulationConfig,
     PaddingConfig,
+    SlotPlan,
     apply_defense,
     apply_modulation_defense,
     modulation_preset,
@@ -429,3 +431,48 @@ def test_plan_features_match_in_one_slot(bank):
         _trace_from([(0.0, 1, 80), (0.0, -1, 100)]), ModulationConfig(100, 1e-3, 1e-3), bank
     )
     assert d.plan.n_slots == 1
+
+
+# ---------------------------------------------------------------------------
+# inter-arrival percentiles of a slot plan, counted per grid chunk
+
+CHUNK = features._GRID_CHUNK
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_i=st.sampled_from(MODULATION_INTERVALS) | st.floats(1e-6, 1e-2),
+    n_slots=st.integers(1, 5 * CHUNK),
+)
+@example(t_i=1e-4, n_slots=1)
+@example(t_i=1e-4, n_slots=2)
+@example(t_i=1e-4, n_slots=CHUNK)
+@example(t_i=1e-4, n_slots=CHUNK + 1)
+@example(t_i=1e-4, n_slots=CHUNK + 2)
+@example(t_i=1e-4, n_slots=2 * CHUNK + 1)
+def test_plan_iat_percentiles_match_np_percentile(t_i, n_slots):
+    empty = (np.zeros(0, dtype=np.int64),) * 2
+    plan = SlotPlan(t_i, 500, n_slots, (empty, empty), (empty, empty))
+    grid = plan.slot_times()
+    iat = np.diff(grid) if n_slots > 1 else np.zeros(1)
+    expected = np.percentile(iat, (5, 10, 25, 50, 75, 90, 95))
+    # the summary block ends with the outgoing, then the incoming IAT percentiles
+    got = features._summary_features(plan)[-14:]
+    assert got.tobytes() == np.tile(expected, 2).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 9.9e-5, 1e-4, 1.01e-4, 2e-4, 1 / 3, 7.0]) | st.floats(0, 1),
+                min_size=1, max_size=40))
+def test_counted_percentiles_match_np_percentile(x):
+    values, counts = np.unique(x, return_counts=True)
+    got = features._counted_percentiles(values, np.cumsum(counts))
+    assert np.array(got).tobytes() == np.percentile(x, (5, 10, 25, 50, 75, 90, 95)).tobytes()
+
+
+def test_chunk_memo_is_read_only_and_bounded():
+    for a in features._chunk_counts(1e-4, 0):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert 0 < features._chunk_counts.cache_info().maxsize <= 1024

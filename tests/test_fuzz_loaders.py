@@ -7,6 +7,7 @@ built from fragments near the grammar's edges.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,12 +127,39 @@ def test_read_feature_csv(workdir, data):
     _loads_or_refuses(read_feature_csv, workdir / "features.csv", SCHEMA)
 
 
+# small models of the right shape: leaves and stumps whose indices and
+# value lists may be out of range
+INDEX = st.integers(-2, 3)
+LEAF = st.builds(lambda v: {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                            "value": [v]}, st.floats())
+STUMP = st.builds(
+    lambda f, t, lo, hi, v: {"feature": [f, -1, -1], "threshold": [t, 0.0, 0.0],
+                             "left": [lo, -1, -1], "right": [hi, -1, -1], "value": [0.0, *v]},
+    INDEX, st.floats(), INDEX, INDEX, st.lists(st.floats(), min_size=1, max_size=2),
+)
+MODELS = st.fixed_dictionaries({
+    "model": st.just("gbdt-softmax"),
+    "params": st.fixed_dictionaries({}, optional={"max_depth": st.integers(1, 2)}),
+    "classes": st.just(["a", "b"]),
+    "gain": st.lists(st.floats(0, 1), max_size=3),
+    "trees": st.lists(st.lists(LEAF | STUMP, min_size=2, max_size=2), max_size=2),
+}, optional={"feature_names": st.sampled_from([None, ["u"], ["u", "v"]])})
+SELF_LOOP = {"model": "gbdt-softmax", "params": {}, "classes": ["a", "b"], "gain": [0.0],
+             "trees": [[{"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [0, -1, -1],
+                         "right": [2, -1, -1], "value": [0.0] * 3}] * 2]}
+
+
 @FUZZ
 @given(DOCUMENTS | _encoded(st.fixed_dictionaries({"model": st.just("gbdt-softmax")}, optional={
     k: JSON for k in ("params", "classes", "feature_names", "gain", "trees")
-})))
+})) | _encoded(MODELS))
 @example(b"[]")
 @example(b"null")
 @example(b"[" * 5000)
+@example(json.dumps(SELF_LOOP).encode())
 def test_gbdt_from_json(data):
-    _loads_or_refuses(GBDTClassifier.from_json, data)
+    model = _loads_or_refuses(GBDTClassifier.from_json, data)
+    if model is not None:
+        # a model that loads also scores a finite matrix of its width
+        width = len(model.feature_importance())
+        _loads_or_refuses(model.decision_scores, np.zeros((3, width)))
