@@ -59,7 +59,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, SchemaMismatch, SingleClass, TooFewSamples, check_field_types
+from .errors import InvalidConfig, SchemaMismatch, SingleClass, TooFewSamples
+from .errors import _json_array, check_field_types
 
 _MIN_GAIN = 1e-12
 
@@ -108,12 +109,11 @@ class _Tree:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "_Tree":
+        ints = {k: _json_array(k, doc[k], "integers") for k in ("feature", "left", "right")}
         tree = cls(
-            feature=[int(v) for v in doc["feature"]],
-            threshold=[float(v) for v in doc["threshold"]],
-            left=[int(v) for v in doc["left"]],
-            right=[int(v) for v in doc["right"]],
-            value=[float(v) for v in doc["value"]],
+            **ints,
+            threshold=[float(v) for v in _json_array("threshold", doc["threshold"], "numbers")],
+            value=[float(v) for v in _json_array("value", doc["value"], "numbers")],
         )
         if not tree.feature or len({len(v) for v in vars(tree).values()}) != 1:
             raise InvalidConfig("a tree's node lists must share one non-zero length")
@@ -216,11 +216,9 @@ class GBDTClassifier:
         self.classes_ = sorted(set(y))
         if len(self.classes_) < 2:
             raise SingleClass("training data contains a single class")
-        class_index = {c: k for k, c in enumerate(self.classes_)}
         n, n_features = X.shape
         K = len(self.classes_)
-        Y = np.zeros((n, K))
-        Y[np.arange(n), [class_index[v] for v in y]] = 1.0
+        Y = np.eye(K)[np.searchsorted(self.classes_, y)]  # one-hot rows
 
         # presort once; search the first column of each rank class that rises
         order = np.argsort(X, axis=0, kind="stable")
@@ -341,8 +339,7 @@ class GBDTClassifier:
         return _softmax(self.decision_scores(X))
 
     def predict(self, X: np.ndarray) -> list[str]:
-        proba = self.predict_proba(X)
-        return [self.classes_[i] for i in np.argmax(proba, axis=1)]
+        return [self.classes_[i] for i in np.argmax(self.predict_proba(X), axis=1)]
 
     def feature_importance(self) -> dict[str, float]:
         """Total split gain per feature; zero for never-used features."""
@@ -372,14 +369,15 @@ class GBDTClassifier:
             doc = json.loads(text)
             if not isinstance(doc, dict) or doc.get("model") != "gbdt-softmax":
                 raise InvalidConfig("not a gbdt-softmax model document")
-            model = cls(GBDTParams(**doc["params"]), doc.get("feature_names"))
-            model.classes_ = list(doc["classes"])
+            if (names := doc.get("feature_names")) is not None:
+                _json_array("feature_names", names, "strings")
+            model = cls(GBDTParams(**doc["params"]), names)
+            model.classes_ = list(_json_array("classes", doc["classes"], "strings"))
             model.trees_ = [[_Tree.from_doc(d) for d in row] for row in doc["trees"]]
-            model._gain = gain = np.array(doc["gain"], dtype=float)
-            if len(model.classes_) < 2 or gain.ndim != 1:
-                raise InvalidConfig("model needs two or more classes and one gain per feature")
-            names = model.feature_names
-            if names is not None and len(names) != len(gain):
+            model._gain = gain = np.array(_json_array("gain", doc["gain"], "numbers"), dtype=float)
+            if len(model.classes_) < 2:
+                raise InvalidConfig("model needs two or more classes")
+            if names and len(names) != len(gain):
                 raise InvalidConfig(f"{len(names)} feature names but {len(gain)} gains")
             # node indices beyond int64 overflow here
             model._forest = _flatten(
@@ -408,7 +406,8 @@ class CVReport:
 
 
 def stratified_folds(y: list[str], n_folds: int, seed: int) -> list[np.ndarray]:
-    """Shuffle within class, deal round-robin; every class lands in every fold."""
+    """Shuffle within class, in sorted class order, and deal round-robin: fold f
+    takes every n_folds-th index of each class from position f."""
     if n_folds < 2:
         raise InvalidConfig(f"n_folds must be >= 2, got {n_folds}")
     classes = sorted(set(y))
@@ -416,15 +415,14 @@ def stratified_folds(y: list[str], n_folds: int, seed: int) -> list[np.ndarray]:
         raise SingleClass("need at least two classes")
     y_arr = np.array(y)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    shuffled = []
     for c in classes:
         idx = np.flatnonzero(y_arr == c)
         if len(idx) < n_folds:
             raise TooFewSamples(c, len(idx), n_folds)
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[j % n_folds].append(int(i))
-    return [np.array(sorted(f)) for f in folds]
+        shuffled.append(idx)
+    return [np.sort(np.concatenate([idx[f::n_folds] for idx in shuffled])) for f in range(n_folds)]
 
 
 def cross_validate(
@@ -446,38 +444,28 @@ def cross_validate(
     X_test = X if X_test is None else np.asarray(X_test, dtype=np.float64)
     if X_test.shape != X.shape:
         raise SchemaMismatch(f"X_test has shape {X_test.shape}, X has {X.shape}")
-    folds = stratified_folds(y, n_folds, seed)
     classes = sorted(set(y))
-    class_index = {c: k for k, c in enumerate(classes)}
-    K = len(classes)
-    confusion = np.zeros((K, K), dtype=np.int64)
+    codes = np.searchsorted(classes, y)  # index in the sorted class list
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
     fold_accuracies = []
-    y_arr = np.array(y)
 
-    for heldout in folds:
+    for heldout in stratified_folds(y, n_folds, seed):
         train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(params, feature_names)
-        model.fit(X[train], list(y_arr[train]))
-        pred = model.predict(X_test[heldout])
-        truth = y_arr[heldout]
-        fold_accuracies.append(float(np.mean(pred == truth)))
-        for t, p in zip(truth, pred):
-            confusion[class_index[t], class_index[p]] += 1
+        model = GBDTClassifier(params, feature_names)  # frees the previous fold's model
+        model.fit(X[train], [y[i] for i in train])
+        pred = np.searchsorted(classes, model.predict(X_test[heldout]))
+        np.add.at(confusion, (codes[heldout], pred), 1)
+        fold_accuracies.append(float(np.mean(pred == codes[heldout])))
 
-    total = confusion.sum()
-    accuracy = float(confusion.trace() / total) if total else 0.0
-    precision = {}
-    recall = {}
-    for c, k in class_index.items():
-        col = confusion[:, k].sum()
-        row = confusion[k, :].sum()
-        precision[c] = float(confusion[k, k] / col) if col else 0.0
-        recall[c] = float(confusion[k, k] / row) if row else 0.0
+    precision, recall = (
+        np.divide(confusion.diagonal(), sums, out=np.zeros(len(classes)), where=sums > 0).tolist()
+        for sums in (confusion.sum(axis=0), confusion.sum(axis=1))
+    )
     return CVReport(
         classes=classes,
         fold_accuracies=fold_accuracies,
-        accuracy=accuracy,
+        accuracy=float(confusion.trace() / confusion.sum()),
         confusion=confusion.tolist(),
-        precision=precision,
-        recall=recall,
+        precision=dict(zip(classes, precision)),
+        recall=dict(zip(classes, recall)),
     )

@@ -151,3 +151,12 @@ def check_field_types(config) -> None:
             or f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max
         ):
             raise InvalidConfig(f"{f.name} must be {wording}, got {value!r}")
+
+
+def _json_array(name: str, value, items: str) -> list:
+    """``value`` if it is a JSON array of ``items`` ("integers", "numbers" or
+    "strings"), else InvalidConfig; nothing is converted, and a bool is no number."""
+    admits = {"integers": (int,), "numbers": (int, float), "strings": (str,)}[items]
+    if not isinstance(value, list) or not all(type(v) in admits for v in value):
+        raise InvalidConfig(f"{name} must be an array of {items}")
+    return value

@@ -58,6 +58,7 @@ from .errors import (
     MissingFile,
     OutOfRange,
     SchemaMismatch,
+    _json_array,
     check_field_types,
 )
 from .sigproc import (
@@ -151,6 +152,9 @@ class FeatureSchema:
     kernel_fingerprint: str
     version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        check_field_types(self)
+
     def fingerprint(self) -> str:
         blob = json.dumps(
             {
@@ -182,7 +186,7 @@ class FeatureSchema:
         try:
             doc = json.loads(text)
             schema = cls(
-                names=tuple(doc["names"]),
+                names=tuple(_json_array("names", doc["names"], "strings")),
                 feature_set=doc["feature_set"],
                 config=SigprocConfig(**doc["config"]),
                 kernel_fingerprint=doc["kernel_fingerprint"],

@@ -35,6 +35,8 @@ from .errors import (
     MissingFile,
     MissingKernel,
     OutOfRange,
+    _json_array,
+    check_field_types,
 )
 from .trace import Trace
 
@@ -82,6 +84,7 @@ class Kernel:
     source_id: str = ""
 
     def __post_init__(self):
+        check_field_types(self)
         self.kind = CommandKind(self.kind)
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.values) == 0:
@@ -94,8 +97,8 @@ class Kernel:
             raise InvalidConfig(f"kernel for {self.kind} has an L2 norm past float range")
         if self.norm <= 0.0:
             raise EmptyKernel(f"kernel for {self.kind} has zero L2 norm")
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
-            raise InvalidConfig(f"kernel bin_width {self.bin_width} must be positive and finite")
+        if self.bin_width <= 0:
+            raise InvalidConfig(f"kernel bin_width {self.bin_width} must be positive")
 
 
 @dataclass
@@ -397,14 +400,8 @@ class KernelBank:
         kernels = []
         for entry in raw:
             try:
-                kernels.append(
-                    Kernel(
-                        kind=CommandKind(entry["kind"]),
-                        bin_width=float(entry["bin_width"]),
-                        values=np.array(entry["values"], dtype=np.float64),
-                        source_id=str(entry.get("source_id", "")),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as e:
+                values = _json_array("values", entry["values"], "numbers")
+                kernels.append(Kernel(**{**entry, "values": values}))
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise InvalidConfig(f"bad kernel entry in {path}: {e}") from None
         return cls(kernels)

@@ -17,6 +17,7 @@ File formats:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -181,7 +182,7 @@ def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
             t = float(t_s)
         except ValueError:
             raise MalformedRow(f"bad timestamp {t_s!r}", line=i) from None
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise MalformedRow(f"bad timestamp {t_s!r}", line=i)
         if d_s not in ("1", "+1", "-1"):
             raise BadDirection(f"direction must be +1 or -1, got {d_s!r}", line=i)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robofp import errors
 from robofp.classifier import (
@@ -507,6 +509,42 @@ def _index_past_int64(doc):
     _first_split(doc)["left"][0] = 2**70
 
 
+def _classes_string(doc):
+    doc["classes"] = "abc"  # once read as ['a', 'b', 'c']
+
+
+def _classes_object(doc):
+    doc["classes"] = dict.fromkeys(doc["classes"], 1)  # once read as its keys
+
+
+def _names_string(doc):
+    doc["feature_names"] = "uv"  # once read as ['u', 'v']
+
+
+def _fractional_child(doc):
+    tree = _first_split(doc)
+    tree["left"][0] += 0.9  # once truncated by int()
+
+
+def _bool_child(doc):
+    tree = _first_split(doc)
+    tree["left"][0] = True  # once read as 1
+
+
+def _string_feature(doc):
+    tree = _first_split(doc)
+    tree["feature"] = [str(v) for v in tree["feature"]]
+
+
+def _string_threshold(doc):
+    tree = _first_split(doc)
+    tree["threshold"] = [str(v) for v in tree["threshold"]]
+
+
+def _string_gain(doc):
+    doc["gain"] = [str(v) for v in doc["gain"]]
+
+
 MALFORMED_MODELS = {
     _self_loop: "children must come after it",
     _child_past_end: "children must come after it",
@@ -520,6 +558,14 @@ MALFORMED_MODELS = {
     _tree_missing_from_round: "round of 3 trees",
     _one_class: "two or more classes",
     _index_past_int64: "too large",
+    _classes_string: "classes must be an array of strings",
+    _classes_object: "classes must be an array of strings",
+    _names_string: "feature_names must be an array of strings",
+    _fractional_child: "left must be an array of integers",
+    _bool_child: "left must be an array of integers",
+    _string_feature: "feature must be an array of integers",
+    _string_threshold: "threshold must be an array of numbers",
+    _string_gain: "gain must be an array of numbers",
 }
 
 
@@ -599,3 +645,83 @@ def test_cross_validate_scores_x_test():
     assert shifted.recall == {"a": 1.0, "b": 0.0, "c": 0.0}
     with pytest.raises(errors.SchemaMismatch):
         cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X[:, :1])
+
+
+# ---------------------------------------------------------------------------
+# stratified folds and cross-validation against the loops they replaced
+
+
+def _reference_folds(y, n_folds, seed):
+    """The dealing loop ``stratified_folds`` replaced: one index at a time."""
+    y_arr = np.array(y)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_folds)]
+    for c in sorted(set(y)):
+        idx = np.flatnonzero(y_arr == c)
+        rng.shuffle(idx)
+        for j, i in enumerate(idx):
+            folds[j % n_folds].append(int(i))
+    return [np.array(sorted(f)) for f in folds]
+
+
+def _reference_cross_validate(X, y, params, n_folds, seed, X_test=None):
+    """The per-prediction and per-class tally loops ``cross_validate`` replaced."""
+    X_test = X if X_test is None else X_test
+    classes = sorted(set(y))
+    class_index = {c: k for k, c in enumerate(classes)}
+    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    fold_accuracies = []
+    y_arr = np.array(y)
+    for heldout in _reference_folds(y, n_folds, seed):
+        train = np.setdiff1d(np.arange(len(y)), heldout)
+        model = GBDTClassifier(params).fit(X[train], list(y_arr[train]))
+        pred = model.predict(X_test[heldout])
+        truth = y_arr[heldout]
+        fold_accuracies.append(float(np.mean(pred == truth)))
+        for t, p in zip(truth, pred):
+            confusion[class_index[t], class_index[p]] += 1
+    total = confusion.sum()
+    precision, recall = {}, {}
+    for c, k in class_index.items():
+        col, row = confusion[:, k].sum(), confusion[k, :].sum()
+        precision[c] = float(confusion[k, k] / col) if col else 0.0
+        recall[c] = float(confusion[k, k] / row) if row else 0.0
+    return CVReport(classes, fold_accuracies, float(confusion.trace() / total),
+                    confusion.tolist(), precision, recall)
+
+
+@st.composite
+def _cv_problems(draw):
+    """Labels of 2-6 classes of unequal sizes, in a drawn order, and a fold
+    count from 2 up to the smallest class size."""
+    names = draw(st.lists(st.text("abAB", min_size=1, max_size=3), min_size=2, max_size=6,
+                          unique=True))
+    sizes = draw(st.lists(st.integers(2, 9), min_size=len(names), max_size=len(names)))
+    y = draw(st.permutations([c for c, k in zip(names, sizes) for _ in range(k)]))
+    return y, draw(st.integers(2, min(sizes))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cv_problems())
+def test_stratified_folds_match_reference_dealing(problem):
+    y, n_folds, seed = problem
+    folds = stratified_folds(y, n_folds, seed)
+    expected = _reference_folds(y, n_folds, seed)
+    assert len(folds) == len(expected)
+    for got, want in zip(folds, expected):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cv_problems(), st.booleans())
+def test_cross_validate_matches_reference_tally(problem, shifted):
+    y, n_folds, seed = problem
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(len(y), 2))
+    X_test = rng.normal(size=X.shape) if shifted else None
+    params = GBDTParams(n_rounds=2, max_depth=2)
+    report = cross_validate(X, y, params, n_folds=n_folds, seed=seed, X_test=X_test)
+    expected = _reference_cross_validate(X, y, params, n_folds, seed, X_test)
+    assert report == expected
+    assert json.dumps(report.to_doc()) == json.dumps(expected.to_doc())

@@ -1,14 +1,19 @@
+import argparse
 import json
+import re
+import shlex
 import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
 from robofp import harness
 from robofp.classifier import GBDTClassifier, GBDTParams
-from robofp.cli import cli
-from robofp.features import SigprocConfig
+from robofp.cli import build_parser, cli
+from robofp.features import SigprocConfig, make_schema
 from robofp.harness import ExperimentConfig, padding_sweep
+from robofp.synthgen import default_kernel_bank
 
 FAST_CFG = ExperimentConfig(
     seed=5,
@@ -30,6 +35,21 @@ def test_usage_errors_exit_2(capsys):
     assert cli(["teleport"]) == 2
     assert cli(["generate"]) == 2  # missing --out-dir
     capsys.readouterr()
+
+
+def test_readme_commands_parse():
+    # every `robofp ...` line of README's sh blocks, continuation lines joined
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in lines.split("\n") if line.startswith("robofp ")]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: robofp {shlex.join(argv)}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)  # every subcommand is shown
 
 
 def test_generate_writes_dataset(tmp_path, capsys):
@@ -153,6 +173,35 @@ def test_featurize_bad_kernel_bank_exits_1(tmp_path, capsys, bank_width, edit, n
     _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
                    capsys, needle)
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "target, key, value",
+    [("schema", "names", "ab"), ("schema", "feature_set", 5), ("schema", "version", "x"),
+     ("schema", "kernel_fingerprint", [1]), ("bank", "bin_width", "0.01"),
+     ("bank", "values", ["-650", True]), ("bank", "source_id", 5)],
+)
+def test_mistyped_document_field_exits_1(tmp_path, capsys, target, key, value):
+    # each of these documents once loaded, its value converted or kept as it was
+    if target == "schema":
+        doc = json.loads(make_schema(default_kernel_bank()).to_json())
+        del doc["fingerprint"]
+        doc[key] = value
+        path = tmp_path / "f.schema.json"
+        argv = ["train", "--features", str(tmp_path / "f.csv"), "--schema", str(path),
+                "--out", str(tmp_path / "m.json")]
+    else:
+        path = tmp_path / "kernels.json"
+        assert cli(["kernels", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc[0][key] = value
+        manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
+        config = ExperimentConfig(manifest=manifest, kernel_bank_path=str(path))
+        (tmp_path / "config.json").write_text(config.to_json())
+        argv = ["featurize", "--config", str(tmp_path / "config.json"),
+                "--out", str(tmp_path / "f.csv")]
+    path.write_text(json.dumps(doc))
+    _assert_exit_1(argv, capsys, f"{key} must be")
 
 
 @pytest.mark.parametrize("target", ["config", "schema", "features"])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -93,8 +94,6 @@ def test_schema_fingerprint_tracks_inputs(bank):
 
 
 def test_schema_rejects_tampered_fingerprint(bank):
-    import json
-
     doc = json.loads(make_schema(bank).to_json())
     doc["fingerprint"] = "0" * 16
     with pytest.raises(errors.SchemaMismatch):
@@ -104,6 +103,24 @@ def test_schema_rejects_tampered_fingerprint(bank):
 def test_schema_rejects_malformed_document():
     with pytest.raises(errors.InvalidConfig):
         FeatureSchema.from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "key, value, needle",
+    [("names", "ab", "names must be an array of strings"),
+     ("feature_set", 5, "feature_set must be a string"),
+     ("version", "x", "version must be an integer"),
+     ("kernel_fingerprint", [1], "kernel_fingerprint must be a string")],
+)
+def test_schema_refuses_mistyped_field(bank, key, value, needle):
+    # each of these once loaded: the string names as their characters, the
+    # other values as they were
+    doc = json.loads(make_schema(bank, feature_set="summary").to_json())
+    del doc["fingerprint"]
+    FeatureSchema.from_json(json.dumps(doc))  # the undamaged document loads
+    doc[key] = value
+    with pytest.raises(errors.InvalidConfig, match=needle):
+        FeatureSchema.from_json(json.dumps(doc))
 
 
 def test_sigproc_config_validation():

@@ -148,6 +148,37 @@ SELF_LOOP = {"model": "gbdt-softmax", "params": {}, "classes": ["a", "b"], "gain
              "trees": [[{"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [0, -1, -1],
                          "right": [2, -1, -1], "value": [0.0] * 3}] * 2]}
 
+STUMPS = {"model": "gbdt-softmax", "params": {}, "classes": ["a", "b"],
+          "feature_names": ["u", "v"], "gain": [0.5, 0.0],
+          "trees": [[{"feature": [0, -1, -1], "threshold": [0.0223, 0.0, 0.0], "left": [1, -1, -1],
+                      "right": [2, -1, -1], "value": [0.0, 0.5, -0.5]}] * 2]}
+
+
+def _stumps(**edits):
+    """STUMPS as JSON bytes, with top-level keys or the first tree's node lists replaced."""
+    doc = json.loads(json.dumps(STUMPS))
+    for key, value in edits.items():
+        if key in doc:
+            doc[key] = value
+        else:
+            doc["trees"][0][0][key] = value
+    return json.dumps(doc).encode()
+
+
+def _loads_unconverted(doc, model):
+    """The model holds the document's own names, classes and node indices,
+    and the numbers it read were JSON numbers."""
+    assert model.classes_ == doc["classes"]
+    assert model.feature_names == (doc.get("feature_names") or None)
+    for row, doc_row in zip(model.trees_, doc["trees"]):
+        for tree, node_lists in zip(row, doc_row):
+            for key in ("feature", "left", "right"):
+                assert getattr(tree, key) == node_lists[key]
+                assert not any(isinstance(v, bool) for v in node_lists[key])
+            for key in ("threshold", "value"):
+                assert all(type(v) in (int, float) for v in node_lists[key])
+    assert all(type(v) in (int, float) for v in doc["gain"])
+
 
 @FUZZ
 @given(DOCUMENTS | _encoded(st.fixed_dictionaries({"model": st.just("gbdt-softmax")}, optional={
@@ -157,9 +188,19 @@ SELF_LOOP = {"model": "gbdt-softmax", "params": {}, "classes": ["a", "b"], "gain
 @example(b"null")
 @example(b"[" * 5000)
 @example(json.dumps(SELF_LOOP).encode())
+@example(_stumps())
+@example(_stumps(classes="ab"))
+@example(_stumps(classes={"a": 0, "b": 1}))
+@example(_stumps(feature_names="uv"))
+@example(_stumps(left=[1.9, -1, -1]))
+@example(_stumps(left=[True, -1, -1]))
+@example(_stumps(feature=["0", "-1", "-1"]))
+@example(_stumps(threshold=["0.0223", "0.0", "0.0"]))
+@example(_stumps(gain=["0.5", "0.0"]))
 def test_gbdt_from_json(data):
     model = _loads_or_refuses(GBDTClassifier.from_json, data)
     if model is not None:
+        _loads_unconverted(json.loads(data), model)
         # a model that loads also scores a finite matrix of its width
         width = len(model.feature_importance())
         _loads_or_refuses(model.decision_scores, np.zeros((3, width)))

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -589,3 +590,20 @@ class TestKernels:
     def test_load_missing(self, tmp_path):
         with pytest.raises(errors.MissingFile):
             KernelBank.load(tmp_path / "none.json")
+
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [("bin_width", "0.01", "bin_width must be a finite number"),
+         ("values", ["-650", True], "values must be an array of numbers"),
+         ("source_id", 5, "source_id must be a string")],
+    )
+    def test_load_refuses_mistyped_field(self, tmp_path, key, value, needle):
+        # each of these once loaded, converted by float() or str()
+        entry = {"kind": "CartesianMove", "bin_width": 0.01, "values": [-650, 1.5],
+                 "source_id": "x"}
+        p = tmp_path / "bank.json"
+        p.write_text(json.dumps([entry]))
+        KernelBank.load(p)  # the undamaged entry loads
+        p.write_text(json.dumps([{**entry, key: value}]))
+        with pytest.raises(errors.InvalidConfig, match=needle):
+            KernelBank.load(p)
