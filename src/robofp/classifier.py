@@ -32,6 +32,18 @@ class, which cannot change a model:
   takes the presort as it is.
 * g and h travel as one complex array, so one gather and one cumsum give
   both running sums; each component is still a sequential IEEE sum.
+* A node's own (g, h) sums come from one gather of its rows, ``gh[mask]``,
+  and one ``np.add.reduce`` (what ``.sum()`` calls, minus its Python
+  wrapper) per part: the pairwise sum in row order that ``g[mask].sum()``
+  gives.  numpy sums along one axis pairwise (8-way blocks of up to 128),
+  so the order is part of the result.  The gathers stay C-ordered for
+  that reason: ``A[:, mask]`` on a (2, n) array comes back F-ordered, and
+  its ``sum(axis=1)`` adds the values one at a time, which can differ in
+  the last bit.  A node's row count is the length of that gather.
+* Each tree's g + i h is a contiguous row of the round's transposed array,
+  and a split's left child is ``mask & (Xt[f] <= threshold)`` on one
+  contiguous row of ``X.T``, made once per fit; the right child is
+  ``mask ^ left``.
 * The candidates are the running sums at valid positions, compressed in C
   order (column by column, then position); the winner's column and
   position come back from its flat index.
@@ -233,80 +245,78 @@ class GBDTClassifier:
         self.trees_ = []
         scores = np.zeros((n, K))
         root = np.ones(n, dtype=bool)
+        Xt = X.T.copy()  # one contiguous row per feature for the child masks
         for _ in range(self.params.n_rounds):
             P = _softmax(scores)
-            GH = (P - Y) + 1j * (P * (1.0 - P))  # g + i h, both parts exact
+            GH = ((P - Y) + 1j * (P * (1.0 - P))).T.copy()  # g + i h, one row per class
             round_trees = []
             for k in range(K):
                 tree = _Tree()
                 update = np.zeros(n)
-                self._grow_node(tree, X, features, GH[:, k], root, n, presorted, update, 0)
+                self._grow_node(tree, Xt, features, GH[k], root, *presorted, update, 0)
                 round_trees.append(tree)
                 scores[:, k] += self.params.learning_rate * update
             self.trees_.append(round_trees)
         self._forest = _flatten(self.trees_, K, n_features, self.params.max_depth)
         return self
 
-    def _grow_node(self, tree, X, features, gh, mask, n_node, parent_sorted, update, depth) -> int:
-        """Grow the subtree over the ``n_node`` rows in ``mask`` and write its
-        leaf weights into ``update``.  ``gh`` holds g + i h per row.
-        ``parent_sorted`` is the parent's (rows, values) per searched column
-        in sorted order, a superset of this node's."""
-        g_sum = gh.real[mask].sum()
-        h_sum = gh.imag[mask].sum()
-        denom = h_sum + self.params.reg_lambda
+    def _grow_node(self, tree, Xt, features, gh, mask, rows, xs, update, depth) -> int:
+        """Grow the subtree over the rows in ``mask`` and write its leaf
+        weights into ``update``.  ``gh`` holds g + i h per row; ``rows`` and
+        ``xs`` are the parent's per searched column, in sorted order."""
+        params = self.params
+        sel = gh[mask]  # C-ordered, so each part sums pairwise in row order
+        n_node = len(sel)
+        g_sum = np.add.reduce(sel.real)
+        h_sum = np.add.reduce(sel.imag)
+        denom = h_sum + params.reg_lambda
         weight = -g_sum / denom if denom > 0 else 0.0
         # each child needs hessian mass >= min_child_weight; the margin covers
         # rounding differences between h_sum and the search's running sums
-        hopeless = h_sum < 2.0 * self.params.min_child_weight * (1.0 - 1e-9)
+        hopeless = h_sum < 2.0 * params.min_child_weight * (1.0 - 1e-9)
         found = None
-        if depth < self.params.max_depth and n_node >= 2 and not hopeless:
-            node_sorted = parent_sorted  # the root holds every row
-            if depth:
-                keep = mask[parent_sorted[0]]
-                node_sorted = tuple(a[keep].reshape(len(features), n_node) for a in parent_sorted)
-            found = self._best_split(features, *node_sorted, gh, g_sum, h_sum)
+        if depth < params.max_depth and n_node >= 2 and not hopeless:
+            if depth:  # the root holds every row
+                keep = mask.take(rows).ravel()
+                rows = rows.compress(keep).reshape(len(features), n_node)
+                xs = xs.compress(keep).reshape(len(features), n_node)
+            found = self._best_split(features, rows, xs, gh, g_sum, h_sum)
         if found is None:
             update[mask] = weight
             return tree.add_leaf(weight)
-        f, threshold, gain, n_left = found
+        f, threshold, gain = found
         self._gain[f] += gain
-
-        def child(rows, n):
-            return self._grow_node(tree, X, features, gh, rows, n, node_sorted, update, depth + 1)
-
         node = tree.add_split(f, threshold)
-        left = mask & (X[:, f] <= threshold)
-        tree.left[node] = child(left, n_left)
-        tree.right[node] = child(mask & ~left, n_node - n_left)
+        left = mask & (Xt[f] <= threshold)
+        grow, depth = self._grow_node, depth + 1
+        tree.left[node] = grow(tree, Xt, features, gh, left, rows, xs, update, depth)
+        tree.right[node] = grow(tree, Xt, features, gh, mask ^ left, rows, xs, update, depth)
         return node
 
     def _best_split(self, features, rows, xs, gh, g_sum, h_sum):
-        """Best (feature, threshold, gain, left row count) over a node's rows
-        and values, each sorted per searched column, or None."""
-        lam = self.params.reg_lambda
-        mcw = self.params.min_child_weight
+        """Best (feature, threshold, gain) over a node's rows and values,
+        each sorted per searched column, or None."""
+        lam, mcw = self.params.reg_lambda, self.params.min_child_weight
 
         # running (g, h) sums left of each candidate split: (cols, n_node - 1)
-        cs = np.cumsum(gh[rows[:, :-1]], axis=1)
+        cs = gh.take(rows[:, :-1]).cumsum(axis=1)
         valid = xs[:, 1:] > xs[:, :-1]  # no split between equal values
-        valid &= (cs.imag >= mcw) & (h_sum - cs.imag >= mcw)
+        valid &= cs.imag >= mcw
+        valid &= h_sum - cs.imag >= mcw
         # C order scans column by column, then position: the first maximum
         # breaks ties toward the lowest feature index, then lowest threshold
         cand = cs[valid]
         if not len(cand):
             return None
         gl, hl = cand.real, cand.imag
-        parent = g_sum * g_sum / (h_sum + lam)
-        gain = gl * gl / (hl + lam) + (g_sum - gl) ** 2 / (h_sum - hl + lam) - parent
-        i = int(np.argmax(gain))
+        gain = gl * gl / (hl + lam) + (g_sum - gl) ** 2 / (h_sum - hl + lam)
+        gain -= g_sum * g_sum / (h_sum + lam)
+        i = gain.argmax()
         if gain[i] <= _MIN_GAIN:
             return None
-        j, pos = divmod(int(np.flatnonzero(valid)[i]), valid.shape[1])
-        threshold = 0.5 * (xs[j, pos] + xs[j, pos + 1])
-        # a midpoint can round up to the next value: count the rows it sends left
-        n_left = int(np.searchsorted(xs[j], threshold, side="right"))
-        return int(features[j]), float(threshold), float(0.5 * gain[i]), n_left
+        j, pos = divmod(int(valid.ravel().nonzero()[0][i]), valid.shape[1])
+        threshold = float(0.5 * (xs[j, pos] + xs[j, pos + 1]))
+        return int(features[j]), threshold, float(0.5 * gain[i])
 
     # -- inference --------------------------------------------------------
 

@@ -147,16 +147,23 @@ def check_field_types(config) -> None:
         if (
             not isinstance(value, admits)
             or isinstance(value, bool) != (f.type == "bool")
-            # comparing, not converting, so NaN, inf and ints past float range all fail
-            or f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max
+            or f.type == "float" and not _finite(value)
         ):
             raise InvalidConfig(f"{f.name} must be {wording}, got {value!r}")
 
 
+def _finite(number) -> bool:
+    # comparing, not converting, so NaN, inf and ints past float range all fail
+    return -sys.float_info.max <= number <= sys.float_info.max
+
+
 def _json_array(name: str, value, items: str) -> list:
     """``value`` if it is a JSON array of ``items`` ("integers", "numbers" or
-    "strings"), else InvalidConfig; nothing is converted, and a bool is no number."""
+    "strings"), else InvalidConfig; nothing is converted, a bool is no number,
+    and numbers must be finite, as a float config field must."""
     admits = {"integers": (int,), "numbers": (int, float), "strings": (str,)}[items]
     if not isinstance(value, list) or not all(type(v) in admits for v in value):
         raise InvalidConfig(f"{name} must be an array of {items}")
+    if items == "numbers" and not all(_finite(v) for v in value):
+        raise InvalidConfig(f"{name} holds a non-finite value")
     return value

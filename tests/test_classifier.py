@@ -307,6 +307,75 @@ def test_fit_matches_reference_search(case, seed):
     assert GBDTClassifier(params).fit(X, y).to_json() == expected
 
 
+@st.composite
+def _fit_problems(draw):
+    """Up to 40 rows of up to 6 columns, each column normal, tied at a few
+    levels, constant, or a rank copy (3x + 1) or reversal (-x) of an earlier
+    one, with 2-3 classes and params across the regularizers' edges."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["normal", "levels", "constant", "copy", "reversed"]))
+        if kind in ("copy", "reversed") and columns:
+            x = columns[draw(st.integers(0, len(columns) - 1))]
+            columns.append(3 * x + 1 if kind == "copy" else -x)
+        elif kind == "levels":
+            columns.append(rng.integers(0, draw(st.integers(2, 4)), size=n).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(n, 3.0))
+        else:
+            columns.append(rng.normal(size=n))
+    y = ["a", "b", *rng.choice(["a", "b", "c"][: draw(st.integers(2, 3))], size=n - 2)]
+    params = GBDTParams(
+        n_rounds=draw(st.integers(1, 5)),
+        max_depth=draw(st.integers(1, 6)),
+        learning_rate=draw(st.sampled_from([0.3, 1.0])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0])),
+    )
+    return np.column_stack(columns), [str(v) for v in rng.permutation(y)], params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_problems())
+def test_fit_matches_reference_on_drawn_problems(problem):
+    X, y, params = problem
+    # lambda 0 lets a saturated class divide by a zero hessian sum in both fits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        model, expected = GBDTClassifier(params).fit(X, y), _reference_fit(params, X, y)
+    assert model.to_json() == expected.to_json()
+
+
+def test_node_sums_are_pairwise_in_row_order(monkeypatch):
+    # every node's (g, h) sums must be the ones g[mask].sum() gives: numpy
+    # sums along one axis pairwise (8-way blocks of up to 128), so the
+    # order of the additions is part of the result
+    sums = []
+    search = GBDTClassifier._best_split
+
+    def spy(self, features, rows, xs, gh, g_sum, h_sum):
+        mask = np.zeros(len(gh), dtype=bool)
+        mask[rows[0]] = True
+        sums.append((mask, gh.copy(), g_sum, h_sum))
+        return search(self, features, rows, xs, gh, g_sum, h_sum)
+
+    monkeypatch.setattr(GBDTClassifier, "_best_split", spy)
+    X, y = _random_problem(7, n=400, d=3)
+    GBDTClassifier(GBDTParams(n_rounds=3, min_child_weight=0.0)).fit(X, y)
+    assert max(int(mask.sum()) for mask, *_ in sums) > 128
+    f_ordered_differs = False
+    for mask, gh, g_sum, h_sum in sums:
+        expected = (gh.real[mask].sum(), gh.imag[mask].sum())
+        assert np.array([g_sum, h_sum]).tobytes() == np.array(expected).tobytes()
+        # the same values gathered from a (2, n) array come back F-ordered,
+        # and sum(axis=1) then adds them one at a time, not pairwise
+        stacked = np.stack([gh.real, gh.imag])[:, mask]
+        assert not stacked.flags.c_contiguous or mask.sum() < 2
+        f_ordered_differs |= stacked.sum(axis=1).tobytes() != np.array(expected).tobytes()
+    assert f_ordered_differs
+
+
 def test_midpoint_rounding_up_matches_reference():
     # 0.5 * (a + b) rounds to b for these neighbours, so the split sends
     # every row left: a child's row count must come from the threshold
@@ -545,6 +614,19 @@ def _string_gain(doc):
     doc["gain"] = [str(v) for v in doc["gain"]]
 
 
+def _nan_threshold(doc):
+    _first_split(doc)["threshold"][0] = float("nan")  # json writes NaN, which once loaded
+
+
+def _infinite_value(doc):
+    tree = _first_split(doc)
+    tree["value"][tree["feature"].index(-1)] = float("inf")
+
+
+def _minus_infinite_gain(doc):
+    doc["gain"][0] = float("-inf")  # once loaded into feature_importance()
+
+
 MALFORMED_MODELS = {
     _self_loop: "children must come after it",
     _child_past_end: "children must come after it",
@@ -566,6 +648,9 @@ MALFORMED_MODELS = {
     _string_feature: "feature must be an array of integers",
     _string_threshold: "threshold must be an array of numbers",
     _string_gain: "gain must be an array of numbers",
+    _nan_threshold: "threshold holds a non-finite value",
+    _infinite_value: "value holds a non-finite value",
+    _minus_infinite_gain: "gain holds a non-finite value",
 }
 
 

@@ -6,6 +6,7 @@ built from fragments near the grammar's edges.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def _stumps(**edits):
 
 def _loads_unconverted(doc, model):
     """The model holds the document's own names, classes and node indices,
-    and the numbers it read were JSON numbers."""
+    and the numbers it read were finite JSON numbers."""
     assert model.classes_ == doc["classes"]
     assert model.feature_names == (doc.get("feature_names") or None)
     for row, doc_row in zip(model.trees_, doc["trees"]):
@@ -176,8 +177,8 @@ def _loads_unconverted(doc, model):
                 assert getattr(tree, key) == node_lists[key]
                 assert not any(isinstance(v, bool) for v in node_lists[key])
             for key in ("threshold", "value"):
-                assert all(type(v) in (int, float) for v in node_lists[key])
-    assert all(type(v) in (int, float) for v in doc["gain"])
+                assert all(type(v) in (int, float) and math.isfinite(v) for v in node_lists[key])
+    assert all(type(v) in (int, float) and math.isfinite(v) for v in doc["gain"])
 
 
 @FUZZ
@@ -197,6 +198,9 @@ def _loads_unconverted(doc, model):
 @example(_stumps(feature=["0", "-1", "-1"]))
 @example(_stumps(threshold=["0.0223", "0.0", "0.0"]))
 @example(_stumps(gain=["0.5", "0.0"]))
+@example(_stumps(threshold=[float("nan"), 0.0, 0.0]))
+@example(_stumps(value=[0.0, float("inf"), -0.5]))
+@example(_stumps(gain=[float("-inf"), 0.0]))
 def test_gbdt_from_json(data):
     model = _loads_or_refuses(GBDTClassifier.from_json, data)
     if model is not None:
