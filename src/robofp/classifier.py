@@ -93,6 +93,9 @@ class GBDTParams:
             raise InvalidConfig("learning_rate must be in (0, 1]")
         if self.reg_lambda < 0 or self.min_child_weight < 0:
             raise InvalidConfig("regularizers must be non-negative")
+        # either one keeps every gain and weight denominator above zero
+        if self.reg_lambda == 0 and self.min_child_weight == 0:
+            raise InvalidConfig("reg_lambda and min_child_weight cannot both be 0")
 
 
 @dataclass

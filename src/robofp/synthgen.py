@@ -30,10 +30,14 @@ faster than turn-on-switch.
 Determinism: every trace is generated from an independent generator seeded
 with (seed, class_index, sample_index), so datasets are byte-identical for
 a given seed and per-trace output does not depend on generation order.
+Every draw keeps its place in the stream: single uniform draws go through
+``_uniform``, which computes what ``Generator.uniform`` computes, and only
+a speed burst's jitter, which nothing else interleaves, is drawn at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -208,8 +212,14 @@ class GenConfig:
             raise InvalidConfig("samples_per_class must be >= 1")
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` for scalars, draw for draw and bit for bit
+    (numpy computes ``low + range * next_double``), at a third of the cost."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    return float(np.exp(_uniform(rng, np.log(lo), np.log(hi))))
 
 
 def _snap_tick(t: float) -> float:
@@ -242,7 +252,7 @@ def gen_command(
     """Emit one command's packets from t_start; returns (packets, end time)."""
     kind = template.kind
     if duration is None:
-        duration = rng.uniform(*template.duration_range)
+        duration = _uniform(rng, *template.duration_range)
     if profile not in PROFILES:
         raise InvalidConfig(f"unknown speed profile {profile!r}")
     rows: list[PacketRecord] = []
@@ -270,7 +280,7 @@ def gen_command(
             rows.append(PacketRecord(t, 1, int(rng.integers(lo, hi + 1))))
             end = t
             if i % 4 == 3:  # every fourth update is acknowledged
-                ta = t + rng.uniform(0.004, 0.008)
+                ta = t + _uniform(rng, 0.004, 0.008)
                 rows.append(PacketRecord(ta, -1, int(rng.integers(flo, fhi + 1))))
                 end = max(end, ta)
         return rows, end
@@ -278,15 +288,17 @@ def gen_command(
     if kind == CommandKind.GRIPPER_SPEED:
         # start phase deliberately not tick-aligned: the envelope, not the
         # bin phasing, is the signature
-        t0 = t_start + rng.uniform(0.0, CONTROL_TICK)
+        t0 = t_start + _uniform(rng, 0.0, CONTROL_TICK)
         n = max(2, int(round(duration * template.packet_rate)))
         spacing = 1.0 / template.packet_rate
         floor, peak = template.out_size_range
         amp = peak - floor
-        for i in range(n):
+        # nothing else draws in the loop, so n draws at once are the same stream
+        jitter = rng.uniform(-template.jitter, template.jitter, n).tolist()
+        for i, jit in enumerate(jitter):
             u = (i + 0.5) / n
             size = floor + amp * _envelope(u, template.envelope_skew, profile)
-            size *= 1.0 + rng.uniform(-template.jitter, template.jitter)
+            size *= 1.0 + jit
             rows.append(PacketRecord(t0 + i * spacing, 1, min(max(round(size), floor), peak)))
         return rows, t0 + (n - 1) * spacing
 
@@ -304,7 +316,7 @@ def _plan_script(rng, action: ActionTemplate, commands):
         count = int(rng.integers(s.count_range[0], s.count_range[1] + 1))
         for _ in range(count):
             dur_range = s.duration_range or commands[kind].duration_range
-            dur = rng.uniform(*dur_range)
+            dur = _uniform(rng, *dur_range)
             gap = _log_uniform(rng, *s.gap_range)
             profile = s.profile or PROFILES[int(rng.integers(0, 2))]
             plan.append((kind, dur, gap, s.scalable, profile))
@@ -319,7 +331,7 @@ def gen_action(
 ) -> Trace:
     """Generate one labeled action capture (duration within [5, 30] s)."""
     plan = _plan_script(rng, action, commands)
-    t_start = rng.uniform(*action.start_range)
+    t_start = _uniform(rng, *action.start_range)
 
     # fit the scripted content into the duration budget by shrinking the
     # fluid gaps; tap rhythms are left alone
@@ -340,16 +352,16 @@ def gen_action(
         last_end = max(last_end, end)
         t = end + (gap * scale if scalable else gap)
 
-    tail = rng.uniform(*action.tail_range)
+    tail = _uniform(rng, *action.tail_range)
     duration = min(MAX_DURATION, last_end + tail)
     if duration < MIN_DURATION:
-        duration = MIN_DURATION + rng.uniform(0.0, 0.8)
+        duration = MIN_DURATION + _uniform(rng, 0.0, 0.8)
 
     # keep-alives fill idle stretches in both directions
-    ka_rate = rng.uniform(*action.keepalive_rate_range)
+    ka_rate = _uniform(rng, *action.keepalive_rate_range)
     ka_lo, ka_hi = action.keepalive_size_range
-    out_times = np.array(sorted([r.t for r in rows if r.dir == 1] + [0.0, ]))
-    in_times = np.array(sorted([r.t for r in rows if r.dir == -1] + [duration]))
+    out_times = sorted([r.t for r in rows if r.dir == 1] + [0.0])
+    in_times = sorted([r.t for r in rows if r.dir == -1] + [duration])
     for direction, occupied in ((1, out_times), (-1, in_times)):
         t = 0.0
         prev = -1.0
@@ -357,11 +369,11 @@ def gen_action(
             t += rng.exponential(1.0 / ka_rate)
             if t >= duration:
                 break
-            j = np.searchsorted(occupied, t)
+            j = bisect.bisect_left(occupied, t)
             near = min(
-                t - occupied[j - 1] if j > 0 else np.inf,
-                occupied[j] - t if j < len(occupied) else np.inf,
-                t - prev if prev >= 0 else np.inf,
+                t - occupied[j - 1] if j > 0 else math.inf,
+                occupied[j] - t if j < len(occupied) else math.inf,
+                t - prev if prev >= 0 else math.inf,
             )
             if near < KEEPALIVE_CLEARANCE:
                 continue
@@ -372,14 +384,18 @@ def gen_action(
     rows.append(PacketRecord(0.0, 1, int(rng.integers(ka_lo, ka_hi + 1))))
     rows.append(PacketRecord(duration, -1, int(rng.integers(ka_lo, ka_hi + 1))))
 
-    quantized = sorted(
-        (quantize_time(max(0.0, r.t)), r.dir, r.size) for r in rows
-    )
-    times, dirs, sizes = zip(*quantized)
-    return Trace(
-        np.array(times), np.array(dirs), np.array(sizes),
-        label=action.label, trace_id=trace_id,
-    )
+    times, dirs, sizes = _packet_columns(rows)
+    return Trace(times, dirs, sizes, label=action.label, trace_id=trace_id)
+
+
+def _packet_columns(rows: list[PacketRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times clamped at 0 and quantized, directions and sizes, in the order
+    that sorting the (time, dir, size) tuples gives."""
+    times, dirs, sizes = (np.array(column) for column in zip(*rows))
+    # np.where gives +0.0 for -0.0, as max(0.0, t) does; np.maximum need not
+    times = quantize_time(np.where(times > 0.0, times, 0.0))
+    order = np.lexsort((sizes, dirs, times))
+    return times[order], dirs[order], sizes[order]
 
 
 def trace_rng(seed: int, class_index: int, sample_index: int) -> np.random.Generator:

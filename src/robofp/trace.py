@@ -56,13 +56,15 @@ class PacketRecord(NamedTuple):
     size: int
 
 
-def quantize_time(t: float) -> float:
-    """Round a timestamp to whole microseconds.
+def quantize_time(t: float | np.ndarray) -> np.float64 | np.ndarray:
+    """Round a timestamp, or an array of them, to whole microseconds.
 
     The CSV writer renders six decimal digits, so timestamps must sit on the
-    microsecond grid for serialization to round-trip exactly.
+    microsecond grid for serialization to round-trip exactly.  ``np.rint``
+    rounds half to even, as ``round`` does, so each value equals
+    ``round(t * 1e6) / 1e6`` (a zero result keeps the sign of ``t``).
     """
-    return round(t * 1e6) / 1e6
+    return np.rint(np.multiply(t, 1e6)) / 1e6
 
 
 @dataclass
@@ -207,12 +209,10 @@ def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
 
 
 def write_trace_csv(trace: Trace) -> bytes:
-    rows = [TRACE_HEADER]
-    rows.extend(
-        f"{t:.6f},{d},{s}"
-        for t, d, s in zip(trace.times, trace.dirs, trace.sizes)
-    )
-    return ("\n".join(rows) + "\n").encode("utf-8")
+    # Python scalars format faster than numpy ones, with the same spec and bytes
+    columns = (trace.times.tolist(), trace.dirs.tolist(), trace.sizes.tolist())
+    rows = map("{:.6f},{},{}".format, *columns)
+    return "\n".join([TRACE_HEADER, *rows, ""]).encode("utf-8")
 
 
 def read_trace(path: str | Path, trace_id: str | None = None) -> Trace:

@@ -116,6 +116,21 @@ def test_params_validation():
         GBDTParams(reg_lambda=-1.0)
 
 
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_one_regularizer_keeps_gains_finite(seed):
+    # with both regularizers at 0 these fits recorded nan or inf gains, and
+    # from_json refused the model that fit wrote; GBDTParams now refuses that
+    rng = np.random.default_rng(seed)
+    X, y = rng.normal(size=(15, 3)), [str(v) for v in rng.choice(["a", "b"], size=15)]
+    for lam, mcw in ((0.0, 1e-3), (1.0, 0.0)):
+        params = GBDTParams(n_rounds=6, max_depth=1, learning_rate=1.0,
+                            reg_lambda=lam, min_child_weight=mcw)
+        with np.errstate(divide="raise", invalid="raise"):
+            model = GBDTClassifier(params).fit(X, y)
+        assert np.isfinite(list(model.feature_importance().values())).all()
+        assert GBDTClassifier.from_json(model.to_json()).to_json() == model.to_json()
+
+
 def test_unfitted_model_refuses_inference():
     with pytest.raises(errors.InvalidConfig):
         GBDTClassifier().predict(np.zeros((1, 2)))
@@ -293,7 +308,7 @@ SEARCH_CASES = {
     "rank_copies": (dict(copies=True), GBDTParams(n_rounds=10)),
     "rank_copies_unregularized": (
         dict(copies=True),
-        GBDTParams(n_rounds=10, reg_lambda=0.0, min_child_weight=0.0),
+        GBDTParams(n_rounds=10, reg_lambda=0.0, min_child_weight=1e-3),
     ),
 }
 
@@ -327,12 +342,15 @@ def _fit_problems(draw):
         else:
             columns.append(rng.normal(size=n))
     y = ["a", "b", *rng.choice(["a", "b", "c"][: draw(st.integers(2, 3))], size=n - 2)]
+    reg_lambda = draw(st.sampled_from([0.0, 1.0]))
+    # GBDTParams refuses both regularizers at 0
+    weights = [1e-3, 1.0, 5.0] if reg_lambda == 0 else [0.0, 1e-3, 1.0, 5.0]
     params = GBDTParams(
         n_rounds=draw(st.integers(1, 5)),
         max_depth=draw(st.integers(1, 6)),
         learning_rate=draw(st.sampled_from([0.3, 1.0])),
-        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
-        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0])),
+        reg_lambda=reg_lambda,
+        min_child_weight=draw(st.sampled_from(weights)),
     )
     return np.column_stack(columns), [str(v) for v in rng.permutation(y)], params
 
@@ -341,9 +359,11 @@ def _fit_problems(draw):
 @given(_fit_problems())
 def test_fit_matches_reference_on_drawn_problems(problem):
     X, y, params = problem
-    # lambda 0 lets a saturated class divide by a zero hessian sum in both fits
+    # with lambda 0 the reference divides by zero at positions np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
-        model, expected = GBDTClassifier(params).fit(X, y), _reference_fit(params, X, y)
+        expected = _reference_fit(params, X, y)
+    with np.errstate(divide="raise", invalid="raise"):
+        model = GBDTClassifier(params).fit(X, y)
     assert model.to_json() == expected.to_json()
 
 

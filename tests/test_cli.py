@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from robofp import harness
+from robofp import errors, harness
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
 from robofp.features import SigprocConfig, make_schema
@@ -144,6 +144,20 @@ def _assert_exit_1(argv, capsys, *needles):
     assert err.startswith("error: ") and "Traceback" not in err
     for needle in needles:
         assert needle in err
+
+
+def test_both_regularizers_at_zero_refused(tmp_path, capsys):
+    # a split gain could divide by a zero hessian sum
+    unregularized = {"reg_lambda": 0.0, "min_child_weight": 0.0}
+    with pytest.raises(errors.InvalidConfig, match="cannot both be 0"):
+        GBDTParams(**unregularized)
+    with pytest.raises(errors.InvalidConfig, match="cannot both be 0"):
+        ExperimentConfig.from_doc({"classifier": unregularized})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": unregularized}))
+    _assert_exit_1(["evaluate", "--config", str(config), "--out-dir", str(tmp_path / "out")],
+                   capsys, "cannot both be 0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_featurize_non_utf8_trace_exits_1(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robofp import errors
 from robofp.sigproc import CommandKind
@@ -14,6 +17,8 @@ from robofp.synthgen import (
     GenConfig,
     ScriptStep,
     _envelope,
+    _packet_columns,
+    _uniform,
     default_action_templates,
     default_command_templates,
     default_kernel_bank,
@@ -23,7 +28,7 @@ from robofp.synthgen import (
     step,
     trace_rng,
 )
-from robofp.trace import ActionLabel
+from robofp.trace import MTU, ActionLabel, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,78 @@ def test_regeneration_is_byte_identical():
         assert np.array_equal(x.times, y.times)
         assert np.array_equal(x.dirs, y.dirs)
         assert np.array_equal(x.sizes, y.sizes)
+
+
+# sha256 of every trace's dtype strings and array bytes (times, dirs, sizes),
+# and of every trace's CSV bytes, at 50 per class; recorded before
+# generation and the writer moved to numpy
+DATASET_SHA256 = {
+    42: ("b99a517a5bbc08c0ae17042d07c635e228636df1ad749f1b87012ee44924958a",
+         "fc056390928316302d5bee8b20b547a4cee72514ad8c9b1f25040cb931e40304"),
+    7: ("a978acc942b6032a2a0a64324cd7ce8e04a4f77b15ca5e2de76696c2b4c954d6",
+        "aa7ed69b4c462e4e8df7efceba601a78f7cdc38b83771abba32292b6f802dfb8"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DATASET_SHA256))
+def test_dataset_pinned(seed):
+    arrays, csv = hashlib.sha256(), hashlib.sha256()
+    for tr in gen_dataset(GenConfig(seed=seed, samples_per_class=50)):
+        for a in (tr.times, tr.dirs, tr.sizes):
+            arrays.update(a.dtype.str.encode())
+            arrays.update(a.tobytes())
+        csv.update(write_trace_csv(tr))
+    assert (arrays.hexdigest(), csv.hexdigest()) == DATASET_SHA256[seed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.floats(-1e3, 1e3),
+    st.one_of(st.just(0.0), st.floats(0.0, 2e3)),  # Generator.uniform refuses hi < lo
+    st.integers(1, 20),
+)
+def test_uniform_matches_generator_uniform(seed, lo, width, n):
+    hi = lo + width
+    ours, numpys, batch = (np.random.default_rng(seed) for _ in range(3))
+    got = np.array([_uniform(ours, lo, hi) for _ in range(n)])
+    want = np.array([numpys.uniform(lo, hi) for _ in range(n)])
+    assert got.tobytes() == want.tobytes()
+    # a speed burst draws its jitter at once: the same doubles, in the same order
+    assert batch.uniform(lo, hi, n).tobytes() == want.tobytes()
+    # and each leaves the stream at the same place
+    assert ours.integers(2**62) == numpys.integers(2**62) == batch.integers(2**62)
+
+
+# t * 1e6 is exactly m + 0.5 for each of these, so rounding breaks a tie
+TIES = [(m + 0.5) / 1e6 for m in (0, 1, 2, 3, 12, 4321, 20_000_000)]
+
+
+def reference_packet_columns(rows):
+    """gen_action's last step as a tuple sort: clamp at 0, quantize, sort."""
+    packets = sorted((round(max(0.0, t) * 1e6) / 1e6, d, s) for t, d, s in rows)
+    return tuple(np.array(column) for column in zip(*packets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(-1.0, 30.0),
+                st.sampled_from([-0.0, 0.0, -1e-7, -4e-7, -6e-7, 1.0, *TIES]),
+            ),
+            st.sampled_from([1, -1]),
+            st.one_of(st.integers(1, 3), st.integers(1, MTU)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_packet_columns_match_tuple_sort(rows):
+    got = _packet_columns(rows)
+    want = reference_packet_columns(rows)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 
 def test_traces_independent_of_generation_order():

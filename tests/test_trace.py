@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from robofp import errors
 from robofp.trace import (
     MTU,
+    TRACE_HEADER,
     ActionLabel,
     Dataset,
     Trace,
@@ -131,6 +132,69 @@ class TestWrite:
         blob = write_trace_csv(tr)
         tr2 = parse_trace_csv(blob)
         assert write_trace_csv(tr2) == blob
+
+
+def reference_write_trace_csv(trace):
+    """The writer before it formatted Python scalars: an f-string per numpy row."""
+    rows = [TRACE_HEADER]
+    rows.extend(f"{t:.6f},{d},{s}" for t, d, s in zip(trace.times, trace.dirs, trace.sizes))
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.copysign(np.inf, k)))
+    return x
+
+
+# t * 1e6 at, or a few ulps from, a half microsecond: round() ties land here
+near_half_microsecond = st.builds(
+    lambda m, k: _ulps((m + 0.5) / 1e6, k), st.integers(0, 10**12), st.integers(-2, 2)
+)
+capture_times = st.one_of(
+    st.integers(0, 10**12).map(lambda us: us / 1e6),  # quantized, up to 1e6 s
+    st.floats(0.0, 1e6),  # unquantized
+    st.builds(  # slot times: a quantized start plus k slots of t_i
+        lambda us, k, t_i: us / 1e6 + k * t_i,
+        st.integers(0, 10**9), st.integers(0, 10**7), st.sampled_from([1e-4, 1e-3, 0.01, 1 / 36]),
+    ),
+    near_half_microsecond,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(capture_times, st.sampled_from([1, -1]), st.integers(1, MTU)), max_size=40
+    )
+)
+def test_write_matches_reference_writer(rows):
+    times = sorted(t for t, _, _ in rows)
+    if times:
+        times[0] = 0.0  # traces start at 0; no rows is the empty trace
+    tr = Trace(times, [d for _, d, _ in rows], [s for _, _, s in rows])
+    assert write_trace_csv(tr) == reference_write_trace_csv(tr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            capture_times,
+            st.floats(-1e6, 1e6),
+            st.sampled_from([-0.0, 0.0, -4e-7, -5e-7, -6e-7, 5e-7, 1.5e-6, 2.5e-6]),
+            near_half_microsecond.map(lambda t: -t),
+        ),
+        max_size=40,
+    )
+)
+def test_quantize_time_matches_scalar_rule(values):
+    # equal in value to round(), which turns -0.0 into 0 and so loses the sign
+    got = quantize_time(np.array(values, dtype=np.float64))
+    want = np.array([round(t * 1e6) / 1e6 for t in values], dtype=np.float64)
+    assert np.array_equal(got, want)
+    for t in values:
+        assert quantize_time(t) == round(t * 1e6) / 1e6
 
 
 def reference_trace_error(times, dirs, sizes):
