@@ -25,13 +25,15 @@ depends only on its row and t_i, so every plan's inter-arrival times are
 the first n_slots - 1 of one sequence per t_i.  That sequence is counted in
 chunks of ``_GRID_CHUNK`` (distinct values and their counts, some 30 at
 most); full chunks come from a memo, only a plan's last, partial chunk is
-counted afresh.  The order statistics around each percentile's virtual
-index are read off the merged cumulative counts and interpolated with
-np.percentile's own linear rule, so the result is the same float.  The
-memo is a pure function of (t_i, chunk index), bounded by ``lru_cache``
-(0.5 to 1.1 MB when full) and safe under the sweep's threads.  It is
-module-wide rather than per sweep because scoping it would take a
-``compute_features`` parameter that no caller has a reason to set.
+counted afresh.  ``linear_percentiles`` reads the order statistics around
+each percentile's virtual index off the merged cumulative counts and
+interpolates them with np.percentile's own linear rule, so the result is
+the same float.  A plan's size percentiles are counted the same way, from
+s_p and the odd sizes.  The memo is a pure function of (t_i, chunk index),
+bounded by ``lru_cache`` (0.5 to 1.1 MB when full) and safe under the
+sweep's threads.  It is module-wide rather than per sweep because scoping
+it would take a ``compute_features`` parameter that no caller has a reason
+to set.
 
 Feature vectors carry a schema (ordered names + a fingerprint of the
 configuration and kernel bank that produced them) so that models refuse
@@ -72,6 +74,7 @@ from .sigproc import (
     cluster_statistics,
     convolve,
     detect_clusters,
+    linear_percentiles,
     sliding_correlation,
 )
 from .trace import Dataset, Trace
@@ -89,10 +92,12 @@ CORRELATION_KINDS = frozenset({CommandKind.GRIPPER_SPEED})
 MAX_SCAN_WORK = 2**30
 
 _IAT_PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
-_IAT_QUANTILES = np.true_divide(_IAT_PERCENTILES, 100)  # as np.percentile scales them
+# percentiles scaled as np.percentile scales them
+_IAT_QUANTILES = tuple(p / 100 for p in _IAT_PERCENTILES)
 # inter-arrival times per memoised chunk of a slot grid
 _GRID_CHUNK = 2**14
 _SIZE_PERCENTILES = (50, 90)
+_SIZE_QUANTILES = tuple(p / 100 for p in _SIZE_PERCENTILES)
 # a CommandStats as a flat tuple in field order, without astuple's deep copy
 _stat_values = attrgetter(*(f.name for f in fields(CommandStats)))
 
@@ -246,10 +251,10 @@ def _signal(trace: Trace | SlotPlan, bin_width: float) -> Signal:
 
 
 def _iat_percentiles(times: np.ndarray) -> list[float]:
-    # without gaps they read 0.0; iat is ours to reorder, which spares
-    # percentile a copy of it
+    # without gaps they read 0.0; iat is ours, so it is sorted in place
     iat = np.diff(times) if len(times) > 1 else np.zeros(1)
-    return np.percentile(iat, _IAT_PERCENTILES, overwrite_input=True).tolist()
+    iat.sort()
+    return linear_percentiles(iat, _IAT_QUANTILES)
 
 
 def _iat_counts(t_i: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,49 +283,45 @@ def _plan_iat_percentiles(plan: SlotPlan) -> list[float]:
         parts.append(_iat_counts(plan.t_i, full * _GRID_CHUNK, n + 1))
     values, inverse = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     counts = np.bincount(inverse, weights=np.concatenate([c for _, c in parts]))
-    return _counted_percentiles(values, np.cumsum(counts))
+    return linear_percentiles(values, _IAT_QUANTILES, np.cumsum(counts))
 
 
-def _counted_percentiles(values: np.ndarray, ends: np.ndarray) -> list[float]:
-    """np.percentile(x, _IAT_PERCENTILES) for the x with sorted distinct
-    ``values`` and cumulative counts ``ends``: its linear rule takes the two
-    order statistics around the virtual index (n - 1) q and interpolates
-    them as its _lerp does."""
-    n = ends[-1]
-    index = (n - 1) * _IAT_QUANTILES
-    below = np.floor(index)
-    gamma = index - below
-    a, b = (values[np.searchsorted(ends, np.minimum(k, n - 1), side="right")]
-            for k in (below, below + 1))
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out.tolist()
+def _plan_size_percentiles(plan: SlotPlan, column: int) -> list[float]:
+    """Size percentiles of one direction's ``column_sizes``, counted: n_slots
+    packets of s_p bytes, less the odd rows (one per slot), plus their sizes."""
+    rows, delta = plan.odd[column]
+    values, inverse = np.unique(np.concatenate(([0], delta)), return_inverse=True)
+    counts = np.bincount(inverse)
+    counts[inverse[0]] += plan.n_slots - rows.size - 1
+    sizes = (plan.s_p + values).astype(float)
+    return linear_percentiles(sizes, _SIZE_QUANTILES, np.cumsum(counts))
 
 
 def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
-    per_dir = []  # count, bytes, size mean/std, size percentiles, iat percentiles
+    per_dir = []  # count, bytes, sizes, size percentiles, iat percentiles
     if isinstance(trace, Trace):
         for mask in (trace.dirs == 1, trace.dirs == -1):
             sizes = trace.sizes[mask]
-            iat = _iat_percentiles(trace.times[mask])
-            per_dir.append((sizes.size, sizes.sum(), sizes, iat))
+            count, total = sizes.size, sizes.sum()
+            # a direction without packets reads 0.0 for its size statistics
+            sizes = sizes.astype(float) if count else np.zeros(1)
+            size_q = linear_percentiles(np.sort(sizes), _SIZE_QUANTILES)
+            per_dir.append((count, total, sizes, size_q, _iat_percentiles(trace.times[mask])))
     else:
         iat = _plan_iat_percentiles(trace)
         for column in (0, 1):
             rows, delta = trace.odd[column]
             total = trace.n_slots * trace.s_p + delta.sum()
-            # n_slots packets of s_p bytes have the size statistics of one
+            # n_slots packets of s_p bytes have the size mean and std of one
             sizes = trace.column_sizes(column) if rows.size else np.full(1, trace.s_p)
-            per_dir.append((trace.n_slots, total, sizes, iat))
+            size_q = _plan_size_percentiles(trace, column)
+            per_dir.append((trace.n_slots, total, sizes.astype(float), size_q, iat))
 
     blocks = []
-    for count, total, sizes, iat in per_dir:
-        # a direction without packets reads 0.0 for its size statistics
-        sizes = sizes.astype(float) if sizes.size else np.zeros(1)
+    for count, total, sizes, size_q, iat in per_dir:
         blocks.append([
             [float(count)], [float(total)], [float(sizes.mean()), float(sizes.std())],
-            np.percentile(sizes, _SIZE_PERCENTILES).tolist(), iat,
+            size_q, iat,
         ])
     out, inn = blocks
     values = [float(len(trace)), *out[0], *inn[0], *out[1], *inn[1], trace.duration]

@@ -17,6 +17,7 @@ Two scan operators cover the two traffic shapes:
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import json
@@ -41,6 +42,8 @@ from .errors import (
 from .trace import Trace
 
 _EPS = 1e-30
+# median, p25 and p75 of a scan response, scaled as np.percentile scales them
+_RESPONSE_QUANTILES = (0.5, 0.25, 0.75)
 
 # bins one binned signal may allocate: 2**24 bins of 10 ms cover 46 hours
 MAX_BINS = 2**24
@@ -271,9 +274,54 @@ def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
     m2 = float(np.mean(d * d))
     if m2 <= _EPS:
         return mu, 0.0, 0.0, 0.0
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
+    # responses repeat values heavily and pow is elementwise, so each distinct
+    # bit pattern is raised once and gathered back: every mean then adds the
+    # same values in the same order as over d**3 and d**4
+    bits, inverse = np.unique(d.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    m3 = float(np.mean((distinct**3)[inverse]))
+    m4 = float(np.mean((distinct**4)[inverse]))
     return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
+
+
+def linear_percentiles(
+    values: np.ndarray, quantiles: Sequence[float], ends: np.ndarray | None = None
+) -> list[float]:
+    """np.percentile(x, [100 * q for q in quantiles]), for x sorted as
+    ``values``, or for the x with sorted distinct ``values`` and cumulative
+    counts ``ends``.
+
+    numpy's linear rule takes the two order statistics around the virtual
+    index (n - 1) q and interpolates them as its _lerp does; the same double
+    operations on Python floats give the same float.  Each q must be scaled
+    as np.percentile scales it, ``percentile / 100``.
+
+    The order statistics of a sort equal those of np.percentile's partition
+    except where zeros of both signs tie at an index, and no caller holds
+    -0.0: bins are sums that start from +0.0, as are np.convolve's dot
+    products; a correlation's ``cov`` is ``cross / k - ...`` with ``cross``
+    such a dot product, and x - y is -0.0 only for x = -0.0; sizes are
+    integers; inter-arrival times are differences of non-decreasing times,
+    +0.0 where two times are equal.  The one exception is a capture whose
+    times write -0.0 after +0.0, which ``Trace`` accepts but no generator or
+    defense makes: its zero inter-arrival percentiles may differ from
+    np.percentile's in sign only.  x must hold no NaN.
+    """
+    last = (len(values) if ends is None else int(ends[-1])) - 1
+    if ends is not None:
+        ends = ends.tolist()
+    out = []
+    for q in quantiles:
+        index = last * q
+        below = math.floor(index)
+        gamma = index - below
+        lo, hi = min(below, last), min(below + 1, last)
+        if ends is not None:
+            lo, hi = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi)
+        a, b = values.item(lo), values.item(hi)
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out
 
 
 def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
@@ -289,7 +337,7 @@ def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
         mu = sd = sk = ku = med = p25 = p75 = vmax = vmin = 0.0
     else:
         mu, sd, sk, ku = _moments(v)
-        med, p25, p75 = (float(q) for q in np.percentile(v, [50, 25, 75]))
+        med, p25, p75 = linear_percentiles(np.sort(v), _RESPONSE_QUANTILES)
         vmax = float(v.max())
         vmin = float(v.min())
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robofp import errors, features
+from robofp import errors, features, sigproc
 from robofp.defenses import (
     MODULATION_INTERVALS,
     ModulationConfig,
@@ -32,7 +32,7 @@ from robofp.features import (
     summary_feature_names,
     write_feature_csv,
 )
-from robofp.sigproc import CommandKind, bin_trace
+from robofp.sigproc import ALL_KINDS, CommandKind, bin_trace, linear_percentiles
 from robofp.synthgen import (
     GenConfig,
     default_command_templates,
@@ -478,13 +478,71 @@ def test_plan_iat_percentiles_match_np_percentile(t_i, n_slots):
     assert got.tobytes() == np.tile(expected, 2).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 9.9e-5, 1e-4, 1.01e-4, 2e-4, 1 / 3, 7.0]) | st.floats(0, 1),
-                min_size=1, max_size=40))
-def test_counted_percentiles_match_np_percentile(x):
+# every quantile set in use, with the percentiles it stands for
+QUANTILE_SETS = [
+    (features._IAT_PERCENTILES, features._IAT_QUANTILES),
+    (features._SIZE_PERCENTILES, features._SIZE_QUANTILES),
+    ((50, 25, 75), sigproc._RESPONSE_QUANTILES),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.sampled_from([0.0, 9.9e-5, 1e-4, 1.01e-4, 2e-4, 1 / 3, 7.0]) | st.floats(0, 1),
+               min_size=1, max_size=40),
+    quantile_set=st.sampled_from(QUANTILE_SETS),
+)
+@example(x=[0.25], quantile_set=QUANTILE_SETS[0])  # n = 1
+@example(x=[1 / 3] * 9, quantile_set=QUANTILE_SETS[0])  # all equal
+# ties on both sides of the interpolation points: n = 21 puts p5..p95 on
+# whole indices, n = 5 between them, n = 11 at half indices for p5 and p95
+@example(x=[0.0] * 10 + [7.0] * 11, quantile_set=QUANTILE_SETS[0])
+@example(x=[1e-4, 1e-4, 2e-4, 2e-4, 2e-4], quantile_set=QUANTILE_SETS[0])
+@example(x=[9.9e-5] * 5 + [1.01e-4] * 6, quantile_set=QUANTILE_SETS[0])
+@example(x=[100.0, 100.0, 500.0, 500.0, 1500.0], quantile_set=QUANTILE_SETS[1])
+@example(x=[-1.0, 0.0, 0.0, 0.5, 0.5, 0.9], quantile_set=QUANTILE_SETS[2])
+def test_counted_percentiles_match_np_percentile(x, quantile_set):
+    percentiles, quantiles = quantile_set
+    expected = np.percentile(x, percentiles).tobytes()
     values, counts = np.unique(x, return_counts=True)
-    got = features._counted_percentiles(values, np.cumsum(counts))
-    assert np.array(got).tobytes() == np.percentile(x, (5, 10, 25, 50, 75, 90, 95)).tobytes()
+    counted = linear_percentiles(values, quantiles, np.cumsum(counts))
+    assert np.array(counted).tobytes() == expected
+    assert np.array(linear_percentiles(np.sort(x), quantiles)).tobytes() == expected
+
+
+@st.composite
+def _odd_column(draw):
+    """A slot count and one direction's odd segments: distinct rows, sizes != s_p."""
+    n_slots = draw(st.integers(1, 60))
+    rows = sorted(draw(st.sets(st.integers(0, n_slots - 1))))
+    delta = draw(st.lists(st.integers(-499, 1000).filter(bool),
+                          min_size=len(rows), max_size=len(rows)))
+    return n_slots, np.array(rows, dtype=np.int64), np.array(delta, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_odd_column())
+@example((3, np.arange(3), np.array([-499, 1000, -100])))  # s_p itself never occurs
+def test_plan_size_percentiles_match_np_percentile(case):
+    n_slots, rows, delta = case
+    empty = (np.zeros(0, dtype=np.int64),) * 2
+    plan = SlotPlan(1e-3, 500, n_slots, ((rows, delta), empty), (empty, empty))
+    for column in (0, 1):
+        expected = np.percentile(plan.column_sizes(column).astype(float), (50, 90))
+        got = features._plan_size_percentiles(plan, column)
+        assert np.array(got).tobytes() == expected.tobytes()
+
+
+def test_no_scan_response_holds_negative_zero(bank):
+    # the order statistics of a sort equal np.percentile's only without -0.0
+    config = SigprocConfig()
+    modulation = modulation_preset(500, 1e-4)
+    for trace in gen_dataset(GenConfig(seed=42, samples_per_class=50)):
+        for capture in (trace, apply_modulation_defense(trace, modulation).plan):
+            signal = features._signal(capture, config.bin_width)
+            for kind in ALL_KINDS:
+                response = features._scan(signal, kind, bank, config)[0].values
+                assert not np.signbit(response[response == 0]).any(), (trace.trace_id, kind)
 
 
 def test_chunk_memo_is_read_only_and_bounded():

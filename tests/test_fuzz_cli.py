@@ -4,8 +4,10 @@ Each example runs one subcommand on tiny files drawn for it: a config, trace
 CSVs, a manifest, a kernel bank, a schema, a feature CSV and a report, plus
 a model as one of the documents any slot may receive.  A file is either well
 formed, well formed with one field set to an edge value, another kind's
-document, or junk bytes.  Well-formed runs stay small: 2 traces per class
-from traces under 0.2 s, 2 folds and at most 2 boosting rounds.
+document, or junk bytes.  The well-formed documents are made at a drawn
+sigproc bin width, the config's and the bank's alike, so runs featurize at
+10, 5 and 1 ms bins.  Well-formed runs stay small: 2 traces per class from
+traces under 0.2 s, 2 folds and at most 2 boosting rounds.
 """
 
 import contextlib
@@ -39,6 +41,8 @@ SLOTS = {
     "report": ("run/report.json", "report"),
 }
 KINDS = ["config", "bank", "manifest", "trace", "schema", "features", "model", "report"]
+# sigproc bin widths of the well-formed config and bank
+BIN_WIDTHS = (0.01, 0.005, 0.001)
 CSV_KINDS = {"manifest", "trace", "features"}
 
 TRACE = b"t,dir,size\n0.000000,1,100\n0.050000,-1,60\n0.100000,1,900\n0.150000,-1,60\n"
@@ -105,28 +109,34 @@ def _quiet_cli(argv: list[str]) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """Well-formed documents of every kind, made by the CLI from the tiny manifest."""
+    """Well-formed documents of every kind per bin width, made by the CLI from
+    the tiny manifest."""
     d = tmp_path_factory.mktemp("fuzz_cli")
     (d / "run").mkdir()
     for name in ("a.csv", "b.csv", "g.csv"):
         (d / name).write_bytes(TRACE)
     (d / "manifest.csv").write_text(MANIFEST)
-    config = ExperimentConfig(
-        samples_per_class=2, n_folds=2, classifier=GBDTParams(n_rounds=2, max_depth=2),
-        manifest=str(d / "manifest.csv"), kernel_bank_path=str(d / "bank.json"),
-    )
-    (d / "config.json").write_text(config.to_json())
-    c = str(d / "config.json")
-    for argv in (["kernels", "--out", str(d / "bank.json")],
-                 ["featurize", "--config", c, "--out", str(d / "features.csv")],
-                 ["train", "--features", str(d / "features.csv"),
-                  "--schema", str(d / "features.schema.json"), "--out", str(d / "model.json")],
-                 ["evaluate", "--config", c, "--out-dir", str(d / "run")]):
-        assert _quiet_cli(argv)[0] == 0, argv
-    (d / "features.schema.json").rename(d / "schema.json")
-    good = {kind: (d / SLOTS[slot][0]).read_bytes() for slot, (_, kind) in SLOTS.items()}
-    good["model"] = (d / "model.json").read_bytes()
-    return d, good
+    goods = {}
+    for width in BIN_WIDTHS:
+        config = ExperimentConfig(
+            samples_per_class=2, n_folds=2, classifier=GBDTParams(n_rounds=2, max_depth=2),
+            manifest=str(d / "manifest.csv"), kernel_bank_path=str(d / "bank.json"),
+            sigproc=SigprocConfig(bin_width=width),
+        )
+        (d / "config.json").write_text(config.to_json())
+        c = str(d / "config.json")
+        for argv in (["kernels", "--out", str(d / "bank.json"), "--bin-width", str(width)],
+                     ["featurize", "--config", c, "--out", str(d / "features.csv")],
+                     ["train", "--features", str(d / "features.csv"),
+                      "--schema", str(d / "features.schema.json"),
+                      "--out", str(d / "model.json")],
+                     ["evaluate", "--config", c, "--out-dir", str(d / "run")]):
+            assert _quiet_cli(argv)[0] == 0, argv
+        (d / "features.schema.json").replace(d / "schema.json")
+        good = {kind: (d / SLOTS[slot][0]).read_bytes() for slot, (_, kind) in SLOTS.items()}
+        good["model"] = (d / "model.json").read_bytes()
+        goods[width] = good
+    return d, goods
 
 
 def _set_key(doc, key, value):
@@ -192,17 +202,20 @@ def _argv(command: str, flags: dict, d) -> list[str]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(command=st.sampled_from(COMMANDS), flags=FLAGS, recipes=RECIPES)
+@given(command=st.sampled_from(COMMANDS), flags=FLAGS, recipes=RECIPES,
+       width=st.sampled_from(BIN_WIDTHS))
 @example(command="evaluate", flags=DEFAULT_FLAGS,
-         recipes={**ALL_GOOD, "config": ("set", "n_rounds", 2.5)})
+         recipes={**ALL_GOOD, "config": ("set", "n_rounds", 2.5)}, width=0.01)
 @example(command="sweep-defense", flags={**DEFAULT_FLAGS, "kind": "modulation"},
-         recipes={**ALL_GOOD, "config": ("set", "tail_dummies", "x")})
+         recipes={**ALL_GOOD, "config": ("set", "tail_dummies", "x")}, width=0.01)
 @example(command="defend", flags={**DEFAULT_FLAGS, "defense": "modulation", "t_i": "nan"},
-         recipes=ALL_GOOD)
+         recipes=ALL_GOOD, width=0.01)
 @example(command="report", flags=DEFAULT_FLAGS,
-         recipes={**ALL_GOOD, "report": ("junk", b"[" * 5000)})
-def test_cli_exits_cleanly(workdir, command, flags, recipes):
-    d, good = workdir
+         recipes={**ALL_GOOD, "report": ("junk", b"[" * 5000)}, width=0.01)
+@example(command="featurize", flags=DEFAULT_FLAGS, recipes=ALL_GOOD, width=0.001)
+def test_cli_exits_cleanly(workdir, command, flags, recipes, width):
+    d, goods = workdir
+    good = goods[width]
     shutil.rmtree(d / "out", ignore_errors=True)
     for slot, (name, kind) in SLOTS.items():
         (d / name).write_bytes(_apply(recipes[slot], good, kind))

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robofp import errors
+from robofp import errors, sigproc
 from robofp.features import SigprocConfig, command_clusters
 from robofp.sigproc import (
     MAX_BINS,
@@ -510,6 +510,56 @@ class TestClusterStatistics:
             assert st_.total_time_span == pytest.approx(
                 sum(lengths) + sum(gaps), abs=1e-9
             )
+
+
+def reference_moments(v):
+    """The moments as first written: every element raised to each power."""
+    mu = float(v.mean())
+    d = v - mu
+    m2 = float(np.mean(d * d))
+    if m2 <= sigproc._EPS:
+        return mu, 0.0, 0.0, 0.0
+    m3 = float(np.mean(d**3))
+    m4 = float(np.mean(d**4))
+    return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
+
+
+MOMENT_VALUES = (
+    st.floats(-1e6, 1e6)
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3])
+    | st.floats(-2.3e-308, 2.3e-308)  # subnormals and their neighbours
+    | st.sampled_from([1e80, -1e80, 1e154, -3e200, 1.7e308])  # d**4 overflows
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _runs(draw):
+    """Up to 3,000 values in runs of one value, as scan responses repeat them."""
+    runs = draw(st.lists(st.tuples(MOMENT_VALUES, st.integers(1, 600)), min_size=1, max_size=30))
+    values = np.repeat([v for v, _ in runs], [n for _, n in runs])[:3000]
+    if draw(st.booleans()):
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(values)
+    return values
+
+
+def _outcome(moments, values):
+    """The moments as hex strings, or the error they raise (m2**2 can overflow)."""
+    try:
+        return [float.hex(x) for x in moments(values)]
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+@example(np.full(2500, 7.25))  # constant: the zero-variance path
+@example(np.array([0.0, -0.0] * 700 + [5e-324] * 9))
+@example(np.array([1e80, -1e80, 0.0]))
+@example(np.array([3.0]))
+def test_moments_match_reference_bit_for_bit(values):
+    with np.errstate(all="ignore"):  # overflowing powers and their inf / inf
+        assert _outcome(sigproc._moments, values) == _outcome(reference_moments, values)
 
 
 # ---------------------------------------------------------------------------
