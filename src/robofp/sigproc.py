@@ -281,7 +281,11 @@ def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
     distinct = bits.view(np.float64)
     m3 = float(np.mean((distinct**3)[inverse]))
     m4 = float(np.mean((distinct**4)[inverse]))
-    return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
+    sd = math.sqrt(m2)
+    try:
+        return mu, sd, m3 / m2**1.5, m4 / m2**2 - 3.0
+    except OverflowError:  # m2 past about 1.3e154: its powers leave float range
+        return mu, sd, math.nan, math.nan
 
 
 def linear_percentiles(
@@ -302,10 +306,8 @@ def linear_percentiles(
     products; a correlation's ``cov`` is ``cross / k - ...`` with ``cross``
     such a dot product, and x - y is -0.0 only for x = -0.0; sizes are
     integers; inter-arrival times are differences of non-decreasing times,
-    +0.0 where two times are equal.  The one exception is a capture whose
-    times write -0.0 after +0.0, which ``Trace`` accepts but no generator or
-    defense makes: its zero inter-arrival percentiles may differ from
-    np.percentile's in sign only.  x must hold no NaN.
+    +0.0 where two times are equal, and ``Trace`` refuses -0.0 times.  x
+    must hold no NaN.
     """
     last = (len(values) if ends is None else int(ends[-1])) - 1
     if ends is not None:

@@ -9,7 +9,15 @@ wire, capped at the MTU.
 File formats:
 
 * trace CSV: header ``t,dir,size``, one packet per row, LF line endings,
-  ``t`` rendered in fixed notation with six decimal digits.
+  ``t`` rendered in fixed notation with six decimal digits.  The reader
+  takes the writer's own form (times of at most nine integer digits,
+  directions ``1``/``-1``, a final LF) in one array pass: one regex search
+  for a row that breaks that form, one integer parse of every field, times
+  as microseconds / 1e6.  Any other form the grammar accepts (CRLF, ``+1``,
+  fewer decimals, exponents, no final LF, ``str`` input) and any refused
+  document go through the line parser, which names the error and its
+  line.  The 200 seed-42 captures parse in about 0.037 s instead of 0.157 s
+  (medians of 9 processes, 2-vCPU Xeon, Python 3.11, numpy 2.4).
 * manifest CSV: header ``path,label``, one trace file per row, paths
   relative to the manifest's directory.
 """
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -96,6 +105,10 @@ class Trace:
             # max() propagates NaN; checked last, so earlier errors keep their kind
             if not np.isfinite(self.times.max()):
                 raise MalformedRow("timestamps must be finite")
+            # -0.0 passes both tests above, but a sort may order it either
+            # side of +0.0, so a zero inter-arrival time could change sign
+            if np.signbit(self.times).any():
+                raise MalformedRow("timestamps must not be -0.0")
         for a in (self.times, self.dirs, self.sizes):
             a.flags.writeable = False
 
@@ -124,9 +137,6 @@ class Trace:
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
 
-    def with_label(self, label: ActionLabel, trace_id: str | None = None) -> "Trace":
-        return Trace(self.times, self.dirs, self.sizes, label, trace_id or self.trace_id)
-
 
 @dataclass
 class Dataset:
@@ -151,7 +161,19 @@ def _decode(data: bytes) -> str:
         raise MalformedRow(f"byte {data[e.start]:#04x} is not UTF-8", line=line) from None
 
 
-def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
+# the writer's own form: its header line, then every LF but the last starts a
+# row of up to nine integer and exactly six decimal digits of time, so every
+# time is N / 10**6 for an integer N below 10**15 < 2**53.  The search finds
+# the first LF that breaks the form and keeps no state per row; a fullmatch of
+# the repeated row keeps a backtracking point per row (about 300 MB for a
+# million rows) unless its quantifiers are possessive, which needs Python 3.11.
+_HEAD = TRACE_HEADER.encode() + b"\n"
+_OFF_FORM = re.compile(rb"\n(?![0-9]{1,9}\.[0-9]{6},-?1,[0-9]{1,4}\n|\Z)")
+
+
+def parse_trace_csv(
+    data: str | bytes, trace_id: str | None = None, label: ActionLabel | None = None
+) -> Trace:
     """Parse a trace CSV document into a Trace.
 
     Every violation of the grammar raises a named error carrying the 1-based
@@ -159,6 +181,46 @@ def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
     the first packet's timestamp becomes 0.0 and the rest shift with it.
     Out-of-order timestamps are rejected, not sorted.
     """
+    columns = _parse_canonical(data) if isinstance(data, bytes) else None
+    times, dirs, sizes = columns or _parse_lines(data)
+    if len(times):
+        times -= times[0]  # both parsers return a fresh array
+        # the line parser's order check lets -0.0 follow +0.0; Trace would
+        # refuse it too, but without the line
+        negative_zero = np.signbit(times)
+        if negative_zero.any():
+            raise MalformedRow("timestamp -0.0 after +0.0", line=int(negative_zero.argmax()) + 2)
+    return Trace(times, dirs, sizes, label, trace_id)
+
+
+def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns of a document in the writer's own form, read in one array
+    pass; None for any other document, or for one whose sizes or times
+    _parse_lines refuses, so that it names the error and its line.
+
+    ``float`` of a time field and the IEEE quotient N / 1e6 both round the
+    same rational to the nearest double, so the times are equal bit for bit.
+    """
+    if not data.startswith(_HEAD) or _OFF_FORM.search(data, len(_HEAD) - 1):
+        return None
+    n = data.count(b"\n") - 1
+    # without the dots and with the rows joined by commas every field is an
+    # integer.  Each buffer is allocated at its final size: translate with
+    # deleted bytes and fromstring without a count shrink a larger one, and
+    # the holes left that way raised peak RSS by about 0.3 MB on 200 captures
+    body = data[len(_HEAD) : -1].replace(b".", b"").replace(b"\n", b",")
+    rows = np.fromstring(body, dtype=np.int64, count=3 * n, sep=",").reshape(n, 3)
+    # each column is a copy, so no trace keeps the whole buffer alive
+    micros, dirs, sizes = rows[:, 0], rows[:, 1].astype(np.int32), rows[:, 2].copy()
+    if n and (
+        sizes.min() < 1 or sizes.max() > MTU or np.any(micros[1:] < micros[:-1])
+    ):
+        return None
+    return micros / 1e6, dirs, sizes
+
+
+def _parse_lines(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of any document the grammar accepts, one line at a time."""
     if isinstance(data, bytes):
         data = _decode(data)
     lines = data.split("\n")
@@ -201,11 +263,7 @@ def parse_trace_csv(data: str | bytes, trace_id: str | None = None) -> Trace:
         times.append(t)
         dirs.append(d)
         sizes.append(size)
-
-    arr_t = np.array(times, dtype=np.float64)
-    if len(arr_t):
-        arr_t = arr_t - arr_t[0]
-    return Trace(arr_t, np.array(dirs), np.array(sizes), trace_id=trace_id)
+    return np.array(times, dtype=np.float64), np.array(dirs), np.array(sizes)
 
 
 def write_trace_csv(trace: Trace) -> bytes:
@@ -215,11 +273,13 @@ def write_trace_csv(trace: Trace) -> bytes:
     return "\n".join([TRACE_HEADER, *rows, ""]).encode("utf-8")
 
 
-def read_trace(path: str | Path, trace_id: str | None = None) -> Trace:
+def read_trace(
+    path: str | Path, trace_id: str | None = None, label: ActionLabel | None = None
+) -> Trace:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    return parse_trace_csv(path.read_bytes(), trace_id=trace_id or path.stem)
+    return parse_trace_csv(path.read_bytes(), trace_id or path.stem, label)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -260,8 +320,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         rel, label_s = parts
         if label_s not in valid:
             raise UnknownLabel(f"unknown action label {label_s!r} (line {i})")
-        tr = read_trace(base / rel)
-        traces.append(tr.with_label(valid[label_s], trace_id=Path(rel).stem))
+        traces.append(read_trace(base / rel, Path(rel).stem, valid[label_s]))
     if not traces:
         raise EmptyDataset(f"manifest {manifest_path} lists no traces")
     return Dataset(traces)

@@ -32,7 +32,14 @@ from robofp.features import (
     summary_feature_names,
     write_feature_csv,
 )
-from robofp.sigproc import ALL_KINDS, CommandKind, bin_trace, linear_percentiles
+from robofp.sigproc import (
+    ALL_KINDS,
+    CommandKind,
+    Kernel,
+    KernelBank,
+    bin_trace,
+    linear_percentiles,
+)
 from robofp.synthgen import (
     GenConfig,
     default_command_templates,
@@ -425,6 +432,31 @@ def _modulated_cases(draw):
 @example((Trace(np.zeros(1), np.ones(1), np.array([80])), ModulationConfig(100, 1e-3, 1e-3)))
 def test_plan_features_match_wire_packets(bank, case):
     _assert_plan_features_match(*case, bank)
+
+
+# kernel banks scaled far from the defaults: responses near float range
+BIN_WIDTHS = (0.01, 0.005, 0.001)
+DEFAULT_BANKS = {width: default_kernel_bank(width) for width in BIN_WIDTHS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_modulated_cases(), k=st.integers(-150, 150), width=st.sampled_from(BIN_WIDTHS),
+       from_plan=st.booleans())
+@example(case=(Trace(np.array([0.0, 0.05, 0.1]), np.array([1, -1, 1]), np.array([900, 60, 900])),
+               ModulationConfig(500, 1e-3, 1e-3)), k=-120, width=0.01, from_plan=False)
+def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
+    """A finite vector of the schema's width, or a RobofpError."""
+    trace, config = case
+    try:
+        bank = KernelBank([Kernel(kn.kind, kn.bin_width, kn.values * 10.0**k, kn.source_id)
+                           for kn in DEFAULT_BANKS[width]])
+        target = apply_modulation_defense(trace, config).plan if from_plan else trace
+        with np.errstate(all="ignore"):
+            vector = compute_features(target, bank, SigprocConfig(bin_width=width))
+    except errors.RobofpError:
+        return
+    assert vector.shape == (len(make_schema(bank).names),)
+    assert np.isfinite(vector).all()
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,10 @@ Each example runs one subcommand on tiny files drawn for it: a config, trace
 CSVs, a manifest, a kernel bank, a schema, a feature CSV and a report, plus
 a model as one of the documents any slot may receive.  A file is either well
 formed, well formed with one field set to an edge value, another kind's
-document, or junk bytes.  The well-formed documents are made at a drawn
-sigproc bin width, the config's and the bank's alike, so runs featurize at
-10, 5 and 1 ms bins.  Well-formed runs stay small: 2 traces per class from
+document, or junk bytes; a kernel bank may also be well formed with every
+value times 10**k.  The well-formed documents are made at a drawn sigproc
+bin width, the config's and the bank's alike, so runs featurize at 10, 5
+and 1 ms bins.  Well-formed runs stay small: 2 traces per class from
 traces under 0.2 s, 2 folds and at most 2 boosting rounds.
 """
 
@@ -75,9 +76,12 @@ CSV_RECIPE = (
     | OTHER
     | JUNK
 )
-RECIPES = st.fixed_dictionaries(
-    {slot: CSV_RECIPE if kind in CSV_KINDS else JSON_RECIPE for slot, (_, kind) in SLOTS.items()}
-)
+# a kernel bank with every value times 10**k: scan responses near float range
+BANK_RECIPE = JSON_RECIPE | st.tuples(st.just("scale"), st.integers(-150, 150))
+RECIPES = st.fixed_dictionaries({
+    slot: CSV_RECIPE if kind in CSV_KINDS else BANK_RECIPE if kind == "bank" else JSON_RECIPE
+    for slot, (_, kind) in SLOTS.items()
+})
 # argparse accepts every value here but the "usage" ones, which it refuses (exit 2)
 FLAG_CHOICES = {
     "use_config": [True, False],
@@ -165,6 +169,11 @@ def _apply(recipe, good: dict, kind: str) -> bytes:
         return args[0]
     if op == "set":
         return json.dumps(_set_key(json.loads(good[kind]), *args)).encode()
+    if op == "scale":
+        bank = json.loads(good[kind])
+        for kernel in bank:
+            kernel["values"] = [v * 10.0 ** args[0] for v in kernel["values"]]
+        return json.dumps(bank).encode()
     lines = good[kind].decode().split("\n")
     row = args[0] % len(lines)
     if op == "drop":
@@ -213,6 +222,8 @@ def _argv(command: str, flags: dict, d) -> list[str]:
 @example(command="report", flags=DEFAULT_FLAGS,
          recipes={**ALL_GOOD, "report": ("junk", b"[" * 5000)}, width=0.01)
 @example(command="featurize", flags=DEFAULT_FLAGS, recipes=ALL_GOOD, width=0.001)
+@example(command="featurize", flags=DEFAULT_FLAGS, recipes={**ALL_GOOD, "bank": ("scale", -120)},
+         width=0.01)
 def test_cli_exits_cleanly(workdir, command, flags, recipes, width):
     d, goods = workdir
     good = goods[width]

@@ -2,24 +2,35 @@
 
 Inputs stay tiny: arbitrary bytes, arbitrary JSON values whose keys and
 strings are biased towards the names the loaders look for, and CSV bodies
-built from fragments near the grammar's edges.
+built from fragments near the grammar's edges.  The trace CSV reader also
+gives the same arrays, or the same error and line, as its line parser.
 """
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robofp import trace
 from robofp.classifier import GBDTClassifier
 from robofp.errors import RobofpError
 from robofp.features import FeatureSchema, make_schema, read_feature_csv
 from robofp.harness import ExperimentConfig
 from robofp.sigproc import CommandKind, KernelBank
 from robofp.synthgen import default_kernel_bank
-from robofp.trace import MANIFEST_HEADER, TRACE_HEADER, load_dataset, parse_trace_csv
+from robofp.trace import (
+    MANIFEST_HEADER,
+    MTU,
+    TRACE_HEADER,
+    Trace,
+    load_dataset,
+    parse_trace_csv,
+    write_trace_csv,
+)
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -72,11 +83,71 @@ def workdir(tmp_path_factory):
     return d
 
 
+CANONICAL_TIMES = ["0.000000", "0.500000", "12.345678", "-0.000000"]
+CANONICAL_SIZES = ["0", "1500", "1501"]
+# rows shaped as the writer writes them, most in its form: documents reach
+# the one-pass reader and its hand-off to the line parser
+WRITER_SHAPED = st.lists(
+    st.tuples(st.sampled_from(CANONICAL_TIMES + ["0.5", "0"]), st.sampled_from(["1", "-1", "+1"]),
+              st.sampled_from(CANONICAL_SIZES + ["60", "2"])).map(lambda r: ",".join(r) + "\n"),
+    max_size=4,
+).map(lambda rows: (TRACE_HEADER + "\n" + "".join(rows)).encode())
+
+
+def _parse_outcome(data, canonical):
+    """parse_trace_csv's arrays as (dtype, bytes) pairs, or its error class and
+    line; with ``canonical=False`` every document goes to the line parser."""
+    with mock.patch.object(trace, "_parse_canonical", trace._parse_canonical if canonical
+                           else lambda data: None):
+        try:
+            tr = parse_trace_csv(data)
+        except RobofpError as e:
+            return type(e), e.line
+    return [(a.dtype.str, a.tobytes()) for a in (tr.times, tr.dirs, tr.sizes)]
+
+
 @FUZZ
-@given(_csv(TRACE_HEADER, ["0", "0.5", "1e400", "nan", "-1", "1", "+1", "2", "60", "1501",
-                           "", " ", "\r", "\xff"]))
+@given(WRITER_SHAPED | _csv(TRACE_HEADER, [
+    "0", "0.5", "1e400", "nan", "-1", "1", "+1", "2", "60", "1501", "", " ", "\r", "\xff",
+    *CANONICAL_TIMES, *CANONICAL_SIZES,
+]))
+# refused documents, the first three in the writer's form: the one-pass
+# reader hands them to the line parser, which names the error and line
+@example(b"t,dir,size\n0.500000,1,60\n0.400000,1,60\n")
+@example(b"t,dir,size\n0.000000,1,60\n0.100000,-1,1501\n")
+@example(b"t,dir,size\n0.000000,1,0\n")
+@example(b"t,dir,size\n0.000000,1,60\n-0.000000,1,60\n")
 def test_parse_trace_csv(data):
-    _loads_or_refuses(parse_trace_csv, data)
+    assert _parse_outcome(data, canonical=True) == _parse_outcome(data, canonical=False)
+
+
+def _integer_digits(blob: bytes) -> int:
+    return max((row.index(b".") for row in blob.split(b"\n")[1:-1]), default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(  # microseconds: times of up to 6, 9 and 10 integer digits
+                st.integers(0, 10**12), st.integers(0, 10**15 - 1), st.integers(0, 10**16 - 1)
+            ),
+            st.sampled_from([1, -1]),
+            st.integers(1, MTU),
+        ),
+        max_size=40,
+    )
+)
+@example([(0, 1, 1), (999_999_999_999_999, -1, MTU)])
+@example([(0, 1, 1), (1_000_000_000_000_000, -1, MTU)])
+def test_written_traces_parse_alike_on_both_paths(rows):
+    micros = sorted(us for us, _, _ in rows)
+    times = [(us - micros[0]) / 1e6 for us in micros]
+    blob = write_trace_csv(Trace(times, [d for _, d, _ in rows], [s for _, _, s in rows]))
+    # the one-pass reader takes every document written with at most nine
+    # integer digits, and gives the line parser's arrays and dtypes bit for bit
+    assert (trace._parse_canonical(blob) is not None) == (_integer_digits(blob) <= 9)
+    assert _parse_outcome(blob, canonical=True) == _parse_outcome(blob, canonical=False)
 
 
 @FUZZ

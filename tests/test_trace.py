@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robofp import errors
+from robofp import errors, trace
+from robofp.synthgen import GenConfig, gen_dataset
 from robofp.trace import (
     MTU,
     TRACE_HEADER,
@@ -216,7 +219,9 @@ def reference_trace_error(times, dirs, sizes):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]),
+            st.sampled_from(
+                [0.0, 0.0, -0.0, 0.1, 0.5, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+            ),
             st.sampled_from([1, -1, 1, -1, 0, 2, -2, -(2**31)]),
             st.sampled_from([1, 60, MTU, 0, MTU + 1, -5, 2**40]),
         ),
@@ -228,8 +233,8 @@ def test_trace_checks_match_reference(rows):
     dirs = np.array([r[1] for r in rows], dtype=np.int32)
     sizes = np.array([r[2] for r in rows], dtype=np.int64)
     want = reference_trace_error(times, dirs, sizes)
-    if want is None and not np.isfinite(times).all():
-        want = errors.MalformedRow  # accepted before, refused now
+    if want is None and not (np.isfinite(times).all() and not np.signbit(times).any()):
+        want = errors.MalformedRow  # non-finite and -0.0 times: accepted before, refused now
     try:
         Trace(times, dirs, sizes)
         got = None
@@ -268,6 +273,17 @@ class TestTraceType:
         with pytest.raises(errors.MalformedRow, match="finite"):
             Trace(np.array(times), np.ones(len(times), int), np.full(len(times), 9))
 
+    def test_csv_with_negative_zero_time_is_refused(self):
+        with pytest.raises(errors.MalformedRow, match="-0.0") as e:
+            parse_trace_csv(b"t,dir,size\n0.000000,1,60\n-0.000000,1,60\n")
+        assert e.value.line == 3
+        with pytest.raises(errors.MalformedRow, match="-0.0") as e:
+            parse_trace_csv("t,dir,size\n0.0,1,60\n0.0,1,60\n-0.0,1,60\n")
+        assert e.value.line == 4
+        # after a leading -0.0 every -0.0 shifts to +0.0
+        blob = b"t,dir,size\n-0.000000,1,60\n-0.000000,1,60\n"
+        assert not np.signbit(parse_trace_csv(blob).times).any()
+
     def test_duration_and_bytes(self):
         tr = make_trace([(0.0, 1, 100), (2.5, -1, 400)])
         assert tr.duration == 2.5
@@ -287,7 +303,7 @@ class TestManifest:
     def _dataset(self):
         labels = list(ActionLabel) * 2
         traces = [
-            make_trace([(0.0, 1, 100 + i), (0.5, -1, 60)]).with_label(lab, f"tr_{i:03d}")
+            Trace.from_records([(0.0, 1, 100 + i), (0.5, -1, 60)], lab, f"tr_{i:03d}")
             for i, lab in enumerate(labels)
         ]
         return Dataset(traces)
@@ -354,3 +370,24 @@ class TestManifest:
     def test_read_trace_missing(self, tmp_path):
         with pytest.raises(errors.MissingFile):
             read_trace(tmp_path / "nothing.csv")
+
+
+# ---------------------------------------------------------------------------
+# the writer's own form, read in one array pass
+
+
+def test_dataset_loads_in_one_array_pass(tmp_path):
+    """The seed-42 captures never reach the line parser, load to the
+    generated arrays bit for bit, and hold no view of a parse buffer."""
+    generated = gen_dataset(GenConfig(seed=42, samples_per_class=50))
+    manifest = save_dataset(generated, tmp_path)
+    with mock.patch.object(trace, "_parse_lines", wraps=trace._parse_lines) as spy:
+        loaded = load_dataset(manifest)
+        assert spy.call_count == 0
+        parse_trace_csv(b"t,dir,size\r\n0.000000,1,60\r\n")
+        assert spy.call_count == 1
+    for want, got in zip(generated, loaded, strict=True):
+        for a, b in ((want.times, got.times), (want.dirs, got.dirs), (want.sizes, got.sizes)):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+            assert b.base is None
+        assert (got.label, got.trace_id) == (want.label, want.trace_id)
