@@ -267,6 +267,9 @@ class CommandStats:
     avg_time_gap: float
 
 
+# a square or power past float range is inf, and a mean over infs of both
+# signs is NaN; compute_features maps either to 0.0, as it does the NaNs below
+@np.errstate(over="ignore", invalid="ignore")
 def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
     # population moments; zero-variance input maps skewness/kurtosis to 0
     mu = float(v.mean())

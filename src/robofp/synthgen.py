@@ -27,6 +27,9 @@ slowly and lets go quickly ("rise_slow" ramp); pour-water grabs fast and
 eases off ("rise_fast", the time-reversed ramp); press-key taps more and
 faster than turn-on-switch.
 
+Packets travel as three plain lists (times, directions, sizes) from
+``gen_command`` until ``_packet_columns`` sorts them once into a ``Trace``.
+
 Determinism: every trace is generated from an independent generator seeded
 with (seed, class_index, sample_index), so datasets are byte-identical for
 a given seed and per-trace output does not depend on generation order.
@@ -45,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidConfig, OutOfRange
 from .sigproc import MAX_BINS, CommandKind, Kernel, KernelBank
-from .trace import ActionLabel, Dataset, PacketRecord, Trace, quantize_time
+from .trace import ActionLabel, Dataset, Trace, quantize_time
 
 CONTROL_TICK = 0.01  # command dispatch granularity, seconds
 KEEPALIVE_CLEARANCE = 0.05  # min spacing of a keep-alive to same-direction traffic
@@ -248,14 +251,14 @@ def gen_command(
     t_start: float,
     duration: float | None = None,
     profile: str = "rise_slow",
-) -> tuple[list[PacketRecord], float]:
-    """Emit one command's packets from t_start; returns (packets, end time)."""
+) -> tuple[list[float], list[int], list[int], float]:
+    """Emit one command's packets from t_start as the columns (times, dirs,
+    sizes) in emission order; returns them and the command's end time."""
     kind = template.kind
     if duration is None:
         duration = _uniform(rng, *template.duration_range)
     if profile not in PROFILES:
         raise InvalidConfig(f"unknown speed profile {profile!r}")
-    rows: list[PacketRecord] = []
 
     if kind == CommandKind.CARTESIAN_MOVE:
         t0 = _snap_tick(t_start)
@@ -264,10 +267,9 @@ def gen_command(
         mid = 0.5 * (flo + fhi)
         fb = int(round(_truncated_normal(rng, mid + 0.3 * (fhi - mid), (fhi - flo) / 5.5, flo, fhi)))
         t_fb = t0 + duration
-        rows.append(PacketRecord(t0, 1, cmd))
-        rows.append(PacketRecord(t_fb, -1, fb))
-        return rows, t_fb
+        return [t0, t_fb], [1, -1], [cmd, fb], t_fb
 
+    times, dirs, sizes = [], [], []
     if kind == CommandKind.GRIPPER_POSITION:
         t0 = _snap_tick(t_start)
         n = max(2, int(round(duration * template.packet_rate)))
@@ -277,13 +279,17 @@ def gen_command(
         end = t0
         for i in range(n):
             t = t0 + i * spacing
-            rows.append(PacketRecord(t, 1, int(rng.integers(lo, hi + 1))))
+            times.append(t)
+            dirs.append(1)
+            sizes.append(int(rng.integers(lo, hi + 1)))
             end = t
             if i % 4 == 3:  # every fourth update is acknowledged
                 ta = t + _uniform(rng, 0.004, 0.008)
-                rows.append(PacketRecord(ta, -1, int(rng.integers(flo, fhi + 1))))
+                times.append(ta)
+                dirs.append(-1)
+                sizes.append(int(rng.integers(flo, fhi + 1)))
                 end = max(end, ta)
-        return rows, end
+        return times, dirs, sizes, end
 
     if kind == CommandKind.GRIPPER_SPEED:
         # start phase deliberately not tick-aligned: the envelope, not the
@@ -299,8 +305,9 @@ def gen_command(
             u = (i + 0.5) / n
             size = floor + amp * _envelope(u, template.envelope_skew, profile)
             size *= 1.0 + jit
-            rows.append(PacketRecord(t0 + i * spacing, 1, min(max(round(size), floor), peak)))
-        return rows, t0 + (n - 1) * spacing
+            times.append(t0 + i * spacing)
+            sizes.append(min(max(round(size), floor), peak))
+        return times, [1] * n, sizes, t0 + (n - 1) * spacing
 
     raise InvalidConfig(f"unknown command kind {kind!r}")
 
@@ -343,12 +350,13 @@ def gen_action(
     if scalable_total > 0 and scalable_total > budget:
         scale = max(0.3, budget / scalable_total)
 
-    rows: list[PacketRecord] = []
+    times, dirs, sizes = [], [], []
     t = t_start
     last_end = t_start
     for kind, dur, gap, scalable, profile in plan:
-        cmd_rows, end = gen_command(rng, commands[kind], t, duration=dur, profile=profile)
-        rows.extend(cmd_rows)
+        *packets, end = gen_command(rng, commands[kind], t, duration=dur, profile=profile)
+        for column, new in zip((times, dirs, sizes), packets):
+            column.extend(new)
         last_end = max(last_end, end)
         t = end + (gap * scale if scalable else gap)
 
@@ -360,8 +368,8 @@ def gen_action(
     # keep-alives fill idle stretches in both directions
     ka_rate = _uniform(rng, *action.keepalive_rate_range)
     ka_lo, ka_hi = action.keepalive_size_range
-    out_times = sorted([r.t for r in rows if r.dir == 1] + [0.0])
-    in_times = sorted([r.t for r in rows if r.dir == -1] + [duration])
+    out_times = sorted([t for t, d in zip(times, dirs) if d == 1] + [0.0])
+    in_times = sorted([t for t, d in zip(times, dirs) if d == -1] + [duration])
     for direction, occupied in ((1, out_times), (-1, in_times)):
         t = 0.0
         prev = -1.0
@@ -377,21 +385,25 @@ def gen_action(
             )
             if near < KEEPALIVE_CLEARANCE:
                 continue
-            rows.append(PacketRecord(t, direction, int(rng.integers(ka_lo, ka_hi + 1))))
+            times.append(t)
+            dirs.append(direction)
+            sizes.append(int(rng.integers(ka_lo, ka_hi + 1)))
             prev = t
 
     # anchors pin the capture's extent: session chatter at t=0 and at the end
-    rows.append(PacketRecord(0.0, 1, int(rng.integers(ka_lo, ka_hi + 1))))
-    rows.append(PacketRecord(duration, -1, int(rng.integers(ka_lo, ka_hi + 1))))
+    times += [0.0, duration]
+    dirs += [1, -1]
+    sizes += [int(rng.integers(ka_lo, ka_hi + 1)), int(rng.integers(ka_lo, ka_hi + 1))]
 
-    times, dirs, sizes = _packet_columns(rows)
-    return Trace(times, dirs, sizes, label=action.label, trace_id=trace_id)
+    return Trace(*_packet_columns(times, dirs, sizes), label=action.label, trace_id=trace_id)
 
 
-def _packet_columns(rows: list[PacketRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _packet_columns(
+    times: list[float], dirs: list[int], sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times clamped at 0 and quantized, directions and sizes, in the order
     that sorting the (time, dir, size) tuples gives."""
-    times, dirs, sizes = (np.array(column) for column in zip(*rows))
+    times, dirs, sizes = np.array(times), np.array(dirs), np.array(sizes)
     # np.where gives +0.0 for -0.0, as max(0.0, t) does; np.maximum need not
     times = quantize_time(np.where(times > 0.0, times, 0.0))
     order = np.lexsort((sizes, dirs, times))

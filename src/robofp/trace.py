@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class ActionLabel(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class PacketRecord(NamedTuple):
-    t: float
-    dir: int
-    size: int
 
 
 def quantize_time(t: float | np.ndarray) -> np.float64 | np.ndarray:
@@ -111,19 +105,6 @@ class Trace:
                 raise MalformedRow("timestamps must not be -0.0")
         for a in (self.times, self.dirs, self.sizes):
             a.flags.writeable = False
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[PacketRecord] | Sequence[tuple],
-        label: ActionLabel | None = None,
-        trace_id: str | None = None,
-    ) -> "Trace":
-        if records:
-            t, d, s = zip(*records)
-        else:
-            t, d, s = (), (), ()
-        return cls(np.array(t, dtype=np.float64), np.array(d), np.array(s), label, trace_id)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -219,24 +200,28 @@ def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     return micros / 1e6, dirs, sizes
 
 
-def _parse_lines(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns of any document the grammar accepts, one line at a time."""
+def _csv_lines(data: str | bytes, header: str) -> list[str]:
+    """The lines after a CSV document's header, split on LF without the empty
+    one a final LF leaves; a CR ending a line stays on it.  A header other
+    than ``header`` (CR-stripped) raises MalformedHeader on line 1."""
     if isinstance(data, bytes):
         data = _decode(data)
     lines = data.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    if not lines:
-        raise MalformedHeader("empty document", line=1)
-    header = lines[0].rstrip("\r")
-    if header != TRACE_HEADER:
-        raise MalformedHeader(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+    got = lines[0].rstrip("\r") if lines else ""
+    if got != header:
+        raise MalformedHeader(f"expected header {header!r}, got {got!r}", line=1)
+    return lines[1:]
 
+
+def _parse_lines(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of any document the grammar accepts, one line at a time."""
     times: list[float] = []
     dirs: list[int] = []
     sizes: list[int] = []
     prev = None
-    for i, raw in enumerate(lines[1:], start=2):
+    for i, raw in enumerate(_csv_lines(data, TRACE_HEADER), start=2):
         row = raw.rstrip("\r")
         parts = row.split(",")
         if len(parts) != 3:
@@ -301,16 +286,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not manifest_path.is_file():
         raise MissingFile(str(manifest_path))
     base = manifest_path.parent
-    lines = _decode(manifest_path.read_bytes()).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0].rstrip("\r") != MANIFEST_HEADER:
-        got = lines[0].rstrip("\r") if lines else ""
-        raise MalformedHeader(f"expected header {MANIFEST_HEADER!r}, got {got!r}", line=1)
-
+    rows = _csv_lines(manifest_path.read_bytes(), MANIFEST_HEADER)
     traces: list[Trace] = []
     valid = {lab.value: lab for lab in ActionLabel}
-    for i, raw in enumerate(lines[1:], start=2):
+    for i, raw in enumerate(rows, start=2):
         row = raw.rstrip("\r")
         if not row:
             continue

@@ -1,6 +1,16 @@
-"""Prints the acceptance suite outcome as one PASS/FAIL line per criterion."""
+"""Shared test helpers, and the acceptance suite outcome printed as one
+PASS/FAIL line per criterion."""
 
 import re
+
+from robofp.trace import Trace
+
+
+def make_trace(rows, label=None, trace_id=None):
+    """A Trace of (t, dir, size) rows, kept in the order given."""
+    columns = tuple(zip(*rows)) or ((), (), ())
+    return Trace(*columns, label=label, trace_id=trace_id)
+
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_c(\d+)_")
 

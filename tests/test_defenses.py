@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import make_trace
 from robofp import errors
 from robofp.defenses import (
     CONTROLLER_LATENCY_BUDGET,
@@ -21,12 +22,6 @@ from robofp.defenses import (
 )
 from robofp.synthgen import GenConfig, gen_dataset
 from robofp.trace import MTU, Trace
-
-
-def _trace(rows, **kw):
-    rows = sorted(rows)
-    t, d, s = zip(*rows)
-    return Trace(np.array(t, float), np.array(d), np.array(s), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +170,17 @@ def test_modulation_preset_pairs_interval_with_controller_budget():
 def test_padding_defense_matches_per_packet_oracle():
     rows = [(0.0, 1, 150), (0.5, -1, 777), (0.9, 1, 40), (2.0, -1, 1450)]
     for x in (1, 4, 10):
-        d = apply_padding_defense(_trace(rows), PaddingConfig(x))
+        d = apply_padding_defense(make_trace(rows), PaddingConfig(x))
         assert list(d.trace.sizes) == [pad_packet(s, x) for _, _, s in rows]
-        assert np.array_equal(d.trace.times, _trace(rows).times)
-        assert np.array_equal(d.trace.dirs, _trace(rows).dirs)
+        assert np.array_equal(d.trace.times, make_trace(rows).times)
+        assert np.array_equal(d.trace.dirs, make_trace(rows).dirs)
         assert np.array_equal(d.orig_index, np.arange(4))
         assert d.max_added_latency == 0.0
 
 
 def test_padding_defense_is_idempotent_and_counts_bytes():
     rows = [(0.0, 1, 150), (1.0, -1, 620)]
-    d1 = apply_padding_defense(_trace(rows), PaddingConfig(3))
+    d1 = apply_padding_defense(make_trace(rows), PaddingConfig(3))
     d2 = apply_padding_defense(d1.trace, PaddingConfig(3))
     assert np.array_equal(d1.trace.sizes, d2.trace.sizes)
     assert d1.original_bytes == 770
@@ -202,7 +197,7 @@ def test_modulation_single_packet_worked_example():
     # out direction sends that message as one 200 B slot; the incoming
     # direction emits one dummy on the same grid
     d = apply_modulation_defense(
-        _trace([(0.0, 1, 100)]), ModulationConfig(200, 0.001, 0.001)
+        make_trace([(0.0, 1, 100)]), ModulationConfig(200, 0.001, 0.001)
     )
     assert len(d.trace) == 2
     assert list(d.trace.sizes) == [200, 200]
@@ -215,7 +210,7 @@ def test_modulation_single_packet_worked_example():
 def test_modulation_emits_constant_rate_per_direction():
     rows = [(0.0, 1, 60), (0.0131, 1, 900), (0.0262, -1, 700), (0.05, 1, 60)]
     cfg = ModulationConfig(200, 0.001, 0.001)
-    d = apply_modulation_defense(_trace(rows), cfg)
+    d = apply_modulation_defense(make_trace(rows), cfg)
     for direction in (1, -1):
         tt = d.trace.times[d.trace.dirs == direction]
         assert len(tt) >= 51
@@ -226,7 +221,7 @@ def test_modulation_emits_constant_rate_per_direction():
 def test_modulation_hides_sizes_when_messages_fit():
     # all messages at or below s_p: every wire packet is exactly s_p
     rows = [(0.001 * i, 1 if i % 2 else -1, 40 + i) for i in range(30)]
-    d = apply_modulation_defense(_trace(rows), ModulationConfig(100, 0.001, 0.001))
+    d = apply_modulation_defense(make_trace(rows), ModulationConfig(100, 0.001, 0.001))
     assert set(d.trace.sizes) == {100}
 
 
@@ -236,7 +231,7 @@ def test_modulation_hides_sizes_at_fine_interval():
     rows = [(0.01 * i, 1, int(s)) for i, s in enumerate((1500, 900, 333, 41))]
     rows += [(0.005 + 0.01 * i, -1, 60) for i in range(4)]
     cfg = modulation_preset(200, 0.0001)
-    d = apply_modulation_defense(_trace(rows), cfg)
+    d = apply_modulation_defense(make_trace(sorted(rows)), cfg)
     assert set(d.trace.sizes) == {200}
 
 
@@ -246,7 +241,7 @@ def test_modulation_conserves_message_bytes():
         (float(np.round(rng.uniform(0.001, 0.4), 6)), int(rng.choice((1, -1))), int(rng.integers(40, 1500)))
         for _ in range(24)
     ]
-    trace = _trace(rows)
+    trace = make_trace(sorted(rows))
     cfg = ModulationConfig(150, 0.001, 0.002)
     d = apply_modulation_defense(trace, cfg)
     # each original packet owns exactly one first-segment slot
@@ -260,7 +255,7 @@ def test_modulation_conserves_message_bytes():
 
 def test_modulation_latency_bound_per_preset():
     rows = [(0.0077 * i, 1 if i % 3 else -1, int(60 + 40 * i)) for i in range(12)]
-    trace = _trace(rows)
+    trace = make_trace(rows)
     for t_i in MODULATION_INTERVALS:
         cfg = modulation_preset(100, t_i)
         d = apply_modulation_defense(trace, cfg)
@@ -271,7 +266,7 @@ def test_modulation_latency_bound_per_preset():
 
 
 def test_modulation_tail_dummies_extend_cover():
-    trace = _trace([(0.0, 1, 100), (0.2, -1, 100)])
+    trace = make_trace([(0.0, 1, 100), (0.2, -1, 100)])
     base = apply_modulation_defense(trace, ModulationConfig(100, 0.01, 0.01))
     tailed = apply_modulation_defense(
         trace, ModulationConfig(100, 0.01, 0.01, tail_dummies=1.0)
@@ -284,7 +279,7 @@ def test_modulation_queue_pushes_later_arrivals():
     # two MTU messages arriving back to back: the second waits for the
     # first's five slots before its own segments start
     cfg = ModulationConfig(300, 0.001, 0.005)
-    trace = _trace([(0.0, 1, 1500), (0.001, 1, 1500)])
+    trace = make_trace([(0.0, 1, 1500), (0.001, 1, 1500)])
     d = apply_modulation_defense(trace, cfg)
     # plan per message: ceil(1500/300)=5 slots at 300 B
     assert d.added_latency[0] == pytest.approx(0.004)
@@ -297,7 +292,7 @@ def test_modulation_queue_pushes_later_arrivals():
 
 
 def test_apply_defense_dispatch():
-    trace = _trace([(0.0, 1, 123), (0.1, -1, 456)])
+    trace = make_trace([(0.0, 1, 123), (0.1, -1, 456)])
     padded = apply_defense(trace, PaddingConfig(2))
     assert list(padded.trace.sizes) == [200, 600]
     modulated = apply_defense(trace, ModulationConfig(100, 0.01, 0.01))
@@ -407,7 +402,7 @@ def test_modulation_matches_reference(seed):
 
 
 def test_modulation_matches_reference_on_empty_trace():
-    empty = Trace.from_records([])
+    empty = make_trace([])
     for config in (ModulationConfig(100, 0.01, 0.01), ModulationConfig(100, 0.01, 0.01, 0.1)):
         _assert_matches_reference(empty, config)
     d = apply_modulation_defense(empty, ModulationConfig(100, 0.01, 0.01, 0.1))
@@ -443,7 +438,7 @@ def test_modulated_arrays_pinned(s_p, t_i, expected):
 
 
 def test_modulated_wire_packets_built_on_first_read():
-    trace = _trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
+    trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
     d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
     assert d.packets is None and len(d.plan) == 2 * d.plan.n_slots
     assert d.trace is d.trace and d.orig_index is d.packets[1]
@@ -455,10 +450,10 @@ def test_modulated_wire_packets_built_on_first_read():
 
 def test_modulation_slot_cap_raises_before_allocating():
     # two packets 10 s apart: 10M slots per direction at 1 us
-    trace = _trace([(0.0, 1, 100), (10.0, -1, 100)])
+    trace = make_trace([(0.0, 1, 100), (10.0, -1, 100)])
     with pytest.raises(errors.OutOfRange, match="slots"):
         apply_modulation_defense(trace, ModulationConfig(100, 1e-6, 1e-3))
     # the span fits, but the last message's five segments run past the cap
-    trace = _trace([(0.0, 1, 100), ((MAX_SLOTS - 2) * 1e-3, 1, MTU)])
+    trace = make_trace([(0.0, 1, 100), ((MAX_SLOTS - 2) * 1e-3, 1, MTU)])
     with pytest.raises(errors.OutOfRange, match="slots"):
         apply_modulation_defense(trace, ModulationConfig(300, 1e-3, 5e-3))

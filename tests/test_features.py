@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace
 from robofp import errors, features, sigproc
 from robofp.defenses import (
     MODULATION_INTERVALS,
@@ -48,18 +49,12 @@ from robofp.synthgen import (
     gen_dataset,
     trace_rng,
 )
-from robofp.trace import MTU, ActionLabel, Dataset, PacketRecord, Trace
+from robofp.trace import MTU, ActionLabel, Dataset, Trace
 
 
 @pytest.fixture(scope="module")
 def bank():
     return default_kernel_bank()
-
-
-def _trace_from(rows, label=None, trace_id=None):
-    rows = sorted(rows)
-    t, d, s = zip(*rows)
-    return Trace(np.array(t, float), np.array(d), np.array(s), label=label, trace_id=trace_id)
 
 
 def _quiet_rows(duration, spacing=0.4, size=50):
@@ -155,7 +150,7 @@ def test_injected_cartesian_commands_are_counted(bank):
             rows.append((t, 1, 200))
             rows.append((t + 0.02, -1, 700))
             t += 1.5
-        vec = compute_features(_trace_from(rows), bank)
+        vec = compute_features(make_trace(sorted(rows)), bank)
         assert _feature(vec, "cartesian_move_cluster_count") == k
 
 
@@ -163,11 +158,11 @@ def test_injected_speed_burst_is_detected(bank):
     templates = default_command_templates()
     rng = trace_rng(1, 0, 0)
     rows = _quiet_rows(10.0)
-    cmd_rows, _ = gen_command(
+    times, dirs, sizes, _ = gen_command(
         rng, templates[CommandKind.GRIPPER_SPEED], 3.0, duration=2.4, profile="rise_slow"
     )
-    rows.extend((r.t, r.dir, r.size) for r in cmd_rows)
-    vec = compute_features(_trace_from(rows), bank)
+    rows.extend(zip(times, dirs, sizes))
+    vec = compute_features(make_trace(sorted(rows)), bank)
     assert _feature(vec, "gripper_speed_cluster_count") == 1
     assert _feature(vec, "gripper_speed_max") > 0.25
 
@@ -184,13 +179,13 @@ def test_profile_shape_separates_run_lengths(bank):
             for profile in ("rise_slow", "rise_fast"):
                 rng = trace_rng(seed, 0, 0)
                 rows = [(0.0, 1, 50), (9.99, -1, 50)]
-                cmd_rows, _ = gen_command(
+                times, dirs, sizes, _ = gen_command(
                     rng, templates[CommandKind.GRIPPER_SPEED], 3.0,
                     duration=dur, profile=profile,
                 )
-                rows.extend((r.t, r.dir, r.size) for r in cmd_rows)
+                rows.extend(zip(times, dirs, sizes))
                 _, cs = command_clusters(
-                    _trace_from(rows), CommandKind.GRIPPER_SPEED, bank, cfg
+                    make_trace(sorted(rows)), CommandKind.GRIPPER_SPEED, bank, cfg
                 )
                 lens[profile] = sum(c.end - c.start for c in cs)
             assert lens["rise_slow"] > lens["rise_fast"]
@@ -198,7 +193,7 @@ def test_profile_shape_separates_run_lengths(bank):
 
 def test_command_clusters_routes_by_kind(bank):
     rows = _quiet_rows(6.0)
-    trace = _trace_from(rows)
+    trace = make_trace(rows)
     cfg = SigprocConfig()
     resp_conv, _ = command_clusters(trace, CommandKind.CARTESIAN_MOVE, bank, cfg)
     resp_corr, _ = command_clusters(trace, CommandKind.GRIPPER_SPEED, bank, cfg)
@@ -221,7 +216,7 @@ def test_summary_features_hand_computed(bank):
         (0.2, -1, 400),
         (1.2, -1, 600),
     ]
-    vec = compute_features(_trace_from(rows), bank, feature_set="summary")
+    vec = compute_features(make_trace(sorted(rows)), bank, feature_set="summary")
     names = summary_feature_names()
     got = dict(zip(names, vec))
     assert got["packet_count"] == 5
@@ -241,12 +236,12 @@ def test_summary_features_hand_computed(bank):
 def test_single_direction_trace_has_finite_features(bank):
     rows = [(0.1 * i, 1, 60) for i in range(40)]
     for fs in FEATURE_SETS:
-        vec = compute_features(_trace_from(rows), bank, feature_set=fs)
+        vec = compute_features(make_trace(rows), bank, feature_set=fs)
         assert np.all(np.isfinite(vec))
 
 
 def test_single_packet_trace(bank):
-    vec = compute_features(_trace_from([(0.0, 1, 99)]), bank)
+    vec = compute_features(make_trace([(0.0, 1, 99)]), bank)
     assert np.all(np.isfinite(vec))
     assert _feature(vec, "packet_count") == 1
 
@@ -259,7 +254,7 @@ def test_empty_trace_raises(bank):
 
 def test_unknown_feature_set_raises(bank):
     with pytest.raises(errors.InvalidConfig):
-        compute_features(_trace_from([(0.0, 1, 99)]), bank, feature_set="everything")
+        compute_features(make_trace([(0.0, 1, 99)]), bank, feature_set="everything")
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +266,8 @@ def _tiny_dataset():
     rows_b = _quiet_rows(7.0, spacing=0.3)
     return Dataset(
         [
-            _trace_from(rows_a, label=ActionLabel.PRESS_KEY, trace_id="a"),
-            _trace_from(rows_b, label=ActionLabel.POUR_WATER, trace_id="b"),
+            make_trace(rows_a, label=ActionLabel.PRESS_KEY, trace_id="a"),
+            make_trace(rows_b, label=ActionLabel.POUR_WATER, trace_id="b"),
         ]
     )
 
@@ -370,7 +365,7 @@ def test_csv_missing_file(tmp_path, bank):
 
 
 def test_scan_work_cap_raises_before_scanning(bank, monkeypatch):
-    trace = _trace_from(_quiet_rows(2.0))
+    trace = make_trace(_quiet_rows(2.0))
     widest = len(bin_trace(trace, 0.01)) * max(len(k.values) for k in bank)
     monkeypatch.setattr(features, "MAX_SCAN_WORK", widest)
     assert len(compute_features(trace, bank)) == 70  # the cap is inclusive
@@ -451,8 +446,7 @@ def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
         bank = KernelBank([Kernel(kn.kind, kn.bin_width, kn.values * 10.0**k, kn.source_id)
                            for kn in DEFAULT_BANKS[width]])
         target = apply_modulation_defense(trace, config).plan if from_plan else trace
-        with np.errstate(all="ignore"):
-            vector = compute_features(target, bank, SigprocConfig(bin_width=width))
+        vector = compute_features(target, bank, SigprocConfig(bin_width=width))
     except errors.RobofpError:
         return
     assert vector.shape == (len(make_schema(bank).names),)
@@ -470,14 +464,14 @@ def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
     ids=["mtu_burst_coarse", "uneven_segments"],
 )
 def test_plan_features_match_with_odd_segments(bank, rows, config):
-    d = _assert_plan_features_match(_trace_from(rows), config, bank)
+    d = _assert_plan_features_match(make_trace(rows), config, bank)
     assert all(len(odd_rows) for odd_rows, _ in d.plan.odd)
 
 
 def test_plan_features_match_in_one_slot(bank):
     # the inter-arrival times fall back to a single zero
     d = _assert_plan_features_match(
-        _trace_from([(0.0, 1, 80), (0.0, -1, 100)]), ModulationConfig(100, 1e-3, 1e-3), bank
+        make_trace([(0.0, -1, 100), (0.0, 1, 80)]), ModulationConfig(100, 1e-3, 1e-3), bank
     )
     assert d.plan.n_slots == 1
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace
 from robofp import errors, sigproc
 from robofp.features import SigprocConfig, command_clusters
 from robofp.sigproc import (
@@ -79,7 +80,7 @@ def ker(values, kind=CommandKind.CARTESIAN_MOVE, bw=0.01):
 
 class TestBinTrace:
     def test_two_packet_example(self):
-        tr = Trace.from_records([(0.000, 1, 100), (0.004, -1, 60)])
+        tr = make_trace([(0.000, 1, 100), (0.004, -1, 60)])
         s = bin_trace(tr, 0.01)
         assert list(s.values) == [40.0]
 
@@ -98,29 +99,29 @@ class TestBinTrace:
             assert len(s) == max(1, math.ceil(tr.duration / 0.01 - 1e-9))
 
     def test_boundary_packet_lands_in_last_bin(self):
-        tr = Trace.from_records([(0.0, 1, 10), (0.02, 1, 70)])
+        tr = make_trace([(0.0, 1, 10), (0.02, 1, 70)])
         s = bin_trace(tr, 0.01)
         assert len(s) == 2
         assert list(s.values) == [10.0, 70.0]
 
     def test_empty_trace_single_zero_bin(self):
-        s = bin_trace(Trace.from_records([]), 0.01)
+        s = bin_trace(make_trace([]), 0.01)
         assert list(s.values) == [0.0]
 
     def test_direction_modes(self):
-        tr = Trace.from_records([(0.0, 1, 100), (0.004, -1, 60), (0.015, 1, 30)])
+        tr = make_trace([(0.0, 1, 100), (0.004, -1, 60), (0.015, 1, 30)])
         assert list(bin_trace(tr, 0.01).values) == [40.0, 30.0]
 
     def test_bad_bin_width(self):
         with pytest.raises(errors.InvalidConfig):
-            bin_trace(Trace.from_records([]), 0.0)
+            bin_trace(make_trace([]), 0.0)
 
     def test_bin_cap_raises_before_allocating(self):
         # 1e9 bins of 10 ms; the last packet alone sets the count
-        tr = Trace.from_records([(0.0, 1, 100), (1e7, -1, 100)])
+        tr = make_trace([(0.0, 1, 100), (1e7, -1, 100)])
         with pytest.raises(errors.OutOfRange, match="bins"):
             bin_trace(tr, 0.01)
-        one_over = Trace.from_records([(0.0, 1, 100), (MAX_BINS + 1.0, -1, 100)])
+        one_over = make_trace([(0.0, 1, 100), (MAX_BINS + 1.0, -1, 100)])
         with pytest.raises(errors.OutOfRange):
             bin_trace(one_over, 1.0)
 
@@ -566,29 +567,39 @@ def test_moments_match_reference_bit_for_bit(values):
         assert got == _reference_outcome(values)
 
 
+# 1e80: d**4 and m2**2 pass float range; 1e160: d * d as well
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+def test_moments_overflowing_powers_warn_nothing(scale):
+    """Past float range: NaN skewness and kurtosis, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, skewness, kurtosis = sigproc._moments(np.array([scale, -scale, 0.0]))
+    assert math.isnan(skewness) and math.isnan(kurtosis)
+
+
 # ---------------------------------------------------------------------------
 # kernel extraction and banks
 
 
 class TestKernels:
     def test_extract_window(self):
-        tr = Trace.from_records([(0.0, 1, 10), (1.005, 1, 200), (1.022, -1, 650), (2.0, 1, 10)])
+        tr = make_trace([(0.0, 1, 10), (1.005, 1, 200), (1.022, -1, 650), (2.0, 1, 10)])
         k = extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 1.0, 1.05, 0.01)
         assert len(k.values) == 5
         assert list(k.values) == [200.0, 0.0, -650.0, 0.0, 0.0]
 
     def test_extract_empty_window(self):
-        tr = Trace.from_records([(0.0, 1, 10), (2.0, 1, 10)])
+        tr = make_trace([(0.0, 1, 10), (2.0, 1, 10)])
         with pytest.raises(errors.EmptyWindow):
             extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 0.5, 1.0, 0.01)
 
     def test_extract_bin_cap(self):
-        tr = Trace.from_records([(0.0, 1, 10), (2.0, 1, 10)])
+        tr = make_trace([(0.0, 1, 10), (2.0, 1, 10)])
         with pytest.raises(errors.OutOfRange):
             extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 1.0, 1e7, 0.01)
 
     def test_extract_bad_window(self):
-        tr = Trace.from_records([(0.0, 1, 10)])
+        tr = make_trace([(0.0, 1, 10)])
         with pytest.raises(errors.EmptyWindow):
             extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 1.0, 0.5, 0.01)
 

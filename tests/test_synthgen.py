@@ -48,43 +48,49 @@ def dataset():
 def test_cartesian_feedback_strictly_larger(commands):
     rng = trace_rng(1, 0, 0)
     for _ in range(200):
-        rows, end = gen_command(rng, commands[CommandKind.CARTESIAN_MOVE], rng.uniform(0, 20))
-        assert len(rows) == 2
-        cmd, fb = rows
-        assert cmd.dir == 1 and fb.dir == -1
-        assert 150 <= cmd.size <= 250
-        assert 400 <= fb.size <= 900
-        assert fb.size > cmd.size
-        assert fb.t == end
+        times, dirs, sizes, end = gen_command(
+            rng, commands[CommandKind.CARTESIAN_MOVE], rng.uniform(0, 20)
+        )
+        assert len(times) == len(dirs) == len(sizes) == 2
+        (t_cmd, t_fb), (d_cmd, d_fb), (cmd, fb) = times, dirs, sizes
+        assert d_cmd == 1 and d_fb == -1
+        assert 150 <= cmd <= 250
+        assert 400 <= fb <= 900
+        assert fb > cmd
+        assert t_fb == end
         # dispatch rides the 10 ms controller tick
-        assert abs(cmd.t / CONTROL_TICK - round(cmd.t / CONTROL_TICK)) < 1e-9
-        assert 0.015 - 1e-9 <= fb.t - cmd.t <= 0.035 + 1e-9
+        assert abs(t_cmd / CONTROL_TICK - round(t_cmd / CONTROL_TICK)) < 1e-9
+        assert 0.015 - 1e-9 <= t_fb - t_cmd <= 0.035 + 1e-9
 
 
 def test_position_burst_rates_and_sizes(commands):
     rng = trace_rng(2, 0, 0)
-    rows, _ = gen_command(rng, commands[CommandKind.GRIPPER_POSITION], 3.0, duration=1.0)
-    out = [r for r in rows if r.dir == 1]
-    acks = [r for r in rows if r.dir == -1]
+    times, dirs, sizes, _ = gen_command(
+        rng, commands[CommandKind.GRIPPER_POSITION], 3.0, duration=1.0
+    )
+    out = [t for t, d in zip(times, dirs) if d == 1]
+    acks = [t for t, d in zip(times, dirs) if d == -1]
     assert len(out) == 36
     assert len(acks) == len(out) // 4  # every fourth update answered
-    assert all(100 <= r.size <= 140 for r in rows)
-    spacings = np.diff([r.t for r in out])
+    assert all(100 <= s <= 140 for s in sizes)
+    spacings = np.diff(out)
     assert np.allclose(spacings, 1.0 / 36.0)
 
 
 def test_speed_burst_packet_count_and_spacing(commands):
     rng = trace_rng(3, 0, 0)
-    rows, _ = gen_command(rng, commands[CommandKind.GRIPPER_SPEED], 1.0, duration=2.0)
-    assert len(rows) == 160  # 80 packets/s for 2 s
-    assert all(r.dir == 1 for r in rows)
-    spacings = np.diff([r.t for r in rows])
+    times, dirs, sizes, _ = gen_command(
+        rng, commands[CommandKind.GRIPPER_SPEED], 1.0, duration=2.0
+    )
+    assert len(times) == len(dirs) == len(sizes) == 160  # 80 packets/s for 2 s
+    assert all(d == 1 for d in dirs)
+    spacings = np.diff(times)
     assert np.allclose(spacings, 0.0125)
     floor, peak = 40, 190
-    sizes = np.array([r.size for r in rows])
+    sizes = np.array(sizes)
     assert sizes.min() >= floor and sizes.max() <= peak
     # envelope rises then falls: the peak sits in the middle half
-    assert len(rows) // 4 < int(np.argmax(sizes)) < 3 * len(rows) // 4
+    assert len(sizes) // 4 < int(np.argmax(sizes)) < 3 * len(sizes) // 4
 
 
 def test_speed_burst_not_tick_aligned(commands):
@@ -92,8 +98,8 @@ def test_speed_burst_not_tick_aligned(commands):
     phases = set()
     for s in range(40):
         rng = trace_rng(s, 0, 0)
-        rows, _ = gen_command(rng, commands[CommandKind.GRIPPER_SPEED], 1.0, duration=2.0)
-        phases.add(round(rows[0].t % CONTROL_TICK, 6))
+        times, _, _, _ = gen_command(rng, commands[CommandKind.GRIPPER_SPEED], 1.0, duration=2.0)
+        phases.add(round(times[0] % CONTROL_TICK, 6))
     assert len(phases) > 30
 
 
@@ -250,7 +256,7 @@ def reference_packet_columns(rows):
     )
 )
 def test_packet_columns_match_tuple_sort(rows):
-    got = _packet_columns(rows)
+    got = _packet_columns(*zip(*rows))
     want = reference_packet_columns(rows)
     assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace
 from robofp import errors, trace
 from robofp.synthgen import GenConfig, gen_dataset
 from robofp.trace import (
@@ -20,10 +21,6 @@ from robofp.trace import (
     save_dataset,
     write_trace_csv,
 )
-
-
-def make_trace(rows, label=None):
-    return Trace.from_records(rows, label=label)
 
 
 class TestParse:
@@ -303,7 +300,7 @@ class TestManifest:
     def _dataset(self):
         labels = list(ActionLabel) * 2
         traces = [
-            Trace.from_records([(0.0, 1, 100 + i), (0.5, -1, 60)], lab, f"tr_{i:03d}")
+            make_trace([(0.0, 1, 100 + i), (0.5, -1, 60)], lab, f"tr_{i:03d}")
             for i, lab in enumerate(labels)
         ]
         return Dataset(traces)
