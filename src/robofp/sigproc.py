@@ -177,6 +177,16 @@ def convolve(signal: Signal, kernel: Kernel) -> Signal:
     return Signal(out, signal.bin_width)
 
 
+def _window_sums(y: np.ndarray, k: int) -> np.ndarray:
+    # sums of every k-wide window as differences of prefix sums
+    c = np.zeros(len(y) + 1)
+    np.cumsum(y, out=c[1:])
+    return c[k:] - c[:-k]
+
+
+# values past about 1.3e154 square past float range: those windows score
+# inf / inf or cov / inf, NaN or 0.0, without a warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
     """Pearson correlation between the kernel and every signal window.
 
@@ -184,7 +194,13 @@ def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
     (stride one bin), so output length is len(signal) - len(kernel) + 1.
     Signals shorter than the kernel are zero-padded on the right to yield a
     single window.  Windows (or kernels) with zero variance score 0; all
-    values lie in [-1, 1].
+    values lie in [-1, 1], and none is -0.0.
+
+    When the signal is integer-valued, as binned packet bytes are, and its
+    squares sum below 2**53, each partial sum in any order is an exact
+    integer, so the window sums come from prefix sums and equal
+    ``np.convolve(x, ones(k))``'s bit for bit; any other signal takes those
+    dot products.
     """
     h = kernel.values
     k = len(h)
@@ -193,11 +209,14 @@ def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
     x = signal.values
     if len(x) < k:
         x = np.concatenate([x, np.zeros(k - len(x))])
-    n = len(x)
 
-    ones = np.ones(k)
-    win_sum = np.convolve(x, ones, mode="valid")
-    win_sq = np.convolve(x * x, ones, mode="valid")
+    sq = x * x
+    if np.array_equal(x, np.rint(x)) and np.add.reduce(sq) < 2**53:
+        win_sum, win_sq = _window_sums(x, k), _window_sums(sq, k)
+    else:
+        ones = np.ones(k)
+        win_sum = np.convolve(x, ones, mode="valid")
+        win_sq = np.convolve(sq, ones, mode="valid")
     cross = np.convolve(x, h[::-1], mode="valid")
 
     h_mean = h.mean()
@@ -207,9 +226,9 @@ def sliding_correlation(signal: Signal, kernel: Kernel) -> Signal:
 
     cov = cross / k - w_mean * h_mean
     denom = np.sqrt(w_var * h_var)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom > _EPS, cov / np.where(denom > _EPS, denom, 1.0), 0.0)
+    r = np.where(denom > _EPS, cov / np.where(denom > _EPS, denom, 1.0), 0.0)
     r = np.clip(r, -1.0, 1.0)
+    r += 0.0  # -0.0, as from a negative cov over an infinite denom, reads +0.0
     return Signal(r, signal.bin_width)
 
 
@@ -235,11 +254,16 @@ def detect_clusters(
     bw = signal.bin_width
     # the False-padded mask changes at run starts and exclusive stops, alternating
     edges = np.flatnonzero(np.diff(np.concatenate(([False], v > threshold, [False]))))
+    if not edges.size:
+        return []
     starts, stops = edges[::2], edges[1::2]
     # both tests keep the `<` form, so a NaN merge_gap merges nothing and a
     # NaN min_duration drops nothing
-    joins = np.flatnonzero((starts[1:] - stops[:-1]) * bw < merge_gap)
-    starts, stops = np.delete(starts, joins + 1).tolist(), np.delete(stops, joins).tolist()
+    apart = np.ones(len(starts) + 1, dtype=bool)
+    apart[1:-1] = ~((starts[1:] - stops[:-1]) * bw < merge_gap)
+    # a cluster starts at each run apart from the one before, ends at each
+    # run apart from the one after
+    starts, stops = starts[apart[:-1]].tolist(), stops[apart[1:]].tolist()
     return [
         Cluster(s * bw, e * bw, float(v[s:e].max()))
         for s, e in zip(starts, stops)
@@ -270,20 +294,36 @@ class CommandStats:
 # a square or power past float range is inf, and a mean over infs of both
 # signs is NaN; compute_features maps either to 0.0, as it does the NaNs below
 @np.errstate(over="ignore", invalid="ignore")
-def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
-    # population moments; zero-variance input maps skewness/kurtosis to 0
-    mu = float(v.mean())
+def _moments(
+    v: np.ndarray, ordered: np.ndarray | None = None
+) -> tuple[float, float, float, float]:
+    # population moments of v, given sorted as ``ordered`` or sorted here;
+    # zero-variance input maps skewness/kurtosis to 0.  Each mean is
+    # np.add.reduce(x) / n, what np.mean computes.
+    n = len(v)
+    mu = float(np.add.reduce(v) / n)
     d = v - mu
-    m2 = float(np.mean(d * d))
+    m2 = float(np.add.reduce(d * d) / n)
     if m2 <= _EPS:
         return mu, 0.0, 0.0, 0.0
-    # responses repeat values heavily and pow is elementwise, so each distinct
-    # bit pattern is raised once and gathered back: every mean then adds the
-    # same values in the same order as over d**3 and d**4
-    bits, inverse = np.unique(d.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    m3 = float(np.mean((distinct**3)[inverse]))
-    m4 = float(np.mean((distinct**4)[inverse]))
+    if ordered is None:
+        ordered = np.sort(v)
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    if 2 * np.count_nonzero(new) > n:
+        d3, d4 = d**3, d**4
+    else:
+        # responses repeat values heavily and pow is elementwise, so each
+        # distinct value is raised once and gathered back: distinct - mu
+        # equals v - mu element by element, and every mean adds the same
+        # values in the same order as over d**3 and d**4.  Equal values of
+        # both zero signs share one entry; they differ in d only when mu is
+        # +0.0, as zeros, which a sum holding a nonzero term ignores.
+        distinct = ordered[new]
+        e = distinct - mu
+        inverse = np.searchsorted(distinct, v)
+        d3, d4 = (e**3)[inverse], (e**4)[inverse]
+    m3 = float(np.add.reduce(d3) / n)
+    m4 = float(np.add.reduce(d4) / n)
     sd = math.sqrt(m2)
     try:
         return mu, sd, m3 / m2**1.5, m4 / m2**2 - 3.0
@@ -306,8 +346,7 @@ def linear_percentiles(
     The order statistics of a sort equal those of np.percentile's partition
     except where zeros of both signs tie at an index, and no caller holds
     -0.0: bins are sums that start from +0.0, as are np.convolve's dot
-    products; a correlation's ``cov`` is ``cross / k - ...`` with ``cross``
-    such a dot product, and x - y is -0.0 only for x = -0.0; sizes are
+    products; a correlation adds +0.0 to each coefficient; sizes are
     integers; inter-arrival times are differences of non-decreasing times,
     +0.0 where two times are equal, and ``Trace`` refuses -0.0 times.  x
     must hold no NaN.
@@ -341,8 +380,9 @@ def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
     if len(v) == 0:
         mu = sd = sk = ku = med = p25 = p75 = vmax = vmin = 0.0
     else:
-        mu, sd, sk, ku = _moments(v)
-        med, p25, p75 = linear_percentiles(np.sort(v), _RESPONSE_QUANTILES)
+        ordered = np.sort(v)
+        mu, sd, sk, ku = _moments(v, ordered)
+        med, p25, p75 = linear_percentiles(ordered, _RESPONSE_QUANTILES)
         vmax = float(v.max())
         vmin = float(v.min())
 

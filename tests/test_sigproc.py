@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from robofp import errors, sigproc
+from robofp import errors, features, sigproc
+from robofp.defenses import apply_modulation_defense, modulation_preset
 from robofp.features import SigprocConfig, command_clusters
 from robofp.sigproc import (
     MAX_BINS,
@@ -279,6 +280,103 @@ class TestSlidingCorrelation:
         with pytest.raises(errors.KernelTooShort):
             sliding_correlation(sig([1.0, 2.0, 3.0]), ker([1.0]))
 
+    def test_squares_past_float_range_warn_nothing(self):
+        # values past about 1.3e154 square to inf: the windows read 0.0, not -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sliding_correlation(sig([1e200, -1e200, 3, 4]), ker([1, 2, 3])).values
+        assert out.tobytes() == np.zeros(2).tobytes()
+
+
+def reference_sliding_correlation(signal, kernel):
+    """Window sums from np.convolve, as sliding_correlation computed them first."""
+    h = kernel.values
+    k = len(h)
+    x = signal.values
+    if len(x) < k:
+        x = np.concatenate([x, np.zeros(k - len(x))])
+    ones = np.ones(k)
+    win_sum = np.convolve(x, ones, mode="valid")
+    win_sq = np.convolve(x * x, ones, mode="valid")
+    cross = np.convolve(x, h[::-1], mode="valid")
+    h_mean = h.mean()
+    h_var = float(np.mean(h * h) - h_mean**2)
+    w_mean = win_sum / k
+    w_var = np.maximum(win_sq / k - w_mean**2, 0.0)
+    cov = cross / k - w_mean * h_mean
+    denom = np.sqrt(w_var * h_var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom > sigproc._EPS, cov / np.where(denom > sigproc._EPS, denom, 1.0), 0.0)
+    return np.clip(r, -1.0, 1.0)
+
+
+class ConvolveSpy:
+    """Counts np.convolve calls while installed with monkeypatch."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._convolve(*args, **kwargs)
+
+
+CORRELATION_SIGNALS = (
+    st.lists(st.integers(-1500, 1500), max_size=60)  # binned byte counts
+    | st.lists(st.integers(-(2**27), 2**27), max_size=8)  # squares summing near 2**53
+    | st.lists(st.floats(-800, 800), max_size=60)  # fractional: the dot products
+    | st.lists(st.integers(-1500, 1500).map(lambda v: v / 4), max_size=60)
+)
+CORRELATION_KERNELS = st.lists(
+    st.integers(-800, 800) | st.floats(-800, 800), min_size=2, max_size=17
+).filter(lambda h: np.std(h) > 1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CORRELATION_SIGNALS, CORRELATION_KERNELS)
+@example([2**26, 2**26 - 1, 0], [1, 2])  # squares sum just below 2**53
+@example([2**26, 2**26, 0], [1, 2])  # exactly 2**53: the dot products
+@example([7, -3], [1, 2, 3, 4])  # shorter than the kernel
+@example([], [1, 2])
+def test_sliding_correlation_matches_reference_bit_for_bit(values, kernel_values):
+    got = sliding_correlation(sig(values), ker(kernel_values)).values
+    want = reference_sliding_correlation(sig(values), ker(kernel_values))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values, convolutions",
+    [
+        ([2**26, 2**26 - 1, 0], 1),
+        ([2**26, 2**26, 0], 3),
+        ([3.0, 0.5, 1.0], 3),
+        ([1e200, 3.0, 1.0], 3),
+        ([math.nan, 3.0, 1.0], 3),
+    ],
+)
+def test_window_sums_take_prefix_sums_only_when_exact(monkeypatch, values, convolutions):
+    spy = ConvolveSpy(monkeypatch)
+    with np.errstate(all="ignore"):
+        sliding_correlation(sig(values), ker([1, 2]))
+    assert spy.calls == convolutions
+
+
+def test_captures_and_plans_take_prefix_sums(monkeypatch):
+    bank = default_kernel_bank()
+    config = SigprocConfig()
+    kernel = bank.kernel_for(CommandKind.GRIPPER_SPEED)
+    modulation = modulation_preset(500, 1e-4)
+    signals = []
+    for trace in gen_dataset(GenConfig(seed=42)):
+        for capture in (trace, apply_modulation_defense(trace, modulation).plan):
+            signals.append(features._signal(capture, config.bin_width))
+    spy = ConvolveSpy(monkeypatch)
+    for signal in signals:
+        sliding_correlation(signal, kernel)
+    assert spy.calls == len(signals) == 400
+
 
 # ---------------------------------------------------------------------------
 # cluster detection
@@ -428,6 +526,57 @@ def test_detect_clusters_matches_reference_at_edges(values, merge_gap, min_durat
     assert_same_clusters(sig(values), 0.5, merge_gap, min_duration)
 
 
+def delete_detect_clusters(signal, threshold, merge_gap=0.2, min_duration=0.0):
+    """The array-pass implementation that merged runs with two np.delete calls."""
+    v = signal.values
+    bw = signal.bin_width
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], v > threshold, [False]))))
+    starts, stops = edges[::2], edges[1::2]
+    joins = np.flatnonzero((starts[1:] - stops[:-1]) * bw < merge_gap)
+    starts, stops = np.delete(starts, joins + 1).tolist(), np.delete(stops, joins).tolist()
+    return [
+        Cluster(s * bw, e * bw, float(v[s:e].max()))
+        for s, e in zip(starts, stops)
+        if not (e - s) * bw < min_duration - 1e-9
+    ]
+
+
+@st.composite
+def _responses(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 400))
+    values = rng.normal(0.0, 1.0, n)
+    if draw(st.booleans()):  # stretches at one value, as scan responses hold
+        values = np.repeat(values, rng.integers(1, 30, n))[:n]
+    if n and draw(st.booleans()):
+        values[rng.integers(0, n, draw(st.integers(1, 5)))] = math.nan
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=_responses(),
+    threshold=st.floats(-2.5, 2.5),
+    bw=BIN_WIDTHS,
+    merge_gap=st.sampled_from(["zero", "bin", "past_end"]) | st.floats(0.0, 2.0),
+    min_duration=DURATIONS,
+)
+@example(np.array([0.1, 0.2, 0.3]), 0.5, 0.01, "bin", 0.0)  # no crossing
+@example(np.array([0.1, 0.2, 0.9]), 0.5, 0.01, "bin", 0.0)  # crossing at the last bin
+@example(np.array([0.9, 0.1, 0.9, 0.1, 0.9]), 0.5, 0.01, "past_end", 0)  # one merged cluster
+def test_detect_clusters_matches_np_delete_version(
+    values, threshold, bw, merge_gap, min_duration
+):
+    merge_gap = {"zero": 0.0, "bin": bw, "past_end": (len(values) + 1) * bw}.get(
+        merge_gap, merge_gap
+    )
+    min_duration = min_duration * bw if isinstance(min_duration, int) else min_duration
+    signal = Signal(values, bw)
+    got = detect_clusters(signal, threshold, merge_gap, min_duration)
+    want = delete_detect_clusters(signal, threshold, merge_gap, min_duration)
+    assert cluster_fields(got) == cluster_fields(want)
+
+
 def test_detect_clusters_matches_reference_on_generated_scans():
     dataset = gen_dataset(GenConfig(seed=3, samples_per_class=3))
     bank = default_kernel_bank()
@@ -555,16 +704,47 @@ def _reference_outcome(values):
         return [float.hex(float(values.mean())), float.hex(math.sqrt(m2)), "nan", "nan"]
 
 
+@st.composite
+def _mostly_distinct(draw):
+    """Up to 3,000 values, most of them distinct, some drawn twice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3000))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]))
+    if draw(st.booleans()):
+        values = rng.normal(0.0, scale, n)
+    else:  # random bit patterns: any sign, exponent, subnormal, inf or NaN
+        values = rng.integers(0, 2**64 - 1, n, np.uint64, endpoint=True).view(np.float64)
+    repeats = draw(st.integers(0, n // 2))
+    values[:repeats] = rng.choice(values, repeats)
+    return rng.permutation(values)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_runs())
+@given(_runs() | _mostly_distinct())
 @example(np.full(2500, 7.25))  # constant: the zero-variance path
 @example(np.array([0.0, -0.0] * 700 + [5e-324] * 9))
 @example(np.array([1e80, -1e80, 0.0]))
 @example(np.array([3.0]))
+# zeros of both signs share one distinct value; with mu = +0.0 their d differ
+@example(np.array([0.0, -0.0, 1.0, -1.0, -0.0, 0.0] * 3))
+@example(np.array([math.inf, 1.0, 1.0, 2.0]))
+@example(np.array([-math.inf, math.inf, 1.0, 1.0]))
+@example(np.array([math.nan, 1.0, 1.0, 1.0, math.nan]))  # each NaN is its own value
+@example(np.array([-math.nan, math.nan, math.inf, -0.0, 0.0, 0.0]))
 def test_moments_match_reference_bit_for_bit(values):
     with np.errstate(all="ignore"):  # overflowing powers and their inf / inf
-        got = [float.hex(x) for x in sigproc._moments(values)]
-        assert got == _reference_outcome(values)
+        want = _reference_outcome(values)
+        for ordered in (None, np.sort(values)):
+            assert [float.hex(x) for x in sigproc._moments(values, ordered)] == want
+
+
+def test_moments_call_no_unique(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    values = np.repeat([0.0, 1.5, -2.0, 7.0], [900, 50, 30, 20])
+    assert sigproc._moments(values)[2] != 0.0
 
 
 # 1e80: d**4 and m2**2 pass float range; 1e160: d * d as well
