@@ -53,8 +53,6 @@ def _config_from_args(args) -> ExperimentConfig:
     )
     if getattr(args, "feature_set", None):
         kw["feature_set"] = args.feature_set
-    if getattr(args, "workers", None):
-        kw["workers"] = args.workers
     return ExperimentConfig(**kw)
 
 
@@ -228,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-threshold", help="accuracy per convolution threshold")
     _add_dataset_args(p)
     p.add_argument("--thresholds", type=float, nargs="*")
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep_threshold)
 
@@ -247,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-defense", help="defense grid: accuracy and overhead")
     _add_dataset_args(p)
     p.add_argument("--kind", choices=("padding", "modulation"), required=True)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep_defense)
 

@@ -119,7 +119,7 @@ class PaddingConfig:
     x: int
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or not PAD_FACTOR_MIN <= self.x <= PAD_FACTOR_MAX:
+        if type(self.x) is not int or not PAD_FACTOR_MIN <= self.x <= PAD_FACTOR_MAX:
             raise OutOfRange(f"padding factor {self.x} outside [1, {PAD_FACTOR_MAX}]")
 
     def to_doc(self) -> dict:

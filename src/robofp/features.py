@@ -30,10 +30,9 @@ each percentile's virtual index off the merged cumulative counts and
 interpolates them with np.percentile's own linear rule, so the result is
 the same float.  A plan's size percentiles are counted the same way, from
 s_p and the odd sizes.  The memo is a pure function of (t_i, chunk index),
-bounded by ``lru_cache`` (0.5 to 1.1 MB when full) and safe under the
-sweep's threads.  It is module-wide rather than per sweep because scoping
-it would take a ``compute_features`` parameter that no caller has a reason
-to set.
+bounded by ``lru_cache`` (0.5 to 1.1 MB when full).  It is module-wide
+rather than per sweep because scoping it would take a ``compute_features``
+parameter that no caller has a reason to set.
 
 Feature vectors carry a schema (ordered names + a fingerprint of the
 configuration and kernel bank that produced them) so that models refuse

@@ -4,8 +4,8 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
-Sweep points are independent, so they run on ``config.workers`` threads;
-results are assembled in sweep-key order regardless of completion order.
+Sweep points run one after another, in sweep-key order, in one thread:
+threads sharing the interpreter lock never made a sweep faster.
 ``defend_dataset`` is the one per-trace defense loop, shared by both defense
 sweeps and ``robofp defend``: it defends each trace as its consumer reads
 it, so a sweep point holds one defended trace at a time and keeps only its
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,7 +71,7 @@ class ExperimentConfig:
     n_folds: int = 10
     retrain_on_defended: bool = True  # adapting adversary; False reuses the clean model
     tail_dummies: float = 0.0
-    workers: int = 0  # sweep-point threads; 0 and 1 both run serially
+    workers: int = 0  # recorded only; sweep points run in one thread, so 0 or 1
 
     def __post_init__(self):
         check_field_types(self)
@@ -82,8 +81,10 @@ class ExperimentConfig:
             raise InvalidConfig("samples_per_class must be >= 1")
         if self.n_folds < 2:
             raise InvalidConfig(f"n_folds must be >= 2, got {self.n_folds}")
-        if self.workers < 0:
-            raise InvalidConfig(f"workers must be >= 0, got {self.workers}")
+        if self.workers not in (0, 1):
+            raise InvalidConfig(
+                f"workers must be 0 or 1, got {self.workers}: sweep points run in one thread"
+            )
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -117,13 +118,13 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
-    if config.manifest:
+    if config.manifest is not None:
         dataset = load_dataset(config.manifest)
     else:
         dataset = gen_dataset(
             GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
         )
-    if config.kernel_bank_path:
+    if config.kernel_bank_path is not None:
         bank = KernelBank.load(config.kernel_bank_path)
         for kernel in bank:
             if kernel.bin_width != config.sigproc.bin_width:
@@ -197,14 +198,6 @@ def write_csv(path: str | Path, rows: list[dict]) -> None:
 # sweeps
 
 
-def _pool_map(config: ExperimentConfig, job, points: list):
-    workers = resolve_workers(config)
-    if workers == 1:
-        return [job(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, points))  # map() preserves point order
-
-
 def threshold_sweep(
     config: ExperimentConfig, thresholds: tuple[float, ...] = DEFAULT_THRESHOLD_GRID
 ) -> list[dict]:
@@ -220,7 +213,7 @@ def threshold_sweep(
         report = _evaluate(config, matrix.X, matrix.labels, matrix.schema.names)
         return {"t": t, "accuracy": report.accuracy}
 
-    return _pool_map(config, job, sorted(thresholds))
+    return [job(t) for t in sorted(thresholds)]
 
 
 def defend_dataset(dataset: Dataset, defense, consume) -> tuple:
@@ -268,7 +261,7 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
         report = _evaluate(config, X_train, labels, names, X_test=X)
         return report.accuracy, overhead, max_latency
 
-    return _pool_map(config, job, defenses)
+    return [job(d) for d in defenses]
 
 
 def padding_sweep(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, OutOfRange
+from .errors import InvalidConfig, OutOfRange, check_field_types
 from .sigproc import MAX_BINS, CommandKind, Kernel, KernelBank
 from .trace import ActionLabel, Dataset, Trace, quantize_time
 
@@ -209,6 +209,7 @@ class GenConfig:
     samples_per_class: int = 50
 
     def __post_init__(self):
+        check_field_types(self)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_class < 1:

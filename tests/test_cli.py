@@ -34,6 +34,9 @@ def test_usage_errors_exit_2(capsys):
     assert cli([]) == 2
     assert cli(["teleport"]) == 2
     assert cli(["generate"]) == 2  # missing --out-dir
+    # sweep points run in one thread; there is no --workers flag
+    assert cli(["sweep-threshold", "--workers", "2", "--out-dir", "o"]) == 2
+    assert cli(["sweep-defense", "--kind", "padding", "--workers", "2", "--out-dir", "o"]) == 2
     capsys.readouterr()
 
 
@@ -242,8 +245,9 @@ def test_non_utf8_input_file_exits_1(tmp_path, capsys, target):
     [({"classifier": {"n_rounds": 2.5}}, "evaluate", "n_rounds must be an integer"),
      ({"tail_dummies": "x"}, "sweep-defense", "tail_dummies must be a finite number"),
      ({"retrain_on_defended": "no"}, "sweep-defense", "retrain_on_defended must be true or false"),
-     ({"sigproc": {"merge_gap": float("nan")}}, "evaluate", "merge_gap must be a finite number")],
-    ids=["float_n_rounds", "str_tail_dummies", "str_retrain", "nan_merge_gap"],
+     ({"sigproc": {"merge_gap": float("nan")}}, "evaluate", "merge_gap must be a finite number"),
+     ({"workers": 2}, "sweep-threshold", "workers must be 0 or 1")],
+    ids=["float_n_rounds", "str_tail_dummies", "str_retrain", "nan_merge_gap", "two_workers"],
 )
 def test_mistyped_config_field_exits_1(tmp_path, capsys, edit, command, needle):
     manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
@@ -262,6 +266,14 @@ def test_defend_non_finite_modulation_flag_exits_1(tmp_path, capsys, flag, value
     manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
     _assert_exit_1(["defend", "--manifest", manifest, "--defense", "modulation", flag, value,
                     "--out-dir", str(tmp_path / "o")], capsys, "must be a finite number")
+
+
+def test_featurize_empty_manifest_path_exits_1(tmp_path, capsys):
+    # an empty path is a missing file, not a request to generate captures
+    out = tmp_path / "features.csv"
+    _assert_exit_1(["featurize", "--manifest", "", "--samples-per-class", "1",
+                    "--out", str(out)], capsys)
+    assert not out.exists()
 
 
 def test_kernels_tiny_bin_width_exits_1(tmp_path, capsys):

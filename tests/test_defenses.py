@@ -131,7 +131,7 @@ def test_segment_plan_validation():
 
 
 def test_padding_config_validation():
-    for bad in (0, 11):
+    for bad in (0, 11, True):
         with pytest.raises(errors.OutOfRange):
             PaddingConfig(bad)
     with pytest.raises(errors.OutOfRange):

@@ -90,14 +90,14 @@ FLAG_CHOICES = {
     "bin_width": ["0.01", "0.05", "0.5", "0.001", "0.0001", "0", "-1", "nan", "inf", "1e-300"],
     "feature_set": ["full", "command", "summary"],
     "thresholds": [["0.9"], ["0", "1.3"], [], ["-1"], ["nan"]],
-    "workers": [None, "1", "2", "-1"],
     "defense": ["padding", "modulation"],
     "x": ["1", "3", "0", "11"],
     "s_p": ["100", "1500", "0", "1501"],
     "t_i": ["0.01", "0.001", "0.0001", "0", "1e-7", "nan", "inf"],
     "tail": ["0", "0.05", "-1", "nan", "inf", "1e300"],
     "kind": ["padding", "modulation"],
-    "usage": [[], [], [], ["--seed", "x"], ["--no-such-flag"], ["--feature-set", "nope"]],
+    "usage": [[], [], [], ["--seed", "x"], ["--no-such-flag"], ["--feature-set", "nope"],
+              ["--workers", "2"]],
 }
 FLAGS = st.fixed_dictionaries({k: st.sampled_from(v) for k, v in FLAG_CHOICES.items()})
 DEFAULT_FLAGS = {k: v[0] for k, v in FLAG_CHOICES.items()}
@@ -190,7 +190,6 @@ def _argv(command: str, flags: dict, d) -> list[str]:
     data = (["--config", str(d / "config.json")] if flags["use_config"] else
             ["--seed", flags["seed"], "--samples-per-class", flags["samples"],
              "--manifest", str(d / "manifest.csv")])
-    workers = ["--workers", flags["workers"]] if flags["workers"] else []
     return {
         "generate": ["--seed", flags["seed"], "--samples-per-class", flags["samples"],
                      "--out-dir", out],
@@ -200,12 +199,11 @@ def _argv(command: str, flags: dict, d) -> list[str]:
         "train": ["--features", str(d / "features.csv"), "--schema", str(d / "schema.json"),
                   "--out", str(d / "out" / "model.json")],
         "evaluate": [*data, "--out-dir", out],
-        "sweep-threshold": [*data, "--thresholds", *flags["thresholds"], *workers,
-                            "--out-dir", out],
+        "sweep-threshold": [*data, "--thresholds", *flags["thresholds"], "--out-dir", out],
         "defend": [*data, "--defense", flags["defense"], "--x", flags["x"], "--s-p",
                    flags["s_p"], "--t-i", flags["t_i"], "--tail-dummies", flags["tail"],
                    "--out-dir", out],
-        "sweep-defense": [*data, "--kind", flags["kind"], *workers, "--out-dir", out],
+        "sweep-defense": [*data, "--kind", flags["kind"], "--out-dir", out],
         "report": ["--run-dir", str(d / "run")],
     }[command]
 

@@ -41,7 +41,7 @@ SMALL = ExperimentConfig(
 
 
 def test_config_json_round_trip():
-    cfg = replace(SMALL, feature_set="summary", tail_dummies=1.5, workers=3)
+    cfg = replace(SMALL, feature_set="summary", tail_dummies=1.5, workers=1)
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
 
@@ -59,6 +59,7 @@ def test_config_rejects_bad_documents():
     with pytest.raises(errors.InvalidConfig):
         ExperimentConfig.from_json(b'{"seed": 1\xff}')
     for bad in ({"seed": -1}, {"samples_per_class": 0}, {"n_folds": 1}, {"workers": -5},
+                {"workers": 2},
                 {"seed": 1.5}, {"samples_per_class": 2.0}, {"n_folds": "3"},
                 {"workers": None}, {"seed": True}, {"retrain_on_defended": "no"},
                 {"retrain_on_defended": 1}, {"tail_dummies": "x"}, {"tail_dummies": True},
@@ -89,9 +90,11 @@ def test_config_rejects_bad_documents():
 
 
 def test_resolve_workers():
+    assert SMALL.workers == 0
     assert resolve_workers(SMALL) == 1
     assert resolve_workers(replace(SMALL, workers=1)) == 1
-    assert resolve_workers(replace(SMALL, workers=4)) == 4
+    assert resolve_workers(ExperimentConfig.from_doc({"workers": 0})) == 1
+    assert resolve_workers(ExperimentConfig.from_doc({"workers": 1})) == 1
 
 
 def test_load_inputs_from_manifest(tmp_path):
@@ -101,6 +104,12 @@ def test_load_inputs_from_manifest(tmp_path):
     loaded, bank = load_inputs(cfg)
     assert len(loaded.traces) == len(ds.traces)
     assert bank.fingerprint() == load_inputs(SMALL)[1].fingerprint()
+
+
+def test_load_inputs_refuses_empty_paths():
+    for name in ("manifest", "kernel_bank_path"):
+        with pytest.raises(errors.MissingFile):
+            load_inputs(replace(SMALL, **{name: ""}))
 
 
 def test_load_inputs_kernel_bank_path(tmp_path):
@@ -193,12 +202,6 @@ def test_threshold_sweep_rows():
 def test_threshold_sweep_validates_range():
     with pytest.raises(errors.InvalidConfig):
         threshold_sweep(SMALL, (0.5, 1.4))
-
-
-def test_sweeps_identical_across_worker_counts():
-    serial = threshold_sweep(SMALL, (0.0, 0.9))
-    pooled = threshold_sweep(replace(SMALL, workers=2), (0.0, 0.9))
-    assert serial == pooled
 
 
 def test_padding_sweep_rows():

@@ -285,8 +285,10 @@ def test_different_seeds_differ():
 
 
 def test_gen_config_validation():
-    with pytest.raises(errors.InvalidConfig):
-        GenConfig(samples_per_class=0)
+    for bad in ({"samples_per_class": 0}, {"seed": 1.5}, {"samples_per_class": 2.0},
+                {"seed": "3"}, {"seed": True}, {"samples_per_class": True}):
+        with pytest.raises(errors.InvalidConfig):
+            GenConfig(**bad)
 
 
 def test_script_step_helper():
