@@ -33,7 +33,6 @@ from .harness import (
     modulation_sweep,
     padding_sweep,
     run_attack_experiment,
-    run_defense_sweep,
     threshold_sweep,
 )
 from .sigproc import (
@@ -105,7 +104,6 @@ __all__ = [
     "read_feature_csv",
     "read_trace",
     "run_attack_experiment",
-    "run_defense_sweep",
     "save_dataset",
     "save_trace",
     "segment_plan",

@@ -432,7 +432,7 @@ def stratified_folds(y: list[str], n_folds: int, seed: int) -> list[np.ndarray]:
     for c in classes:
         idx = np.flatnonzero(y_arr == c)
         if len(idx) < n_folds:
-            raise TooFewSamples(c, len(idx), n_folds)
+            raise TooFewSamples(f"class {c!r} has {len(idx)} samples, fewer than {n_folds} folds")
         rng.shuffle(idx)
         shuffled.append(idx)
     return [np.sort(np.concatenate([idx[f::n_folds] for idx in shuffled])) for f in range(n_folds)]

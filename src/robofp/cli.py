@@ -14,8 +14,9 @@ from pathlib import Path
 
 from .classifier import GBDTClassifier
 from .defenses import MODULATION_INTERVALS, PaddingConfig, modulation_preset
-from .errors import InvalidConfig, RobofpError
+from .errors import InvalidConfig, RobofpError, load_json, read_input
 from .features import (
+    FEATURE_SETS,
     FeatureSchema,
     featurize_dataset,
     read_feature_csv,
@@ -26,14 +27,17 @@ from .harness import (
     ExperimentConfig,
     defend_dataset,
     load_inputs,
+    modulation_sweep,
+    padding_sweep,
     run_attack_experiment,
-    run_defense_sweep,
     threshold_sweep,
     write_csv,
     write_report,
 )
 from .synthgen import GenConfig, default_kernel_bank, gen_dataset
 from .trace import save_dataset
+
+DEFENSE_SWEEPS = {"padding": padding_sweep, "modulation": modulation_sweep}
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -44,8 +48,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        return ExperimentConfig.from_json(Path(args.config).read_bytes())
+    if args.config is not None:
+        return ExperimentConfig.from_json(read_input(args.config))
     kw = dict(
         seed=args.seed,
         samples_per_class=args.samples_per_class,
@@ -85,7 +89,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    schema = FeatureSchema.from_json(Path(args.schema).read_bytes())
+    schema = FeatureSchema.from_json(read_input(args.schema))
     matrix = read_feature_csv(args.features, schema)
     model = GBDTClassifier(feature_names=list(schema.names))
     model.fit(matrix.X, matrix.labels)
@@ -113,15 +117,18 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_sweep_threshold(args) -> int:
-    config = _config_from_args(args)
-    rows = threshold_sweep(config, tuple(args.thresholds or DEFAULT_THRESHOLD_GRID))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "threshold_sweep.csv"
+def _write_sweep(out_dir: str, kind: str, rows: list[dict]) -> int:
+    path = Path(out_dir) / f"{kind}_sweep.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
+
+
+def _cmd_sweep_threshold(args) -> int:
+    config = _config_from_args(args)
+    rows = threshold_sweep(config, tuple(args.thresholds or DEFAULT_THRESHOLD_GRID))
+    return _write_sweep(args.out_dir, "threshold", rows)
 
 
 def _cmd_defend(args) -> int:
@@ -149,14 +156,11 @@ def _cmd_defend(args) -> int:
 
 
 def _cmd_sweep_defense(args) -> int:
-    config = _config_from_args(args)
-    path = run_defense_sweep(config, args.kind, args.out_dir)
-    print(f"wrote {path}")
-    return 0
+    rows = DEFENSE_SWEEPS[args.kind](_config_from_args(args))
+    return _write_sweep(args.out_dir, args.kind, rows)
 
 
-def _report_lines(path: Path) -> list[str]:
-    doc = json.loads(path.read_text())
+def _report_lines(path: Path, doc) -> list[str]:
     cv = doc["cv"]
     lines = [
         f"run: {path}",
@@ -177,10 +181,10 @@ def _report_lines(path: Path) -> list[str]:
 
 def _cmd_report(args) -> int:
     path = Path(args.run_dir) / "report.json"
-    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    doc = load_json(read_input(path), f"report {path}")
     try:
-        lines = _report_lines(path)
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        lines = _report_lines(path, doc)
+    except (KeyError, TypeError, ValueError) as e:
         raise InvalidConfig(f"bad report {path}: {e!r}") from None
     print("\n".join(lines))
     return 0
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="feature CSV + schema for a dataset")
     _add_dataset_args(p)
-    p.add_argument("--feature-set", choices=("full", "command", "summary"), default="full")
+    p.add_argument("--feature-set", choices=FEATURE_SETS, default="full")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_featurize)
 
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="cross-validated attack run + report")
     _add_dataset_args(p)
-    p.add_argument("--feature-set", choices=("full", "command", "summary"), default="full")
+    p.add_argument("--feature-set", choices=FEATURE_SETS, default="full")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-defense", help="defense grid: accuracy and overhead")
     _add_dataset_args(p)
-    p.add_argument("--kind", choices=("padding", "modulation"), required=True)
+    p.add_argument("--kind", choices=DEFENSE_SWEEPS, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep_defense)
 

@@ -3,11 +3,14 @@
 Every failure mode callers are expected to handle has a named exception.
 Parse-time errors carry the 1-based line number of the offending row
 (the header counts as line 1).  ``check_field_types`` is the one type check
-the config dataclasses share.
+the config dataclasses share; ``read_input`` and ``load_json`` are the one
+way an input file is read and a JSON document parsed.
 """
 
+import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 
 class RobofpError(Exception):
@@ -85,9 +88,7 @@ class EmptyTrace(RobofpError):
 
 
 class MissingKernel(RobofpError):
-    def __init__(self, kind):
-        self.kind = kind
-        super().__init__(f"kernel bank has no kernel for command kind {kind!r}")
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +104,7 @@ class SchemaMismatch(RobofpError):
 
 
 class TooFewSamples(RobofpError):
-    def __init__(self, label, count, folds):
-        self.label = label
-        self.count = count
-        self.folds = folds
-        super().__init__(
-            f"class {label!r} has {count} samples, fewer than {folds} folds"
-        )
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +162,21 @@ def _json_array(name: str, value, items: str) -> list:
     if items == "numbers" and not all(_finite(v) for v in value):
         raise InvalidConfig(f"{name} holds a non-finite value")
     return value
+
+
+def read_input(path) -> bytes:
+    """The bytes of the regular file at ``path``; MissingFile, quoting the path
+    as given, for anything else (``Path("")`` is ``.``, a directory)."""
+    if not Path(path).is_file():
+        raise MissingFile(f"no file at {str(path)!r}")
+    return Path(path).read_bytes()
+
+
+def load_json(data: str | bytes, what: str):
+    """The document in ``data``; InvalidConfig naming ``what`` if it is not JSON.
+
+    Bad syntax and bad UTF-8 are ValueErrors; deep nesting is a RecursionError."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:
+        raise InvalidConfig(f"{what} is not valid JSON: {e}") from None

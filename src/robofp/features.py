@@ -56,11 +56,11 @@ from .defenses import SlotPlan, grid_times
 from .errors import (
     EmptyTrace,
     InvalidConfig,
-    MissingFile,
     OutOfRange,
     SchemaMismatch,
     _json_array,
     check_field_types,
+    read_input,
 )
 from .sigproc import (
     ALL_KINDS,
@@ -396,11 +396,8 @@ def write_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_feature_csv(path: str | Path, schema: FeatureSchema) -> FeatureMatrix:
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
     try:
-        text = p.read_bytes().decode("utf-8")
+        text = read_input(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise SchemaMismatch(f"feature file is not UTF-8: {e}") from None
     reader = csv.reader(io.StringIO(text, newline=""))

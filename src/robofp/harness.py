@@ -38,8 +38,9 @@ from .defenses import (
     apply_defense,
     modulation_preset,
 )
-from .errors import InvalidConfig, SchemaMismatch, check_field_types
+from .errors import InvalidConfig, SchemaMismatch, check_field_types, load_json
 from .features import (
+    FEATURE_SETS,
     FeatureMatrix,
     SigprocConfig,
     compute_features,
@@ -81,6 +82,8 @@ class ExperimentConfig:
             raise InvalidConfig("samples_per_class must be >= 1")
         if self.n_folds < 2:
             raise InvalidConfig(f"n_folds must be >= 2, got {self.n_folds}")
+        if self.feature_set not in FEATURE_SETS:
+            raise InvalidConfig(f"unknown feature set {self.feature_set!r}")
         if self.workers not in (0, 1):
             raise InvalidConfig(
                 f"workers must be 0 or 1, got {self.workers}: sweep points run in one thread"
@@ -106,11 +109,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ExperimentConfig":
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-            raise InvalidConfig(f"config is not valid JSON: {e}") from None
-        return cls.from_doc(doc)
+        return cls.from_doc(load_json(text, "config"))
 
 
 def resolve_workers(config: ExperimentConfig) -> int:
@@ -288,26 +287,3 @@ def modulation_sweep(
         {"s_p": s_p, "t_i": t_i, "accuracy": a, "overhead": o, "max_added_latency": lat}
         for (s_p, t_i), (a, o, lat) in zip(points, results)
     ]
-
-
-def run_defense_sweep(
-    config: ExperimentConfig,
-    kind: str,
-    out_dir: str | Path,
-    grid: tuple | None = None,
-) -> Path:
-    """Run one defense family's grid and write its CSV; returns the path.
-
-    For padding the grid is the padding factors; for modulation it is the
-    dummy sizes (crossed with the standard intervals)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "padding":
-        rows = padding_sweep(config, grid or DEFAULT_PADDING_GRID)
-    elif kind == "modulation":
-        rows = modulation_sweep(config, grid or DEFAULT_DUMMY_SIZES)
-    else:
-        raise InvalidConfig(f"unknown defense sweep kind {kind!r}")
-    path = out_dir / f"{kind}_sweep.csv"
-    write_csv(path, rows)
-    return path

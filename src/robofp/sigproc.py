@@ -33,11 +33,12 @@ from .errors import (
     EmptyWindow,
     InvalidConfig,
     KernelTooShort,
-    MissingFile,
     MissingKernel,
     OutOfRange,
     _json_array,
     check_field_types,
+    load_json,
+    read_input,
 )
 from .trace import Trace
 
@@ -459,7 +460,7 @@ class KernelBank:
         for k in self.kernels:
             if k.kind == kind:
                 return k
-        raise MissingKernel(kind)
+        raise MissingKernel(f"kernel bank has no kernel for command kind {kind!r}")
 
     def fingerprint(self) -> str:
         payload = json.dumps(self._as_jsonable(), sort_keys=True).encode()
@@ -481,13 +482,7 @@ class KernelBank:
 
     @classmethod
     def load(cls, path: str | Path) -> "KernelBank":
-        path = Path(path)
-        if not path.is_file():
-            raise MissingFile(str(path))
-        try:
-            raw = json.loads(path.read_bytes())
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-            raise InvalidConfig(f"kernel bank {path} is not valid JSON: {e}") from None
+        raw = load_json(read_input(path), f"kernel bank {path}")
         if not isinstance(raw, list):
             raise InvalidConfig("kernel bank must be a JSON array")
         kernels = []

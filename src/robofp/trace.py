@@ -38,10 +38,10 @@ from .errors import (
     EmptyDataset,
     MalformedHeader,
     MalformedRow,
-    MissingFile,
     NonMonotonicTime,
     SizeOutOfRange,
     UnknownLabel,
+    read_input,
 )
 
 MTU = 1500
@@ -261,10 +261,7 @@ def write_trace_csv(trace: Trace) -> bytes:
 def read_trace(
     path: str | Path, trace_id: str | None = None, label: ActionLabel | None = None
 ) -> Trace:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    return parse_trace_csv(path.read_bytes(), trace_id or path.stem, label)
+    return parse_trace_csv(read_input(path), trace_id or Path(path).stem, label)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -282,11 +279,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     four known actions raises UnknownLabel; a dangling path raises
     MissingFile; a manifest with no rows raises EmptyDataset.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise MissingFile(str(manifest_path))
-    base = manifest_path.parent
-    rows = _csv_lines(manifest_path.read_bytes(), MANIFEST_HEADER)
+    rows = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
+    base = Path(manifest_path).parent
     traces: list[Trace] = []
     valid = {lab.value: lab for lab in ActionLabel}
     for i, raw in enumerate(rows, start=2):

@@ -719,7 +719,7 @@ def test_stratified_folds_deterministic():
 def test_stratified_folds_errors():
     with pytest.raises(errors.SingleClass):
         stratified_folds(["a"] * 10, 5, seed=0)
-    with pytest.raises(errors.TooFewSamples):
+    with pytest.raises(errors.TooFewSamples, match="^class 'a' has 3 samples, fewer than 5 folds"):
         stratified_folds(["a"] * 3 + ["b"] * 10, 5, seed=0)
     for n_folds in (0, 1):
         with pytest.raises(errors.InvalidConfig):

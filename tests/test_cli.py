@@ -12,7 +12,7 @@ from robofp import errors, harness
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
 from robofp.features import SigprocConfig, make_schema
-from robofp.harness import ExperimentConfig, padding_sweep
+from robofp.harness import ExperimentConfig, padding_sweep, write_csv
 from robofp.synthgen import default_kernel_bank
 
 FAST_CFG = ExperimentConfig(
@@ -37,6 +37,7 @@ def test_usage_errors_exit_2(capsys):
     # sweep points run in one thread; there is no --workers flag
     assert cli(["sweep-threshold", "--workers", "2", "--out-dir", "o"]) == 2
     assert cli(["sweep-defense", "--kind", "padding", "--workers", "2", "--out-dir", "o"]) == 2
+    assert cli(["sweep-defense", "--kind", "teleport", "--out-dir", "o"]) == 2
     capsys.readouterr()
 
 
@@ -272,8 +273,21 @@ def test_featurize_empty_manifest_path_exits_1(tmp_path, capsys):
     # an empty path is a missing file, not a request to generate captures
     out = tmp_path / "features.csv"
     _assert_exit_1(["featurize", "--manifest", "", "--samples-per-class", "1",
-                    "--out", str(out)], capsys)
+                    "--out", str(out)], capsys, "no file at ''")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["featurize", "--config", "{tmp}/nope.json", "--out", "{tmp}/f.csv"], "{tmp}/nope.json"),
+    (["train", "--schema", "{tmp}/nope.json", "--features", "{tmp}/f.csv",
+      "--out", "{tmp}/m.json"], "{tmp}/nope.json"),
+    (["report", "--run-dir", "{tmp}"], "{tmp}/report.json"),
+    (["evaluate", "--config", "", "--out-dir", "{tmp}/o"], ""),
+], ids=["config", "schema", "report", "empty_config"])
+def test_missing_input_file_exits_1_quoting_it(tmp_path, capsys, argv, path):
+    # a read of anything but a regular file names the path, not an OSError
+    _assert_exit_1([a.format(tmp=tmp_path) for a in argv], capsys,
+                   f"no file at {path.format(tmp=tmp_path)!r}")
 
 
 def test_kernels_tiny_bin_width_exits_1(tmp_path, capsys):
@@ -417,6 +431,15 @@ def test_sweep_threshold_subcommand(tmp_path, fast_config_path, capsys):
     assert lines[0] == "t,accuracy"
     assert len(lines) == 3
     capsys.readouterr()
+
+
+def test_sweep_defense_writes_sweep_csv(tmp_path, fast_config_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli(["sweep-defense", "--config", fast_config_path, "--kind", "padding",
+                "--out-dir", str(out)]) == 0
+    write_csv(tmp_path / "expected.csv", padding_sweep(FAST_CFG))
+    assert (out / "padding_sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert "wrote 10 rows" in capsys.readouterr().out
 
 
 def test_sweep_threshold_bad_value_exits_1(tmp_path, fast_config_path, capsys):

@@ -20,7 +20,6 @@ from robofp.harness import (
     report_digest,
     resolve_workers,
     run_attack_experiment,
-    run_defense_sweep,
     threshold_sweep,
     write_report,
 )
@@ -64,7 +63,8 @@ def test_config_rejects_bad_documents():
                 {"workers": None}, {"seed": True}, {"retrain_on_defended": "no"},
                 {"retrain_on_defended": 1}, {"tail_dummies": "x"}, {"tail_dummies": True},
                 {"tail_dummies": float("nan")}, {"tail_dummies": float("inf")},
-                {"feature_set": []}, {"manifest": 5}, {"kernel_bank_path": False}):
+                {"feature_set": []}, {"feature_set": "bogus"}, {"manifest": 5},
+                {"kernel_bank_path": False}):
         with pytest.raises(errors.InvalidConfig):
             ExperimentConfig.from_doc(bad)
         with pytest.raises(errors.InvalidConfig):
@@ -78,7 +78,9 @@ def test_config_rejects_bad_documents():
                          ("sigproc", {"corr_min_duration": 10**400})):
         with pytest.raises(errors.InvalidConfig, match=next(iter(bad))):
             ExperimentConfig.from_doc({section: bad})
-    for text in ('{"sigproc": {"merge_gap": NaN}}', '{"tail_dummies": Infinity}', "[" * 5000):
+    # an integer past Python's 4,300-digit conversion limit is a ValueError, not a JSONDecodeError
+    for text in ('{"sigproc": {"merge_gap": NaN}}', '{"tail_dummies": Infinity}', "[" * 5000,
+                 '{"seed": %s}' % ("1" * 5000)):
         with pytest.raises(errors.InvalidConfig):
             ExperimentConfig.from_json(text)
     # ints stand for floats, and a well-typed document still loads
@@ -282,12 +284,3 @@ def test_fixed_adversary_flag_changes_protocol():
     fixed = [r["accuracy"] for r in padding_sweep(fixed_cfg, (1, 2, 3))]
     assert retrain == [0.875, 0.775, 0.825]
     assert fixed == [0.7, 0.575, 0.375]
-
-
-def test_run_defense_sweep_writes_csv(tmp_path):
-    path = run_defense_sweep(SMALL, "padding", tmp_path, grid=(1, 2))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,accuracy,overhead"
-    assert len(lines) == 3
-    with pytest.raises(errors.InvalidConfig):
-        run_defense_sweep(SMALL, "teleport", tmp_path)

@@ -811,14 +811,19 @@ class TestKernels:
 
     def test_missing_kind(self):
         bank = KernelBank([ker([1.0, 2.0], CommandKind.GRIPPER_SPEED)])
-        with pytest.raises(errors.MissingKernel):
+        with pytest.raises(errors.MissingKernel) as caught:
             bank.kernel_for(CommandKind.CARTESIAN_MOVE)
+        assert str(caught.value) == (
+            f"kernel bank has no kernel for command kind {CommandKind.CARTESIAN_MOVE!r}"
+        )
 
     def test_load_bad_json(self, tmp_path):
         p = tmp_path / "bank.json"
-        p.write_text("{not json")
-        with pytest.raises(errors.InvalidConfig):
-            KernelBank.load(p)
+        # past Python's 4,300-digit int conversion limit json raises a bare ValueError
+        for text in ("{not json", "[%s]" % ("1" * 5000)):
+            p.write_text(text)
+            with pytest.raises(errors.InvalidConfig, match="not valid JSON"):
+                KernelBank.load(p)
 
     def test_load_entry_not_an_object(self, tmp_path):
         p = tmp_path / "bank.json"

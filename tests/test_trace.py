@@ -368,6 +368,13 @@ class TestManifest:
         with pytest.raises(errors.MissingFile):
             read_trace(tmp_path / "nothing.csv")
 
+    def test_read_input_refuses_what_is_no_regular_file(self, tmp_path):
+        # a directory, and the empty path (which Path reads as ".")
+        for path in (tmp_path, ""):
+            with pytest.raises(errors.MissingFile) as caught:
+                errors.read_input(path)
+            assert str(caught.value) == f"no file at {str(path)!r}"
+
 
 # ---------------------------------------------------------------------------
 # the writer's own form, read in one array pass
