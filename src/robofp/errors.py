@@ -63,6 +63,10 @@ class EmptyDataset(RobofpError):
     pass
 
 
+class DuplicateTrace(RobofpError):
+    """Two traces of one dataset would be written to the same file."""
+
+
 # ---------------------------------------------------------------------------
 # signal processing
 

@@ -48,7 +48,7 @@ from .features import (
     featurize_dataset,
 )
 from .sigproc import KernelBank
-from .synthgen import GenConfig, default_kernel_bank, gen_dataset
+from .synthgen import GenConfig, check_samples_per_class, default_kernel_bank, gen_dataset
 from .trace import Dataset, load_dataset
 
 TOP_FEATURES = 20
@@ -60,7 +60,10 @@ DEFAULT_DUMMY_SIZES = tuple(range(100, 1001, 100))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; serializes to one JSON document."""
+    """Everything a run needs; serializes to one JSON document.
+
+    ``samples_per_class`` is bounded as in GenConfig, by
+    synthgen.MAX_SAMPLES_PER_CLASS (10,000), also when a manifest is given."""
 
     seed: int = 42
     samples_per_class: int = 50
@@ -78,8 +81,7 @@ class ExperimentConfig:
         check_field_types(self)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.samples_per_class < 1:
-            raise InvalidConfig("samples_per_class must be >= 1")
+        check_samples_per_class(self.samples_per_class)
         if self.n_folds < 2:
             raise InvalidConfig(f"n_folds must be >= 2, got {self.n_folds}")
         if self.feature_set not in FEATURE_SETS:

@@ -319,9 +319,15 @@ def _moments(
         # values in the same order as over d**3 and d**4.  Equal values of
         # both zero signs share one entry; they differ in d only when mu is
         # +0.0, as zeros, which a sum holding a nonzero term ignores.
+        # Responses come in runs of one value, so only each run's first
+        # value is searched and its index repeated over the run; equal
+        # values compare alike, so they search alike.
         distinct = ordered[new]
         e = distinct - mu
-        inverse = np.searchsorted(distinct, v)
+        edges = np.ones(n + 1, dtype=bool)  # run starts, and n
+        np.not_equal(v[1:], v[:-1], out=edges[1:n])
+        bounds = edges.nonzero()[0]
+        inverse = np.searchsorted(distinct, v[bounds[:-1]]).repeat(bounds[1:] - bounds[:-1])
         d3, d4 = (e**3)[inverse], (e**4)[inverse]
     m3 = float(np.add.reduce(d3) / n)
     m4 = float(np.add.reduce(d4) / n)

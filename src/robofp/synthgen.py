@@ -27,22 +27,33 @@ slowly and lets go quickly ("rise_slow" ramp); pour-water grabs fast and
 eases off ("rise_fast", the time-reversed ramp); press-key taps more and
 faster than turn-on-switch.
 
-Packets travel as three plain lists (times, directions, sizes) from
-``gen_command`` until ``_packet_columns`` sorts them once into a ``Trace``.
+Each command's packets are three columns (times, directions, sizes):
+plain lists for cartesian moves and position bursts, arrays for speed
+bursts.  ``gen_action`` joins the columns of its commands, adds the
+keep-alives and anchors, and ``_packet_columns`` sorts them once into a
+``Trace``.
 
 Determinism: every trace is generated from an independent generator seeded
 with (seed, class_index, sample_index), so datasets are byte-identical for
 a given seed and per-trace output does not depend on generation order.
 Every draw keeps its place in the stream: single uniform draws go through
-``_uniform``, which computes what ``Generator.uniform`` computes, and only
-a speed burst's jitter, which nothing else interleaves, is drawn at once.
+``_uniform`` and a step's kind through ``_choice``, which compute what
+``Generator.uniform`` and ``Generator.choice`` compute from the same one
+double, and only a speed burst's jitter, which nothing else interleaves, is
+drawn at once.  A speed burst's sizes repeat the per-packet arithmetic
+element for element: its envelope is computed with ``math`` once per
+distinct burst shape (``_speed_envelope``), and the jitter, rounding and
+clamping are the same IEEE operations on arrays.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -100,6 +111,14 @@ class ScriptStep:
     probability: float = 1.0
     scalable: bool = True  # gap may be rescaled to fit the duration budget
     profile: str | None = None  # speed-burst ramp direction; None picks randomly
+
+    def __post_init__(self):
+        weights = [w for _, w in self.kinds]
+        # Generator.choice refused these at draw time; _choice needs a cdf
+        if not weights or not all(0 < w < math.inf for w in weights) or sum(weights) == math.inf:
+            raise InvalidConfig(
+                f"kind weights must be positive and finite, with a finite sum, got {weights}"
+            )
 
 
 def step(kind, count, gap, duration=None, probability=1.0, scalable=True, profile=None):
@@ -203,8 +222,28 @@ def default_action_templates() -> dict[ActionLabel, ActionTemplate]:
     }
 
 
+# One `robofp evaluate` must finish within an hour and 8 GB on a 2-vCPU box.
+# Measured there (seed 42): 1.65 s and 43 MB peak RSS at 50 samples per
+# class, 11.2 s and 56 MB at 200, 79 s and 102 MB at 800.  Time grows as
+# about n**1.4 and memory by about 20 KB a trace, so 10,000 per class
+# (40,000 traces) extrapolates to about 46 minutes and under 1 GB.
+MAX_SAMPLES_PER_CLASS = 10_000
+
+
+def check_samples_per_class(value: int) -> None:
+    """InvalidConfig unless 1 <= value <= MAX_SAMPLES_PER_CLASS."""
+    if not 1 <= value <= MAX_SAMPLES_PER_CLASS:
+        raise InvalidConfig(
+            f"samples_per_class must lie in [1, {MAX_SAMPLES_PER_CLASS}], got {value}"
+        )
+
+
 @dataclass
 class GenConfig:
+    """``samples_per_class`` traces of each action from ``seed``; at most
+    MAX_SAMPLES_PER_CLASS (10,000) per class, what one evaluate runs in an
+    hour on a 2-vCPU box."""
+
     seed: int = 42
     samples_per_class: int = 50
 
@@ -212,14 +251,23 @@ class GenConfig:
         check_field_types(self)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if self.samples_per_class < 1:
-            raise InvalidConfig("samples_per_class must be >= 1")
+        check_samples_per_class(self.samples_per_class)
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     """``rng.uniform(lo, hi)`` for scalars, draw for draw and bit for bit
     (numpy computes ``low + range * next_double``), at a third of the cost."""
     return lo + (hi - lo) * rng.random()
+
+
+def _choice(rng: np.random.Generator, weights: tuple[float, ...]) -> int:
+    """``rng.choice(len(weights), p=np.array(weights) / sum(weights))``, draw
+    for draw and bit for bit, without its per-call cost: numpy takes one
+    double and searches it (side="right") in ``cumsum(p) / cumsum(p)[-1]``;
+    a cumulative sum adds left to right, as ``accumulate`` does."""
+    total = sum(weights)
+    cdf = list(itertools.accumulate(w / total for w in weights))
+    return bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -246,15 +294,26 @@ def _envelope(u: float, skew: float, profile: str) -> float:
     return math.sin(math.pi * u**skew)
 
 
+@functools.lru_cache(maxsize=1024)
+def _speed_envelope(n: int, skew: float, profile: str, floor: int, amp: int) -> np.ndarray:
+    """The size envelope of an n-packet speed burst, read-only: packet i's
+    ``floor + amp * _envelope((i + 0.5) / n, skew, profile)``.  It stays in
+    ``math``: numpy's sin and power may take SIMD loops that round otherwise."""
+    base = np.array([floor + amp * _envelope((i + 0.5) / n, skew, profile) for i in range(n)])
+    base.flags.writeable = False
+    return base
+
+
 def gen_command(
     rng: np.random.Generator,
     template: CommandTemplate,
     t_start: float,
     duration: float | None = None,
     profile: str = "rise_slow",
-) -> tuple[list[float], list[int], list[int], float]:
+) -> tuple[Sequence[float], Sequence[int], Sequence[int], float]:
     """Emit one command's packets from t_start as the columns (times, dirs,
-    sizes) in emission order; returns them and the command's end time."""
+    sizes) in emission order, lists or (for a speed burst) arrays; returns
+    them and the command's end time."""
     kind = template.kind
     if duration is None:
         duration = _uniform(rng, *template.duration_range)
@@ -270,8 +329,8 @@ def gen_command(
         t_fb = t0 + duration
         return [t0, t_fb], [1, -1], [cmd, fb], t_fb
 
-    times, dirs, sizes = [], [], []
     if kind == CommandKind.GRIPPER_POSITION:
+        times, dirs, sizes = [], [], []
         t0 = _snap_tick(t_start)
         n = max(2, int(round(duration * template.packet_rate)))
         spacing = 1.0 / template.packet_rate
@@ -300,15 +359,13 @@ def gen_command(
         spacing = 1.0 / template.packet_rate
         floor, peak = template.out_size_range
         amp = peak - floor
-        # nothing else draws in the loop, so n draws at once are the same stream
-        jitter = rng.uniform(-template.jitter, template.jitter, n).tolist()
-        for i, jit in enumerate(jitter):
-            u = (i + 0.5) / n
-            size = floor + amp * _envelope(u, template.envelope_skew, profile)
-            size *= 1.0 + jit
-            times.append(t0 + i * spacing)
-            sizes.append(min(max(round(size), floor), peak))
-        return times, [1] * n, sizes, t0 + (n - 1) * spacing
+        # nothing else draws in the burst, so n draws at once are the same
+        # stream; np.rint rounds half to even, as round() does
+        jitter = rng.uniform(-template.jitter, template.jitter, n)
+        size = _speed_envelope(n, template.envelope_skew, profile, floor, amp) * (1.0 + jitter)
+        sizes = np.clip(np.rint(size), floor, peak).astype(np.int64)
+        times = t0 + np.arange(n) * spacing
+        return times, np.ones(n, dtype=np.int64), sizes, t0 + (n - 1) * spacing
 
     raise InvalidConfig(f"unknown command kind {kind!r}")
 
@@ -320,7 +377,7 @@ def _plan_script(rng, action: ActionTemplate, commands):
         if s.probability < 1.0 and rng.random() >= s.probability:
             continue
         kinds, weights = zip(*s.kinds)
-        kind = kinds[int(rng.choice(len(kinds), p=np.array(weights) / sum(weights)))]
+        kind = kinds[_choice(rng, weights)]
         count = int(rng.integers(s.count_range[0], s.count_range[1] + 1))
         for _ in range(count):
             dur_range = s.duration_range or commands[kind].duration_range
@@ -351,15 +408,16 @@ def gen_action(
     if scalable_total > 0 and scalable_total > budget:
         scale = max(0.3, budget / scalable_total)
 
-    times, dirs, sizes = [], [], []
+    no_packets = np.zeros(0, dtype=np.int64)
+    chunks = [(no_packets.astype(np.float64), no_packets, no_packets)]  # columns per command
     t = t_start
     last_end = t_start
     for kind, dur, gap, scalable, profile in plan:
         *packets, end = gen_command(rng, commands[kind], t, duration=dur, profile=profile)
-        for column, new in zip((times, dirs, sizes), packets):
-            column.extend(new)
+        chunks.append(packets)
         last_end = max(last_end, end)
         t = end + (gap * scale if scalable else gap)
+    cmd_times, cmd_dirs, cmd_sizes = map(np.concatenate, zip(*chunks))
 
     tail = _uniform(rng, *action.tail_range)
     duration = min(MAX_DURATION, last_end + tail)
@@ -369,8 +427,9 @@ def gen_action(
     # keep-alives fill idle stretches in both directions
     ka_rate = _uniform(rng, *action.keepalive_rate_range)
     ka_lo, ka_hi = action.keepalive_size_range
-    out_times = sorted([t for t, d in zip(times, dirs) if d == 1] + [0.0])
-    in_times = sorted([t for t, d in zip(times, dirs) if d == -1] + [duration])
+    out_times = np.sort(np.append(cmd_times[cmd_dirs == 1], 0.0)).tolist()
+    in_times = np.sort(np.append(cmd_times[cmd_dirs == -1], duration)).tolist()
+    times, dirs, sizes = [], [], []
     for direction, occupied in ((1, out_times), (-1, in_times)):
         t = 0.0
         prev = -1.0
@@ -396,15 +455,20 @@ def gen_action(
     dirs += [1, -1]
     sizes += [int(rng.integers(ka_lo, ka_hi + 1)), int(rng.integers(ka_lo, ka_hi + 1))]
 
-    return Trace(*_packet_columns(times, dirs, sizes), label=action.label, trace_id=trace_id)
+    packets = (
+        np.concatenate((cmd_times, times)),
+        np.concatenate((cmd_dirs, dirs)),
+        np.concatenate((cmd_sizes, sizes)),
+    )
+    return Trace(*_packet_columns(*packets), label=action.label, trace_id=trace_id)
 
 
 def _packet_columns(
-    times: list[float], dirs: list[int], sizes: list[int]
+    times: Sequence[float], dirs: Sequence[int], sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times clamped at 0 and quantized, directions and sizes, in the order
     that sorting the (time, dir, size) tuples gives."""
-    times, dirs, sizes = np.array(times), np.array(dirs), np.array(sizes)
+    times, dirs, sizes = np.asarray(times), np.asarray(dirs), np.asarray(sizes)
     # np.where gives +0.0 for -0.0, as max(0.0, t) does; np.maximum need not
     times = quantize_time(np.where(times > 0.0, times, 0.0))
     order = np.lexsort((sizes, dirs, times))

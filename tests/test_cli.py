@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -71,6 +72,14 @@ def test_generate_negative_seed_exits_1(tmp_path, capsys):
     assert cli(["generate", "--seed", "-1", "--out-dir", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
+def test_generate_oversize_samples_per_class_exits_1_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    _assert_exit_1(["generate", "--samples-per-class", "1000000000000",
+                    "--out-dir", str(tmp_path / "data")], capsys, "samples_per_class", "10000")
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "data").exists()
 
 
 def test_kernels_subcommand(tmp_path, capsys):
@@ -398,6 +407,19 @@ def test_defend_modulation(tmp_path, capsys):
     assert summary["config"]["s_p"] == 150
     assert summary["max_added_latency"] <= 0.02
     capsys.readouterr()
+
+
+def test_defend_refuses_two_traces_of_one_name(tmp_path, capsys):
+    # both rows load as trace "x"; the second would overwrite the first's file
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.csv").write_bytes(b"t,dir,size\n0.000000,1,60\n0.500000,-1,90\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\na/x.csv,PickAndPlace\nb/x.csv,PourWater\n")
+    out = tmp_path / "out"
+    _assert_exit_1(["defend", "--manifest", str(manifest), "--defense", "padding",
+                    "--out-dir", str(out)], capsys, "two traces", "x.csv")
+    assert not (out / "manifest.csv").exists()
 
 
 def test_defend_writes_each_trace_as_it_is_made(tmp_path, capsys, monkeypatch):

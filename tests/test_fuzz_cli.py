@@ -86,7 +86,7 @@ RECIPES = st.fixed_dictionaries({
 FLAG_CHOICES = {
     "use_config": [True, False],
     "seed": ["0", "3", "-1"],
-    "samples": ["1", "2", "0", "-1"],
+    "samples": ["1", "2", "0", "-1", "10001", "1000000000000"],
     "bin_width": ["0.01", "0.05", "0.5", "0.001", "0.0001", "0", "-1", "nan", "inf", "1e-300"],
     "feature_set": ["full", "command", "summary"],
     "thresholds": [["0.9"], ["0", "1.3"], [], ["-1"], ["nan"]],

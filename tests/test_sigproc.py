@@ -738,6 +738,45 @@ def test_moments_match_reference_bit_for_bit(values):
             assert [float.hex(x) for x in sigproc._moments(values, ordered)] == want
 
 
+def searched_moments(v, ordered=None):
+    """_moments with every value, not each run's first, searched among the
+    distinct values."""
+    n = len(v)
+    mu = float(np.add.reduce(v) / n)
+    d = v - mu
+    m2 = float(np.add.reduce(d * d) / n)
+    if m2 <= sigproc._EPS:
+        return mu, 0.0, 0.0, 0.0
+    if ordered is None:
+        ordered = np.sort(v)
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    if 2 * np.count_nonzero(new) > n:
+        d3, d4 = d**3, d**4
+    else:
+        distinct = ordered[new]
+        e = distinct - mu
+        inverse = np.searchsorted(distinct, v)
+        d3, d4 = (e**3)[inverse], (e**4)[inverse]
+    m3 = float(np.add.reduce(d3) / n)
+    m4 = float(np.add.reduce(d4) / n)
+    try:
+        return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
+    except OverflowError:
+        return mu, math.sqrt(m2), math.nan, math.nan
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs() | _mostly_distinct())
+@example(np.array([0.0, -0.0, -0.0, 0.0, 2.0, 2.0, -0.0]))  # one run, both zero signs
+@example(np.array([math.nan, math.nan, 1.0, 1.0, math.nan]))
+@example(np.array([2.0, 2.0]))
+def test_moments_match_every_value_searched(values):
+    with np.errstate(all="ignore"):
+        want = [float.hex(x) for x in searched_moments(values)]
+        for ordered in (None, np.sort(values)):
+            assert [float.hex(x) for x in sigproc._moments(values, ordered)] == want
+
+
 def test_moments_call_no_unique(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.unique called")

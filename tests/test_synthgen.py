@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 
 from robofp import errors
 from robofp.sigproc import CommandKind
+from robofp.harness import ExperimentConfig
 from robofp.synthgen import (
     CONTROL_TICK,
     KEEPALIVE_CLEARANCE,
+    MAX_SAMPLES_PER_CLASS,
     PROFILES,
     ActionTemplate,
     CommandTemplate,
     GenConfig,
     ScriptStep,
+    _choice,
     _envelope,
     _packet_columns,
     _uniform,
@@ -114,6 +118,43 @@ def test_speed_profiles_mirror_each_other(commands):
     assert np.allclose(np.sort(fwd), np.sort(rev))
     # asymmetry: the slow riser peaks late, its reversal early
     assert np.argmax(fwd) > len(u) // 2 > np.argmax(rev)
+
+
+def reference_speed_burst(rng, template, t_start, duration, profile):
+    """The speed burst as a per-packet loop over Python floats."""
+    t0 = t_start + _uniform(rng, 0.0, CONTROL_TICK)
+    n = max(2, int(round(duration * template.packet_rate)))
+    spacing = 1.0 / template.packet_rate
+    floor, peak = template.out_size_range
+    amp = peak - floor
+    times, sizes = [], []
+    for i, jit in enumerate(rng.uniform(-template.jitter, template.jitter, n).tolist()):
+        size = floor + amp * _envelope((i + 0.5) / n, template.envelope_skew, profile)
+        size *= 1.0 + jit
+        times.append(t0 + i * spacing)
+        sizes.append(min(max(round(size), floor), peak))
+    return times, [1] * n, sizes, t0 + (n - 1) * spacing
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.floats(0.0, 30.0),
+    st.one_of(st.floats(0.0, 4.0), st.integers(1, 400).map(lambda n: n / 80.0)),
+    st.sampled_from(PROFILES),
+    st.sampled_from([0.03, 0.0, 0.5]),
+)
+def test_speed_burst_matches_per_packet_loop(seed, t_start, duration, profile, jitter):
+    template = default_command_templates()[CommandKind.GRIPPER_SPEED]
+    if jitter != template.jitter:
+        template = dataclasses.replace(template, jitter=jitter)
+    ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    *got, end = gen_command(ours, template, t_start, duration=duration, profile=profile)
+    *want, want_end = reference_speed_burst(loop, template, t_start, duration, profile)
+    assert end == want_end
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.array(b, dtype=np.asarray(a).dtype).tobytes()
+    assert ours.integers(2**62) == loop.integers(2**62)
 
 
 def test_gen_command_rejects_unknown_profile(commands):
@@ -230,6 +271,46 @@ def test_uniform_matches_generator_uniform(seed, lo, width, n):
     assert ours.integers(2**62) == numpys.integers(2**62) == batch.integers(2**62)
 
 
+WEIGHTS = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(0.01, 100.0),
+    st.integers(1, 10),
+    st.sampled_from([1.0, 0.5, 1 / 3, 5e-324, 1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(WEIGHTS, min_size=1, max_size=6))
+def test_choice_matches_generator_choice(seed, weights):
+    if not np.isfinite(sum(weights)):
+        return  # ScriptStep refuses these
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = int(numpys.choice(len(weights), p=np.array(weights) / sum(weights)))
+    assert _choice(ours, tuple(weights)) == want
+    assert ours.integers(2**62) == numpys.integers(2**62)
+
+
+def test_choice_draw_on_a_cdf_step_takes_the_next_kind():
+    """A draw equal to a cdf value lands right of it, as searchsorted's
+    side="right" puts it; no seed is known to draw such a double."""
+
+    class Draws:
+        def random(self):
+            return 0.5
+
+    cdf = np.cumsum([0.25, 0.25, 0.5])
+    assert _choice(Draws(), (1.0, 1.0, 2.0)) == int(cdf.searchsorted(0.5, side="right")) == 2
+
+
+@pytest.mark.parametrize(
+    "weights", [(), (0.0,), (1.0, -1.0), (math.nan,), (math.inf, 1.0), (1e308, 1e308)]
+)
+def test_script_step_refuses_weights_choice_cannot_draw(weights):
+    kinds = tuple((CommandKind.CARTESIAN_MOVE, w) for w in weights)
+    with pytest.raises(errors.InvalidConfig, match="weights"):
+        ScriptStep(kinds, (1, 1), (1.0, 2.0))
+
+
 # t * 1e6 is exactly m + 0.5 for each of these, so rounding breaks a tie
 TIES = [(m + 0.5) / 1e6 for m in (0, 1, 2, 3, 12, 4321, 20_000_000)]
 
@@ -289,6 +370,16 @@ def test_gen_config_validation():
                 {"seed": "3"}, {"seed": True}, {"samples_per_class": True}):
         with pytest.raises(errors.InvalidConfig):
             GenConfig(**bad)
+
+
+def test_samples_per_class_bounded():
+    GenConfig(samples_per_class=MAX_SAMPLES_PER_CLASS)
+    ExperimentConfig(samples_per_class=MAX_SAMPLES_PER_CLASS)
+    for make in (GenConfig, ExperimentConfig):
+        with pytest.raises(errors.InvalidConfig, match="samples_per_class .*10000"):
+            make(samples_per_class=MAX_SAMPLES_PER_CLASS + 1)
+        with pytest.raises(errors.InvalidConfig, match="samples_per_class"):
+            make(samples_per_class=10**12)
 
 
 def test_script_step_helper():

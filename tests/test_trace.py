@@ -162,10 +162,24 @@ capture_times = st.one_of(
 )
 
 
+# times of 10**9 s and more: ten integer digits and up, then past 2**50 us
+# (about 1.13e9 s), where the writer formats in Python, up to float range
+large_times = st.one_of(
+    st.integers(10**15, 2**53).map(lambda us: us / 1e6),
+    st.builds(_ulps, st.sampled_from([2.0**50 / 1e6, 2.0**50 / 1e6 - 0.5e-6]),
+              st.integers(-3, 3)),
+    near_half_microsecond.map(lambda t: t + 1e9),
+    st.floats(1e9, 1.7e308),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(capture_times, st.sampled_from([1, -1]), st.integers(1, MTU)), max_size=40
+        st.tuples(
+            st.one_of(capture_times, large_times), st.sampled_from([1, -1]), st.integers(1, MTU)
+        ),
+        max_size=40,
     )
 )
 def test_write_matches_reference_writer(rows):
@@ -174,6 +188,33 @@ def test_write_matches_reference_writer(rows):
         times[0] = 0.0  # traces start at 0; no rows is the empty trace
     tr = Trace(times, [d for _, d, _ in rows], [s for _, _, s in rows])
     assert write_trace_csv(tr) == reference_write_trace_csv(tr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(capture_times, large_times), st.sampled_from([1, -1]), st.integers(1, MTU)
+        ),
+        max_size=40,
+    ),
+    st.integers(1, 8),
+)
+def test_write_in_chunks_matches_reference_writer(rows, chunk):
+    """Every chunk size gives the same bytes, whichever rows fall back."""
+    times = sorted(t for t, _, _ in rows)
+    if times:
+        times[0] = 0.0
+    tr = Trace(times, [d for _, d, _ in rows], [s for _, _, s in rows])
+    with mock.patch.object(trace, "_WRITE_CHUNK", chunk):
+        assert write_trace_csv(tr) == reference_write_trace_csv(tr)
+
+
+def test_save_trace_writes_the_writers_bytes(tmp_path):
+    tr = make_trace([(0.0, 1, 60), (0.25, -1, 1500), (1.5e9, 1, 7), (1e300, -1, 99)])
+    with mock.patch.object(trace, "_WRITE_CHUNK", 3):
+        trace.save_trace(tr, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == reference_write_trace_csv(tr)
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,6 +404,27 @@ class TestManifest:
         (d / "manifest.csv").write_text("path,label\na.csv,PourWater\n")
         ds = load_dataset(d / "manifest.csv")
         assert ds.traces[0].label is ActionLabel.POUR_WATER
+
+    def test_save_refuses_two_traces_of_one_name(self, tmp_path):
+        """``a/x.csv`` and ``b/x.csv`` both load as trace ``x``; saving them
+        must not write x.csv twice and list it twice."""
+        for sub, size in (("a", 60), ("b", 90)):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.csv").write_bytes(write_trace_csv(make_trace([(0.0, 1, size)])))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,label\na/x.csv,PickAndPlace\nb/x.csv,PourWater\n")
+        ds = load_dataset(manifest)
+        assert [t.trace_id for t in ds] == ["x", "x"]
+        out = tmp_path / "out"
+        with pytest.raises(errors.DuplicateTrace, match="x.csv"):
+            save_dataset(ds, out)
+        assert read_trace(out / "x.csv").sizes.tolist() == [60]  # the first, not overwritten
+        assert not (out / "manifest.csv").exists()
+        # traces without an id are named by position, which an id may take too
+        named = [make_trace([(0.0, 1, 9)], ActionLabel.PRESS_KEY, "trace_0001"),
+                 make_trace([(0.0, 1, 9)], ActionLabel.PRESS_KEY)]
+        with pytest.raises(errors.DuplicateTrace, match="trace_0001.csv"):
+            save_dataset(named, tmp_path / "out2")
 
     def test_read_trace_missing(self, tmp_path):
         with pytest.raises(errors.MissingFile):
