@@ -76,10 +76,16 @@ from .errors import _json_array, check_field_types
 
 _MIN_GAIN = 1e-12
 
+# One `robofp evaluate` of the default 200 captures (10 fold fits and the
+# top-feature fit) must finish within an hour on a 2-vCPU box.  A round cost
+# at most 16 ms a fit there (seed 42, shuffled labels, learning_rate 1e-6,
+# max_depth 1000, min_child_weight 0), so 11 fits of 20,000 take 3,600 s.
+MAX_ROUNDS = 20_000
+
 
 @dataclass(frozen=True)
 class GBDTParams:
-    n_rounds: int = 100
+    n_rounds: int = 100  # at most MAX_ROUNDS
     max_depth: int = 6
     learning_rate: float = 0.3
     reg_lambda: float = 1.0
@@ -89,6 +95,8 @@ class GBDTParams:
         check_field_types(self)
         if self.n_rounds < 1 or self.max_depth < 1:
             raise InvalidConfig("n_rounds and max_depth must be >= 1")
+        if self.n_rounds > MAX_ROUNDS:
+            raise InvalidConfig(f"n_rounds must be <= {MAX_ROUNDS}, got {self.n_rounds}")
         if not 0 < self.learning_rate <= 1:
             raise InvalidConfig("learning_rate must be in (0, 1]")
         if self.reg_lambda < 0 or self.min_child_weight < 0:

@@ -61,6 +61,10 @@ _MIN_INTERVAL = 1e-6  # slot times must stay distinct on the microsecond grid
 # slots per direction one modulated trace may allocate: 2**22 covers 419 s
 # at t_i = 0.1 ms, but only 4.2 s at 1 us
 MAX_SLOTS = 2**22
+# a longer interval would leave the 1 kHz controller a thousand periods
+# without a packet, and this bound keeps every slot time (at most
+# MAX_SLOTS * 1 s, under 49 days) finite and on the microsecond grid
+_MAX_INTERVAL = 1.0
 
 
 def modulation_preset(s_p: int, t_i: float, tail_dummies: float = 0.0) -> "ModulationConfig":
@@ -137,8 +141,8 @@ class ModulationConfig:
         check_field_types(self)  # NaN or inf would reach math.ceil
         if not 1 <= self.s_p <= MTU:
             raise InvalidConfig(f"dummy size {self.s_p} outside [1, {MTU}]")
-        if self.t_i < _MIN_INTERVAL:
-            raise InvalidConfig(f"interval {self.t_i} below {_MIN_INTERVAL}")
+        if not _MIN_INTERVAL <= self.t_i <= _MAX_INTERVAL:
+            raise InvalidConfig(f"interval {self.t_i} outside [{_MIN_INTERVAL}, {_MAX_INTERVAL}]")
         if self.big_l < self.t_i:
             raise InvalidConfig("deadline L must be >= interval t_i")
         if self.tail_dummies < 0:
@@ -269,7 +273,8 @@ def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:
 def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> DefendedTrace:
     """Schedule both directions at one packet per t_i with dummy fill."""
     t_i = config.t_i
-    last = math.ceil((trace.duration + config.tail_dummies) / t_i)
+    # a float until checked against MAX_SLOTS: a huge tail_dummies makes it inf
+    last = (trace.duration + config.tail_dummies) / t_i
     sizes, inverse = np.unique(trace.sizes, return_inverse=True)
     plans = np.array(
         [segment_plan(int(s), config.s_p, t_i, config.big_l) for s in sizes], dtype=np.int64
@@ -294,9 +299,9 @@ def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> Defended
         rows = np.repeat(first[k] - (np.cumsum(n_k) - n_k), n_k) + np.arange(n_k.sum())
         odd.append((rows, np.repeat(seg[idx][k] - config.s_p, n_k)))
 
-    n_slots = last + 1
-    if n_slots > MAX_SLOTS:
-        raise OutOfRange(f"t_i={t_i} needs {n_slots} slots per direction, more than {MAX_SLOTS}")
+    if last > MAX_SLOTS - 1:
+        raise OutOfRange(f"t_i={t_i} needs more than {MAX_SLOTS} slots per direction")
+    n_slots = math.ceil(last) + 1
     plan = SlotPlan(
         t_i, config.s_p, n_slots, tuple(odd), tuple(carriers), trace.label, trace.trace_id
     )

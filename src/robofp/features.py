@@ -378,6 +378,8 @@ def featurize_dataset(
     config: SigprocConfig | None = None,
     feature_set: str = "full",
 ) -> FeatureMatrix:
+    """One feature row, label and id per trace of ``dataset``, in order.  The
+    traces may be modulated captures' slot plans, as ``compute_features`` takes."""
     config = config or SigprocConfig()
     schema = make_schema(bank, config, feature_set)
     rows = [compute_features(t, bank, config, feature_set) for t in dataset.traces]

@@ -8,10 +8,11 @@ Sweep points run one after another, in sweep-key order, in one thread:
 threads sharing the interpreter lock never made a sweep faster.
 ``defend_dataset`` is the one per-trace defense loop, shared by both defense
 sweeps and ``robofp defend``: it defends each trace as its consumer reads
-it, so a sweep point holds one defended trace at a time and keeps only its
-feature rows, and ``robofp defend`` writes each defended trace as it is made.
-Sweep points featurize a modulated trace from its slot plan, not from its
-wire packets (84M of them per point at t_i = 0.1 ms).
+it, so ``robofp defend`` writes each defended trace as it is made.  A sweep
+point keeps per capture what ``featurize_dataset`` then reads: the padded
+trace, or the modulated trace's slot plan (1.4 MB for the 200 seed-42 plans
+at s_p = 500 B, t_i = 0.1 ms, against 84M wire packets); each DefendedTrace
+and its wire packets go before the next trace is defended.
 
 Emitted tables, all plain CSV:
 
@@ -39,14 +40,7 @@ from .defenses import (
     modulation_preset,
 )
 from .errors import InvalidConfig, SchemaMismatch, check_field_types, load_json
-from .features import (
-    FEATURE_SETS,
-    FeatureMatrix,
-    SigprocConfig,
-    compute_features,
-    feature_names,
-    featurize_dataset,
-)
+from .features import FEATURE_SETS, FeatureMatrix, SigprocConfig, featurize_dataset
 from .sigproc import KernelBank
 from .synthgen import GenConfig, check_samples_per_class, default_kernel_bank, gen_dataset
 from .trace import Dataset, load_dataset
@@ -142,14 +136,14 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 # attack evaluation
 
 
-def _evaluate(config: ExperimentConfig, X, labels, names, X_test=None):
+def _evaluate(config: ExperimentConfig, matrix: FeatureMatrix, X_test=None):
     return cross_validate(
-        X,
-        labels,
+        matrix.X,
+        matrix.labels,
         params=config.classifier,
         n_folds=config.n_folds,
         seed=config.seed,
-        feature_names=list(names),
+        feature_names=list(matrix.schema.names),
         X_test=X_test,
     )
 
@@ -165,7 +159,7 @@ def run_attack_experiment(config: ExperimentConfig) -> dict:
     """Featurize, cross-validate, rank features; returns the report document."""
     dataset, bank = load_inputs(config)
     matrix = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
-    report = _evaluate(config, matrix.X, matrix.labels, matrix.schema.names)
+    report = _evaluate(config, matrix)
     return {
         "config": config.to_doc(),
         "n_traces": len(dataset.traces),
@@ -211,7 +205,7 @@ def threshold_sweep(
     def job(t: float) -> dict:
         sig = replace(config.sigproc, conv_threshold=float(t))
         matrix = featurize_dataset(dataset, bank, sig, config.feature_set)
-        report = _evaluate(config, matrix.X, matrix.labels, matrix.schema.names)
+        report = _evaluate(config, matrix)
         return {"t": t, "accuracy": report.accuracy}
 
     return [job(t) for t in sorted(thresholds)]
@@ -244,22 +238,16 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
     scores the same held-out captures after the defense.  A modulated
     trace is featurized from its slot plan, never as wire packets."""
     dataset, bank = load_inputs(config)
-    labels = [t.label.value for t in dataset.traces]
-    names = feature_names(config.feature_set)
     clean = None
     if not config.retrain_on_defended:
-        clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set).X
-
-    def featurize(defended) -> np.ndarray:
-        sources = (d.trace if d.plan is None else d.plan for d in defended)
-        return np.vstack(
-            [compute_features(s, bank, config.sigproc, config.feature_set) for s in sources]
-        )
+        clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
 
     def job(defense) -> tuple[float, float, float]:
-        X, overhead, max_latency = defend_dataset(dataset, defense, featurize)
-        X_train = X if clean is None else clean
-        report = _evaluate(config, X_train, labels, names, X_test=X)
+        sources, overhead, max_latency = defend_dataset(
+            dataset, defense, lambda ds: [d.trace if d.plan is None else d.plan for d in ds]
+        )
+        matrix = featurize_dataset(Dataset(sources), bank, config.sigproc, config.feature_set)
+        report = _evaluate(config, matrix if clean is None else clean, X_test=matrix.X)
         return report.accuracy, overhead, max_latency
 
     return [job(d) for d in defenses]

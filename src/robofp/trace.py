@@ -18,10 +18,11 @@ The writer formats 2**16 rows at a time as a uint8 matrix, so its
 temporaries do not grow with the trace, and ``save_trace`` writes each chunk
 as it is made.  A time whose product ``t * 1e6`` is below 2**50 and within
 0.25 of an integer N is written as N's digits with a point before the last
-six, which is what ``"{:.6f}"`` prints for it (``_csv_rows`` says why); any
-other row (times from about 1.13e9 s, or off the microsecond grid) is
-formatted in Python.  A defended capture of 586,002 rows writes at about
-0.23 us a row instead of 1.2 us.
+six, which is what ``"{:.6f}"`` prints for it (``_csv_rows`` says why).  A
+chunk holding any other time (from about 1.13e9 s, or off the microsecond
+grid) is formatted whole in Python; every time the pipeline makes is on the
+grid, so generated and defended captures never are.  A defended capture of
+586,002 rows writes at about 0.23 us a row instead of 1.2 us.
 
 The reader takes the writer's own form (times of at most nine integer
 digits, directions ``1``/``-1``, a final LF) in one array pass: one regex
@@ -292,18 +293,19 @@ def _csv_rows(times: np.ndarray, dirs: np.ndarray, sizes: np.ndarray) -> bytes:
     integer N is written as N's digits with a point before the last six:
     p is within half an ulp (at most 1/16) of the exact t * 10**6, so the
     exact value lies within 0.3125 < 0.5 of N, and ``"{:.6f}"``, which
-    rounds the exact value, prints N.  Every other row is formatted in Python.
-    ``Trace`` guarantees the rest of the layout: finite times that are not
-    negative, directions of +1 or -1 and sizes in [1, MTU].
+    rounds the exact value, prints N.  A chunk holding any other time is
+    formatted whole in Python.  ``Trace`` guarantees the rest of the layout:
+    finite times that are not negative, directions of +1 or -1 and sizes in
+    [1, MTU].
     """
     with np.errstate(over="ignore"):  # times past about 1.8e302 s give inf
         micros = times * 1e6
-    large = ~(micros < 2.0**50)
-    micros[large] = 0.0
     whole = np.rint(micros)
-    slow = np.flatnonzero(large | (np.abs(micros - whole) > 0.25))
-    whole = whole.astype(np.int64)
-    seconds, fraction = np.divmod(whole, 10**6)
+    if not (np.all(micros < 2.0**50) and np.all(np.abs(micros - whole) <= 0.25)):
+        return "".join(
+            map("{:.6f},{},{}\n".format, times.tolist(), dirs.tolist(), sizes.tolist())
+        ).encode()
+    seconds, fraction = np.divmod(whole.astype(np.int64), 10**6)
     width = len(str(int(seconds.max())))
     rows = np.concatenate(
         (
@@ -318,22 +320,7 @@ def _csv_rows(times: np.ndarray, dirs: np.ndarray, sizes: np.ndarray) -> bytes:
         ),
         axis=1,
     )
-    rows[slow] = _PAD
-    kept = rows != _PAD
-    body = rows[kept].tobytes()
-    if not len(slow):
-        return body
-    # each slow row goes where its empty row ends in the body
-    ends = np.cumsum(kept.sum(axis=1))[slow].tolist()
-    formatted = map(
-        "{:.6f},{},{}\n".format, times[slow].tolist(), dirs[slow].tolist(), sizes[slow].tolist()
-    )
-    pieces, start = [], 0
-    for end, row in zip(ends, formatted):
-        pieces += [body[start:end], row.encode()]
-        start = end
-    pieces.append(body[start:])
-    return b"".join(pieces)
+    return rows[rows != _PAD].tobytes()
 
 
 def _csv_chunks(trace: Trace) -> Iterator[bytes]:
@@ -397,7 +384,8 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
     made on the fly are never all held at once.  A trace whose file name an
     earlier trace took (two trace ids alike, as ``load_dataset`` gives
     ``a/x.csv`` and ``b/x.csv``) raises DuplicateTrace before it is written,
-    and no manifest is written."""
+    and a trace without a label, which no manifest row can name, raises
+    UnknownLabel; either way no manifest is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [MANIFEST_HEADER]
@@ -407,6 +395,8 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
         rel = f"{name}.csv"
         if rel in written:
             raise DuplicateTrace(f"two traces would be written to {str(out_dir / rel)!r}")
+        if tr.label is None:
+            raise UnknownLabel(f"trace {name!r} has no label for the manifest")
         written.add(rel)
         save_trace(tr, out_dir / rel)
         rows.append(f"{rel},{tr.label.value}")

@@ -21,7 +21,7 @@ from robofp.defenses import ModulationConfig, apply_defense
 from robofp.features import featurize_dataset
 from robofp.sigproc import Signal
 from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
-from robofp.trace import Trace, save_dataset
+from robofp.trace import Dataset, Trace, save_dataset
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,6 +62,17 @@ def test_wire_packet_counter_reads_a_modulated_trace(tracing):
     counts = tracing._wire_packets(result, (trace,))
     assert counts["wire_packets"] == len(result.trace)
     assert counts["dummy_packets"] == counts["wire_packets"] - len(trace)
+
+
+def test_featurized_packet_counter_reads_slot_plans(tracing):
+    # a defense sweep featurizes modulated captures as slot plans; each counts
+    # its wire packets, two per slot
+    dataset = gen_dataset(GenConfig(seed=3, samples_per_class=1))
+    defense = ModulationConfig(500, 0.001, 0.001)
+    plans = Dataset([apply_defense(t, defense).plan for t in dataset.traces])
+    matrix = featurize_dataset(plans, default_kernel_bank(), feature_set="summary")
+    counts = tracing._featurized_packets(matrix, (plans,))
+    assert counts == {"packets": sum(2 * p.n_slots for p in plans.traces)}
 
 
 def test_every_counter_reads_a_real_result(tracing, tmp_path):

@@ -16,13 +16,14 @@ import io
 import json
 import math
 import shutil
+import time
 from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robofp.classifier import GBDTParams
+from robofp.classifier import MAX_ROUNDS, GBDTParams
 from robofp.cli import cli
 from robofp.features import SigprocConfig
 from robofp.harness import ExperimentConfig
@@ -61,8 +62,9 @@ KEYS = sorted(
        "source_id", "model", "params", "classes", "trees", "gain", "cv", "accuracy",
        "fold_accuracies", "confusion", "top_features", "n_traces", "unknown"}
 )
+# 20,001 and 10**12 lie past the n_rounds and samples_per_class bounds
 VALUES = st.sampled_from([None, True, False, 0, -1, 2, 2.5, 1e300, math.nan, math.inf, "", "x",
-                          "PressKey", [], {}, [1.5], {"x": 1}])
+                          "PressKey", [], {}, [1.5], {"x": 1}, 20_001, 10**12])
 FRAGMENTS = st.sampled_from(["", "x", "0", "-1", "2", "nan", "inf", "1e400", "0.5", "1501",
                              "PressKey", "Nope", "a.csv", "missing.csv", ".", "\r", '"'])
 OTHER = st.tuples(st.just("other"), st.sampled_from(KINDS))
@@ -93,8 +95,8 @@ FLAG_CHOICES = {
     "defense": ["padding", "modulation"],
     "x": ["1", "3", "0", "11"],
     "s_p": ["100", "1500", "0", "1501"],
-    "t_i": ["0.01", "0.001", "0.0001", "0", "1e-7", "nan", "inf"],
-    "tail": ["0", "0.05", "-1", "nan", "inf", "1e300"],
+    "t_i": ["0.01", "0.001", "0.0001", "0", "1e-7", "nan", "inf", "1e300"],
+    "tail": ["0", "0.05", "-1", "nan", "inf", "1e300", "1e308"],
     "kind": ["padding", "modulation"],
     "usage": [[], [], [], ["--seed", "x"], ["--no-such-flag"], ["--feature-set", "nope"],
               ["--workers", "2"]],
@@ -217,6 +219,14 @@ def _argv(command: str, flags: dict, d) -> list[str]:
          recipes={**ALL_GOOD, "config": ("set", "tail_dummies", "x")}, width=0.01)
 @example(command="defend", flags={**DEFAULT_FLAGS, "defense": "modulation", "t_i": "nan"},
          recipes=ALL_GOOD, width=0.01)
+@example(command="defend", flags={**DEFAULT_FLAGS, "defense": "modulation", "tail": "1e308"},
+         recipes=ALL_GOOD, width=0.01)
+@example(command="defend", flags={**DEFAULT_FLAGS, "defense": "modulation", "t_i": "1e300"},
+         recipes=ALL_GOOD, width=0.01)
+@example(command="sweep-defense", flags={**DEFAULT_FLAGS, "kind": "modulation"},
+         recipes={**ALL_GOOD, "config": ("set", "tail_dummies", 1e308)}, width=0.01)
+@example(command="evaluate", flags=DEFAULT_FLAGS,
+         recipes={**ALL_GOOD, "config": ("set", "n_rounds", 10**12)}, width=0.01)
 @example(command="report", flags=DEFAULT_FLAGS,
          recipes={**ALL_GOOD, "report": ("junk", b"[" * 5000)}, width=0.01)
 @example(command="featurize", flags=DEFAULT_FLAGS, recipes=ALL_GOOD, width=0.001)
@@ -231,3 +241,16 @@ def test_cli_exits_cleanly(workdir, command, flags, recipes, width):
     code, err = _quiet_cli([command, *_argv(command, flags, d), *flags["usage"]])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_rounds", [MAX_ROUNDS + 1, 10**12, 2**63])
+def test_oversize_n_rounds_exits_1_at_once(workdir, n_rounds):
+    d, goods = workdir
+    config = _set_key(json.loads(goods[0.01]["config"]), "n_rounds", n_rounds)
+    (d / "config.json").write_text(json.dumps(config))
+    start = time.perf_counter()
+    code, err = _quiet_cli(["evaluate", "--config", str(d / "config.json"),
+                            "--out-dir", str(d / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"n_rounds must be <= {MAX_ROUNDS}, got {n_rounds}" in err

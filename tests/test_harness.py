@@ -247,6 +247,25 @@ def test_sweep_point_holds_one_defended_trace_at_a_time(monkeypatch, retrain):
     assert row["overhead"] > 0
 
 
+@pytest.mark.parametrize("retrain, extra", [(True, 0), (False, 1)])
+def test_sweep_featurizes_through_featurize_dataset(monkeypatch, retrain, extra):
+    # one call per sweep point, on its slot plans; the fixed adversary adds
+    # one for its clean matrix
+    calls = []
+    featurize = harness.featurize_dataset
+
+    def spy(dataset, *args):
+        calls.append([type(t).__name__ for t in dataset.traces])
+        return featurize(dataset, *args)
+
+    monkeypatch.setattr(harness, "featurize_dataset", spy)
+    cfg = replace(SMALL, samples_per_class=2, n_folds=2, retrain_on_defended=retrain)
+    modulation_sweep(cfg, dummy_sizes=(300, 500), intervals=(0.001,))
+    assert len(calls) == 2 + extra
+    assert calls[extra:] == [["SlotPlan"] * 8] * 2
+    assert calls[:extra] == [["Trace"] * 8] * extra
+
+
 @pytest.mark.parametrize(
     "s_p, t_i, expected",
     [

@@ -426,6 +426,15 @@ class TestManifest:
         with pytest.raises(errors.DuplicateTrace, match="trace_0001.csv"):
             save_dataset(named, tmp_path / "out2")
 
+    def test_save_refuses_a_trace_without_a_label(self, tmp_path):
+        """No manifest row can name a trace without a label; it is refused before
+        its file is written, and no manifest is written."""
+        out = tmp_path / "out"
+        labelled = make_trace([(0.0, 1, 9)], ActionLabel.PRESS_KEY, "a")
+        with pytest.raises(errors.UnknownLabel, match="'trace_0001' has no label"):
+            save_dataset([labelled, Trace([0.0, 0.1], [1, -1], [10, 20])], out)
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv"]
+
     def test_read_trace_missing(self, tmp_path):
         with pytest.raises(errors.MissingFile):
             read_trace(tmp_path / "nothing.csv")
