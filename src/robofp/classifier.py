@@ -81,12 +81,16 @@ _MIN_GAIN = 1e-12
 # at most 16 ms a fit there (seed 42, shuffled labels, learning_rate 1e-6,
 # max_depth 1000, min_child_weight 0), so 11 fits of 20,000 take 3,600 s.
 MAX_ROUNDS = 20_000
+# `_grow_node` recurses once per tree level, so a tree of depth d takes d + 1
+# frames; 500 leaves half of Python's default limit of 1,000 frames to the
+# callers.  MAX_ROUNDS' hour was measured at max_depth 1000, deeper than this.
+MAX_DEPTH = 500
 
 
 @dataclass(frozen=True)
 class GBDTParams:
     n_rounds: int = 100  # at most MAX_ROUNDS
-    max_depth: int = 6
+    max_depth: int = 6  # at most MAX_DEPTH
     learning_rate: float = 0.3
     reg_lambda: float = 1.0
     min_child_weight: float = 1.0
@@ -97,6 +101,8 @@ class GBDTParams:
             raise InvalidConfig("n_rounds and max_depth must be >= 1")
         if self.n_rounds > MAX_ROUNDS:
             raise InvalidConfig(f"n_rounds must be <= {MAX_ROUNDS}, got {self.n_rounds}")
+        if self.max_depth > MAX_DEPTH:
+            raise InvalidConfig(f"max_depth must be <= {MAX_DEPTH}, got {self.max_depth}")
         if not 0 < self.learning_rate <= 1:
             raise InvalidConfig("learning_rate must be in (0, 1]")
         if self.reg_lambda < 0 or self.min_child_weight < 0:

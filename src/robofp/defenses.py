@@ -21,17 +21,18 @@ predecessors take, message k starts at
     first_k = before_k + max(arrival_0 - before_0, ..., arrival_k - before_k)
 
 (a running maximum, exact in integers).  The result is a SlotPlan, not
-wire packets: the slot count, each message's first slot, and the slot rows
-and sizes of the segments that are not s_p bytes.  On the generated
-captures at t_i = 0.1 ms there are none such, and the plan is a few
-arrays per message against millions of wire packets.  The slot count is
-checked against MAX_SLOTS first.
+wire packets: the slot count and the slot rows and sizes of the segments
+that are not s_p bytes.  On the generated captures at t_i = 0.1 ms there
+are none such, and the plan holds no per-message array against millions
+of wire packets.  Each message's original index and first slot stay
+with the DefendedTrace, beside the per-message latencies.  The slot count
+is checked against MAX_SLOTS first.
 
 The wire packets are built from the plan only when ``DefendedTrace.trace``
-or ``.orig_index`` is read: both directions fill one (n_slots, 2) grid,
-outgoing in column 0.  For t_i >= 1 us the microsecond-rounded slot times
-strictly increase, so reading the grid row by row is time order with the
-outgoing packet first in each slot.
+is read, slot by slot with the outgoing packet first.  For t_i >= 1 us the
+microsecond-rounded slot times strictly increase, so that is time order.
+Only ``.orig_index`` builds the (n_slots, 2) origin grid, outgoing in
+column 0, from each message's first slot.
 """
 
 from __future__ import annotations
@@ -165,15 +166,15 @@ class SlotPlan:
     Both directions send one packet in each of ``n_slots`` slots, ``t_i``
     seconds apart.  Every packet is ``s_p`` bytes except the segments in
     ``odd``, which holds per direction (outgoing first) their slot rows and
-    ``size - s_p``, and is often empty.  ``carriers`` holds per direction
-    each message's index in the original trace and its first slot.
+    ``size - s_p``, and is often empty.  Which message each slot carries is
+    not part of the schedule: features never read it, and it is kept by
+    the DefendedTrace.
     """
 
     t_i: float
     s_p: int
     n_slots: int
     odd: tuple[tuple[np.ndarray, np.ndarray], ...]
-    carriers: tuple[tuple[np.ndarray, np.ndarray], ...]
     label: ActionLabel | None = None
     trace_id: str | None = None
 
@@ -196,31 +197,28 @@ class SlotPlan:
         sizes[rows] += delta
         return sizes
 
-    def wire_packets(self) -> tuple[Trace, np.ndarray]:
-        """The defended trace, slot by slot with the outgoing packet first, and
-        the original packet each wire packet carries (-1 for the rest)."""
-        orig = np.full((self.n_slots, 2), -1, dtype=np.int64)
-        for column, (idx, first) in enumerate(self.carriers):
-            orig[first, column] = idx
+    def wire_packets(self) -> Trace:
+        """The defended trace, slot by slot with the outgoing packet first."""
         sizes = np.column_stack([self.column_sizes(c) for c in (0, 1)])
-        trace = Trace(
+        return Trace(
             np.repeat(self.slot_times(), 2),
             np.tile(np.array([1, -1], dtype=np.int32), self.n_slots),
             sizes.ravel(),
             label=self.label, trace_id=self.trace_id,
         )
-        return trace, orig.ravel()
 
 
 @dataclass
 class DefendedTrace:
     """A defended capture plus the bookkeeping linking it to the original.
 
-    Padding keeps its wire packets.  Modulation keeps only its slot ``plan``
-    (millions of wire packets at t_i = 0.1 ms come down to a few arrays per
-    message); the wire-packet view, ``trace`` and ``orig_index``, is built
-    from the plan on first read and then kept.  Features can be computed
-    from the plan without it.
+    Padding keeps its wire packets.  Modulation keeps its slot ``plan``
+    (millions of wire packets at t_i = 0.1 ms come down to a few arrays)
+    and its ``carriers``: per direction (outgoing first), each message's
+    index in the original trace and its first slot.  ``trace`` is built
+    from the plan on first read, and ``orig_index`` from the carriers on
+    its first read; both are then kept in ``packets``.  Features can be
+    computed from the plan without either.
 
     orig_index maps each defended packet to the original packet it carries
     (-1 for dummies and, under modulation, for all but the first segment).
@@ -231,20 +229,25 @@ class DefendedTrace:
     defended_bytes: int
     added_latency: np.ndarray
     plan: SlotPlan | None = None
-    packets: tuple[Trace, np.ndarray] | None = None  # (trace, orig_index)
+    carriers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    # (trace, orig_index); orig_index is None until read
+    packets: tuple[Trace, np.ndarray | None] | None = None
 
     @property
     def trace(self) -> Trace:
-        return self._wire()[0]
+        if self.packets is None:
+            self.packets = (self.plan.wire_packets(), None)
+        return self.packets[0]
 
     @property
     def orig_index(self) -> np.ndarray:
-        return self._wire()[1]
-
-    def _wire(self) -> tuple[Trace, np.ndarray]:
-        if self.packets is None:
-            self.packets = self.plan.wire_packets()
-        return self.packets
+        trace = self.trace
+        if self.packets[1] is None:
+            orig = np.full((self.plan.n_slots, 2), -1, dtype=np.int64)
+            for column, (idx, first) in enumerate(self.carriers):
+                orig[first, column] = idx
+            self.packets = (trace, orig.ravel())
+        return self.packets[1]
 
     @property
     def max_added_latency(self) -> float:
@@ -302,14 +305,12 @@ def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> Defended
     if last > MAX_SLOTS - 1:
         raise OutOfRange(f"t_i={t_i} needs more than {MAX_SLOTS} slots per direction")
     n_slots = math.ceil(last) + 1
-    plan = SlotPlan(
-        t_i, config.s_p, n_slots, tuple(odd), tuple(carriers), trace.label, trace.trace_id
-    )
     return DefendedTrace(
         original_bytes=trace.total_bytes,
         defended_bytes=2 * n_slots * config.s_p + sum(int(delta.sum()) for _, delta in odd),
         added_latency=latency,
-        plan=plan,
+        plan=SlotPlan(t_i, config.s_p, n_slots, tuple(odd), trace.label, trace.trace_id),
+        carriers=tuple(carriers),
     )
 
 

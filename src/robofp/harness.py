@@ -9,10 +9,12 @@ threads sharing the interpreter lock never made a sweep faster.
 ``defend_dataset`` is the one per-trace defense loop, shared by both defense
 sweeps and ``robofp defend``: it defends each trace as its consumer reads
 it, so ``robofp defend`` writes each defended trace as it is made.  A sweep
-point keeps per capture what ``featurize_dataset`` then reads: the padded
-trace, or the modulated trace's slot plan (1.4 MB for the 200 seed-42 plans
-at s_p = 500 B, t_i = 0.1 ms, against 84M wire packets); each DefendedTrace
-and its wire packets go before the next trace is defended.
+point featurizes inside that consumer: it collects per capture what
+``featurize_dataset`` reads, the padded trace or the modulated trace's slot
+plan (no per-message array: 0 bytes of arrays for the 200 seed-42 plans at
+s_p = 500 B, t_i = 0.1 ms, against 84M wire packets), and lets go of them
+before cross-validation.  Each DefendedTrace, with its per-message arrays
+and any wire packets, goes before the next trace is defended.
 
 Emitted tables, all plain CSV:
 
@@ -39,10 +41,16 @@ from .defenses import (
     apply_defense,
     modulation_preset,
 )
-from .errors import InvalidConfig, SchemaMismatch, check_field_types, load_json
+from .errors import InvalidConfig, OutOfRange, SchemaMismatch, check_field_types, load_json
 from .features import FEATURE_SETS, FeatureMatrix, SigprocConfig, featurize_dataset
-from .sigproc import KernelBank
-from .synthgen import GenConfig, check_samples_per_class, default_kernel_bank, gen_dataset
+from .sigproc import MAX_BINS, KernelBank
+from .synthgen import (
+    MAX_DURATION,
+    GenConfig,
+    check_samples_per_class,
+    default_kernel_bank,
+    gen_dataset,
+)
 from .trace import Dataset, load_dataset
 
 TOP_FEATURES = 20
@@ -51,13 +59,22 @@ DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(14))  # 0.0 .. 1
 DEFAULT_PADDING_GRID = tuple(range(1, 11))
 DEFAULT_DUMMY_SIZES = tuple(range(100, 1001, 100))
 
+# Every class needs n_folds captures, so 800 folds need at least 3,200.  A
+# fit on 3,200 seed-42 captures took 4.9 s on a 2-vCPU box (0.05 s on 200,
+# 0.52 s on 800), so the 801 fits of such an evaluate take about an hour.
+MAX_FOLDS = 800
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; serializes to one JSON document.
 
     ``samples_per_class`` is bounded as in GenConfig, by
-    synthgen.MAX_SAMPLES_PER_CLASS (10,000), also when a manifest is given."""
+    synthgen.MAX_SAMPLES_PER_CLASS (10,000), also when a manifest is given.
+    ``n_folds`` is at most MAX_FOLDS; runs that cross-validate generated
+    data also need it at most ``samples_per_class`` (``check_folds``).
+    Generated captures last up to synthgen.MAX_DURATION, so without a
+    manifest ``sigproc.bin_width`` must bin them in sigproc.MAX_BINS bins."""
 
     seed: int = 42
     samples_per_class: int = 50
@@ -76,13 +93,30 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         check_samples_per_class(self.samples_per_class)
-        if self.n_folds < 2:
-            raise InvalidConfig(f"n_folds must be >= 2, got {self.n_folds}")
+        if not 2 <= self.n_folds <= MAX_FOLDS:
+            raise InvalidConfig(f"n_folds must lie in [2, {MAX_FOLDS}], got {self.n_folds}")
+        if self.manifest is None and MAX_DURATION / self.sigproc.bin_width > MAX_BINS:
+            raise OutOfRange(
+                f"sigproc.bin_width must be at least about {MAX_DURATION / MAX_BINS:.3g} s "
+                f"for generated captures ({MAX_DURATION} s in at most {MAX_BINS} bins), "
+                f"got {self.sigproc.bin_width}"
+            )
         if self.feature_set not in FEATURE_SETS:
             raise InvalidConfig(f"unknown feature set {self.feature_set!r}")
         if self.workers not in (0, 1):
             raise InvalidConfig(
                 f"workers must be 0 or 1, got {self.workers}: sweep points run in one thread"
+            )
+
+    def check_folds(self) -> None:
+        """InvalidConfig unless generated data can be dealt into n_folds folds.
+
+        Runs that cross-validate call it before generating; featurizing and
+        defending deal no folds, so the config itself does not."""
+        if self.manifest is None and self.n_folds > self.samples_per_class:
+            raise InvalidConfig(
+                f"n_folds must be <= samples_per_class ({self.samples_per_class}) "
+                f"for generated data, got {self.n_folds}"
             )
 
     def to_doc(self) -> dict:
@@ -157,12 +191,17 @@ def _top_features(matrix: FeatureMatrix, config: ExperimentConfig) -> list[dict]
 
 def run_attack_experiment(config: ExperimentConfig) -> dict:
     """Featurize, cross-validate, rank features; returns the report document."""
+    config.check_folds()
     dataset, bank = load_inputs(config)
+    n_traces = len(dataset.traces)
     matrix = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
+    # the captures are not read again: cross-validation and the top-feature
+    # fit need only the matrix, so their packets are not held through them
+    del dataset
     report = _evaluate(config, matrix)
     return {
         "config": config.to_doc(),
-        "n_traces": len(dataset.traces),
+        "n_traces": n_traces,
         "kernel_fingerprint": bank.fingerprint(),
         "schema_fingerprint": matrix.schema.fingerprint(),
         "cv": report.to_doc(),
@@ -200,6 +239,7 @@ def threshold_sweep(
     for t in thresholds:
         if not 0.0 <= t <= 1.3:
             raise InvalidConfig(f"threshold {t} outside [0, 1.3]")
+    config.check_folds()
     dataset, bank = load_inputs(config)
 
     def job(t: float) -> dict:
@@ -237,16 +277,18 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
     defended features.  The fixed one fits each fold on clean traffic and
     scores the same held-out captures after the defense.  A modulated
     trace is featurized from its slot plan, never as wire packets."""
+    config.check_folds()
     dataset, bank = load_inputs(config)
     clean = None
     if not config.retrain_on_defended:
         clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
 
+    def featurize(defended) -> FeatureMatrix:
+        sources = [d.trace if d.plan is None else d.plan for d in defended]
+        return featurize_dataset(Dataset(sources), bank, config.sigproc, config.feature_set)
+
     def job(defense) -> tuple[float, float, float]:
-        sources, overhead, max_latency = defend_dataset(
-            dataset, defense, lambda ds: [d.trace if d.plan is None else d.plan for d in ds]
-        )
-        matrix = featurize_dataset(Dataset(sources), bank, config.sigproc, config.feature_set)
+        matrix, overhead, max_latency = defend_dataset(dataset, defense, featurize)
         report = _evaluate(config, matrix if clean is None else clean, X_test=matrix.X)
         return report.accuracy, overhead, max_latency
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from robofp import errors
 from robofp.classifier import (
     _MIN_GAIN,
+    MAX_DEPTH,
     CVReport,
     GBDTClassifier,
     GBDTParams,
@@ -114,6 +115,19 @@ def test_params_validation():
         GBDTParams(learning_rate=0.0)
     with pytest.raises(errors.InvalidConfig):
         GBDTParams(reg_lambda=-1.0)
+
+
+def test_max_depth_bounded_within_recursion_limit():
+    # alternating labels on one column grow a chain as deep as max_depth
+    # allows; at max_depth 1,000,000 it reached a bare RecursionError
+    X, y = np.arange(3000.0)[:, None], ["a" if i % 2 else "b" for i in range(3000)]
+    model = GBDTClassifier(GBDTParams(n_rounds=1, max_depth=MAX_DEPTH, min_child_weight=0.0))
+    model.fit(X, y)
+    assert model._forest.depth == MAX_DEPTH
+    assert GBDTClassifier.from_json(model.to_json()).predict(X) == model.predict(X)
+    for depth in (MAX_DEPTH + 1, 1_000_000):
+        with pytest.raises(errors.InvalidConfig, match=f"max_depth must be <= {MAX_DEPTH}, got"):
+            GBDTParams(max_depth=depth)
 
 
 @pytest.mark.parametrize("seed", [0, 2, 5])

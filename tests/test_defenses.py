@@ -437,6 +437,17 @@ def test_modulated_arrays_pinned(s_p, t_i, expected):
     assert h.hexdigest() == expected
 
 
+def test_modulated_origin_grid_built_only_for_orig_index():
+    # robofp defend reads only .trace; the origin grid waits for .orig_index
+    trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
+    d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
+    wire = d.trace
+    assert d.packets == (wire, None)
+    # message 0 in slot 0 (outgoing), 1 in slot 2 (incoming), 2 in slot 4
+    assert d.orig_index.tolist() == [0, -1, -1, -1, -1, 1, -1, -1, 2, -1]
+    assert d.packets[0] is wire and d.trace is wire
+
+
 def test_modulated_wire_packets_built_on_first_read():
     trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
     d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))

@@ -495,7 +495,7 @@ CHUNK = features._GRID_CHUNK
 @example(t_i=1e-4, n_slots=2 * CHUNK + 1)
 def test_plan_iat_percentiles_match_np_percentile(t_i, n_slots):
     empty = (np.zeros(0, dtype=np.int64),) * 2
-    plan = SlotPlan(t_i, 500, n_slots, (empty, empty), (empty, empty))
+    plan = SlotPlan(t_i, 500, n_slots, (empty, empty))
     grid = plan.slot_times()
     iat = np.diff(grid) if n_slots > 1 else np.zeros(1)
     expected = np.percentile(iat, (5, 10, 25, 50, 75, 90, 95))
@@ -552,7 +552,7 @@ def _odd_column(draw):
 def test_plan_size_percentiles_match_np_percentile(case):
     n_slots, rows, delta = case
     empty = (np.zeros(0, dtype=np.int64),) * 2
-    plan = SlotPlan(1e-3, 500, n_slots, ((rows, delta), empty), (empty, empty))
+    plan = SlotPlan(1e-3, 500, n_slots, ((rows, delta), empty))
     for column in (0, 1):
         expected = np.percentile(plan.column_sizes(column).astype(float), (50, 90))
         got = features._plan_size_percentiles(plan, column)

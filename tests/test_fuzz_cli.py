@@ -23,10 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robofp.classifier import MAX_ROUNDS, GBDTParams
+from robofp.classifier import MAX_DEPTH, MAX_ROUNDS, GBDTParams
 from robofp.cli import cli
 from robofp.features import SigprocConfig
-from robofp.harness import ExperimentConfig
+from robofp.harness import MAX_FOLDS, ExperimentConfig
 from robofp.trace import ActionLabel
 
 COMMANDS = ["generate", "kernels", "featurize", "train", "evaluate", "sweep-threshold",
@@ -62,9 +62,12 @@ KEYS = sorted(
        "source_id", "model", "params", "classes", "trees", "gain", "cv", "accuracy",
        "fold_accuracies", "confusion", "top_features", "n_traces", "unknown"}
 )
-# 20,001 and 10**12 lie past the n_rounds and samples_per_class bounds
-VALUES = st.sampled_from([None, True, False, 0, -1, 2, 2.5, 1e300, math.nan, math.inf, "", "x",
-                          "PressKey", [], {}, [1.5], {"x": 1}, 20_001, 10**12])
+# 20,001, 10**12, MAX_DEPTH + 1 and MAX_FOLDS + 1 lie past the n_rounds,
+# samples_per_class, max_depth and n_folds bounds; 1e-300 is below the
+# generated-data bin_width floor
+VALUES = st.sampled_from([None, True, False, 0, -1, 2, 2.5, 1e300, 1e-300, math.nan, math.inf,
+                          "", "x", "PressKey", [], {}, [1.5], {"x": 1}, 20_001, 10**12,
+                          MAX_DEPTH + 1, MAX_FOLDS + 1])
 FRAGMENTS = st.sampled_from(["", "x", "0", "-1", "2", "nan", "inf", "1e400", "0.5", "1501",
                              "PressKey", "Nope", "a.csv", "missing.csv", ".", "\r", '"'])
 OTHER = st.tuples(st.just("other"), st.sampled_from(KINDS))
@@ -254,3 +257,33 @@ def test_oversize_n_rounds_exits_1_at_once(workdir, n_rounds):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert f"n_rounds must be <= {MAX_ROUNDS}, got {n_rounds}" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"max_depth": MAX_DEPTH + 1}, f"max_depth must be <= {MAX_DEPTH}, got {MAX_DEPTH + 1}"),
+        ({"max_depth": 10**12}, f"max_depth must be <= {MAX_DEPTH}, got {10**12}"),
+        ({"n_folds": MAX_FOLDS + 1}, f"n_folds must lie in [2, {MAX_FOLDS}], got {MAX_FOLDS + 1}"),
+        ({"n_folds": 10**12}, f"n_folds must lie in [2, {MAX_FOLDS}], got {10**12}"),
+        # generated data: 2 captures per class cannot fill 3 folds
+        ({"manifest": None, "n_folds": 3},
+         "n_folds must be <= samples_per_class (2) for generated data, got 3"),
+        ({"manifest": None, "bin_width": 1e-300},
+         "sigproc.bin_width must be at least about 1.75e-06 s for generated captures"),
+        ({"manifest": None, "bin_width": 1e-6},
+         "sigproc.bin_width must be at least about 1.75e-06 s for generated captures"),
+    ],
+)
+def test_oversize_config_fields_exit_1_at_once(workdir, edit, message):
+    d, goods = workdir
+    config = json.loads(goods[0.01]["config"])
+    for key, value in edit.items():
+        config = _set_key(config, key, value)
+    (d / "config.json").write_text(json.dumps(config))
+    start = time.perf_counter()
+    code, err = _quiet_cli(["evaluate", "--config", str(d / "config.json"),
+                            "--out-dir", str(d / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert message in err

@@ -4,6 +4,7 @@ import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from robofp import errors, harness
@@ -13,6 +14,7 @@ from robofp.features import SigprocConfig
 from robofp.harness import (
     DEFAULT_PADDING_GRID,
     DEFAULT_THRESHOLD_GRID,
+    MAX_FOLDS,
     ExperimentConfig,
     load_inputs,
     modulation_sweep,
@@ -23,7 +25,8 @@ from robofp.harness import (
     threshold_sweep,
     write_report,
 )
-from robofp.synthgen import GenConfig, gen_dataset
+from robofp.sigproc import MAX_BINS
+from robofp.synthgen import MAX_DURATION, GenConfig, gen_dataset
 from robofp.trace import save_dataset
 
 # small but CV-viable: 10 per class, 5 folds, light trees
@@ -89,6 +92,26 @@ def test_config_rejects_bad_documents():
     assert (config.tail_dummies, config.sigproc.merge_gap) == (2, 0)
     with pytest.raises(errors.InvalidConfig):
         GenConfig(seed=-1)
+
+
+def test_config_bounds_refuse_before_any_work(monkeypatch):
+    ExperimentConfig(n_folds=MAX_FOLDS, samples_per_class=MAX_FOLDS)
+    with pytest.raises(errors.InvalidConfig, match=f"n_folds must lie in \\[2, {MAX_FOLDS}\\]"):
+        ExperimentConfig(n_folds=MAX_FOLDS + 1, manifest="m.csv")
+    # the bin width floor holds for generated captures only
+    floor = MAX_DURATION / MAX_BINS
+    ExperimentConfig(sigproc=SigprocConfig(bin_width=floor))
+    ExperimentConfig(sigproc=SigprocConfig(bin_width=1e-300), manifest="m.csv")
+    with pytest.raises(errors.OutOfRange, match="sigproc.bin_width must be at least"):
+        ExperimentConfig(sigproc=SigprocConfig(bin_width=floor * (1 - 1e-15)))
+    # more folds than generated captures per class: refused before generating,
+    # though featurizing and defending accept the config
+    config = ExperimentConfig(samples_per_class=2, n_folds=3)
+    monkeypatch.setattr(harness, "load_inputs", lambda c: pytest.fail("generated data"))
+    for run in (run_attack_experiment, threshold_sweep, padding_sweep, modulation_sweep):
+        with pytest.raises(errors.InvalidConfig, match="n_folds must be <= samples_per_class"):
+            run(config)
+    replace(config, manifest="m.csv").check_folds()
 
 
 def test_resolve_workers():
@@ -266,6 +289,45 @@ def test_sweep_featurizes_through_featurize_dataset(monkeypatch, retrain, extra)
     assert calls[:extra] == [["Trace"] * 8] * extra
 
 
+def _arrays(value):
+    """Every numpy array held in a value, through tuples and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if hasattr(value, "__dataclass_fields__"):
+        return [a for f in value.__dataclass_fields__ for a in _arrays(getattr(value, f))]
+    return []
+
+
+def test_sweep_plans_hold_only_their_odd_segments(monkeypatch):
+    # the plans a seed-42 sweep point featurizes keep no per-message array:
+    # their only arrays are the odd segments, and at 500 B / 0.1 ms there are
+    # none; and no plan is alive while the point cross-validates
+    refs, held, alive_at_cv = [], [], []
+    featurize = harness.featurize_dataset
+
+    def spy(dataset, *args):
+        for plan in dataset.traces:
+            assert type(plan) is SlotPlan
+            odd = [a for column in plan.odd for a in column]
+            assert [id(a) for a in _arrays(plan)] == [id(a) for a in odd]
+            held.extend(a.nbytes for a in odd)
+            refs.append(weakref.ref(plan))
+        return featurize(dataset, *args)
+
+    def cv(X, labels, X_test=None, **kw):
+        alive_at_cv.append(sum(r() is not None for r in refs))
+        return SimpleNamespace(accuracy=0.0)
+
+    monkeypatch.setattr(harness, "featurize_dataset", spy)
+    monkeypatch.setattr(harness, "cross_validate", cv)
+    modulation_sweep(ExperimentConfig(seed=42), (500,), (0.0001,))
+    assert len(refs) == 200 and len(held) == 4 * 200
+    assert sum(held) == 0
+    assert alive_at_cv == [0]
+
+
 @pytest.mark.parametrize(
     "s_p, t_i, expected",
     [
@@ -290,7 +352,7 @@ def test_sweep_point_features_pinned(monkeypatch, s_p, t_i, expected):
 
     monkeypatch.setattr(harness, "cross_validate", capture)
     monkeypatch.setattr(SlotPlan, "wire_packets", refuse)
-    modulation_sweep(ExperimentConfig(seed=7, samples_per_class=5), (s_p,), (t_i,))
+    modulation_sweep(ExperimentConfig(seed=7, samples_per_class=5, n_folds=5), (s_p,), (t_i,))
     (X,) = seen
     assert hashlib.sha256(X.tobytes()).hexdigest() == expected
 
