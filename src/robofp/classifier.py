@@ -62,10 +62,18 @@ round, in round order, so each class score is the same sum in the same
 order as one tree at a time would give.  Building the table also checks a
 loaded model: children come after their parent and inside its tree, so no
 walk can loop.
+
+Cross-validation finds the rank classes of the whole matrix once and fits
+every fold on their searched columns only: a fit on any subset of the rows
+searches no other column, so the predictions are unchanged.  The same
+reduction keys a training problem (``problem_key``), so that a sweep
+cross-validates each distinct one once, and ``cross_validate_each`` scores
+several test matrices with one set of fold models.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -216,6 +224,18 @@ def _check_finite(X: np.ndarray, names: list[str] | None) -> None:
         raise SchemaMismatch(f"column {j} ({name}) holds a non-finite value")
 
 
+def _rank_classes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns ``fit`` searches, ascending: the first column of each rank
+    class that rises; then the stable presort of every column and the
+    sorted values."""
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(X, order, axis=0)
+    rise = sorted_x[1:] > sorted_x[:-1]
+    varying = np.flatnonzero(rise.any(axis=0))[::-1]  # the lowest index is kept
+    rank_class = {(order[:, f].tobytes(), rise[:, f].tobytes()): f for f in varying}
+    return np.array(sorted(rank_class.values()), dtype=np.int64), order, sorted_x
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -249,13 +269,7 @@ class GBDTClassifier:
         K = len(self.classes_)
         Y = np.eye(K)[np.searchsorted(self.classes_, y)]  # one-hot rows
 
-        # presort once; search the first column of each rank class that rises
-        order = np.argsort(X, axis=0, kind="stable")
-        sorted_x = np.take_along_axis(X, order, axis=0)
-        rise = sorted_x[1:] > sorted_x[:-1]
-        varying = np.flatnonzero(rise.any(axis=0))[::-1]  # the lowest index is kept
-        rank_class = {(order[:, f].tobytes(), rise[:, f].tobytes()): f for f in varying}
-        features = np.array(sorted(rank_class.values()), dtype=np.int64)
+        features, order, sorted_x = _rank_classes(X)
         presorted = (order[:, features].T.copy(), sorted_x[:, features].T.copy())
 
         self._gain = np.zeros(n_features)
@@ -446,10 +460,26 @@ def stratified_folds(y: list[str], n_folds: int, seed: int) -> list[np.ndarray]:
     for c in classes:
         idx = np.flatnonzero(y_arr == c)
         if len(idx) < n_folds:
-            raise TooFewSamples(f"class {c!r} has {len(idx)} samples, fewer than {n_folds} folds")
+            raise TooFewSamples(
+                f"class {c!r} has {len(idx)} samples, fewer than {n_folds} folds; "
+                f"n_folds must not exceed any class's sample count"
+            )
         rng.shuffle(idx)
         shuffled.append(idx)
     return [np.sort(np.concatenate([idx[f::n_folds] for idx in shuffled])) for f in range(n_folds)]
+
+
+def problem_key(X: np.ndarray, y: list[str], params: GBDTParams, n_folds: int, seed: int) -> str:
+    """sha256 of a cross-validation's reduced training problem: the rank-class
+    columns of ``X`` (their indices and values), the labels, ``n_folds``,
+    ``seed`` and ``params``.  Two problems with one key give one CVReport,
+    since every fold model reads only those columns (``cross_validate``)."""
+    X = np.asarray(X, dtype=np.float64)
+    columns = _rank_classes(X)[0]
+    doc = [columns.tolist(), list(y), n_folds, seed, asdict(params)]
+    digest = hashlib.sha256(json.dumps(doc).encode())
+    digest.update(np.ascontiguousarray(X[:, columns]).tobytes())
+    return digest.hexdigest()
 
 
 def cross_validate(
@@ -467,23 +497,63 @@ def cross_validate(
     of ``X_test`` (default ``X``), so a model fitted on clean traffic can be
     scored on the same captures after a defense.
     """
+    (report,) = cross_validate_each(
+        X, y, [X if X_test is None else X_test], params, n_folds, seed, feature_names
+    )
+    return report
+
+
+def cross_validate_each(
+    X: np.ndarray,
+    y: list[str],
+    X_tests: list[np.ndarray],
+    params: GBDTParams | None = None,
+    n_folds: int = 10,
+    seed: int = 0,
+    feature_names: list[str] | None = None,
+) -> list[CVReport]:
+    """One CVReport per matrix of ``X_tests``, from one set of fold models.
+
+    Each fold's model is fitted once on rows of ``X`` and predicts that
+    fold's held-out rows of every test matrix; it goes before the next fold
+    is fitted.  The models fit on the rank-class columns of ``X`` only
+    (``_rank_classes``).  Two columns with one stable order and rise pattern
+    keep both on any subset of rows, so no fold's fit searches another
+    column, and the predictions are those of a fit on every column.
+    """
     X = np.asarray(X, dtype=np.float64)
-    X_test = X if X_test is None else np.asarray(X_test, dtype=np.float64)
-    if X_test.shape != X.shape:
-        raise SchemaMismatch(f"X_test has shape {X_test.shape}, X has {X.shape}")
+    X_tests = [np.asarray(t, dtype=np.float64) for t in X_tests]
+    for X_test in X_tests:
+        if X_test.shape != X.shape:
+            raise SchemaMismatch(f"X_test has shape {X_test.shape}, X has {X.shape}")
+    folds = stratified_folds(y, n_folds, seed)
+    if X.ndim != 2 or len(y) != X.shape[0]:
+        raise SchemaMismatch("X must be 2-D with one label per row")
+    for matrix in (X, *X_tests):
+        _check_finite(matrix, feature_names)
+    columns = _rank_classes(X)[0]
+    reduced = X[:, columns]
+    X_tests = [reduced if t is X else t[:, columns] for t in X_tests]
+    X = reduced
+    names = [feature_names[j] for j in columns] if feature_names else None
     classes = sorted(set(y))
     codes = np.searchsorted(classes, y)  # index in the sorted class list
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    fold_accuracies = []
+    confusions = [np.zeros((len(classes), len(classes)), dtype=np.int64) for _ in X_tests]
+    fold_accuracies = [[] for _ in X_tests]
 
-    for heldout in stratified_folds(y, n_folds, seed):
+    for heldout in folds:
         train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(params, feature_names)  # frees the previous fold's model
+        model = GBDTClassifier(params, names)  # frees the previous fold's model
         model.fit(X[train], [y[i] for i in train])
-        pred = np.searchsorted(classes, model.predict(X_test[heldout]))
-        np.add.at(confusion, (codes[heldout], pred), 1)
-        fold_accuracies.append(float(np.mean(pred == codes[heldout])))
+        for X_test, confusion, accuracies in zip(X_tests, confusions, fold_accuracies):
+            pred = np.searchsorted(classes, model.predict(X_test[heldout]))
+            np.add.at(confusion, (codes[heldout], pred), 1)
+            accuracies.append(float(np.mean(pred == codes[heldout])))
 
+    return [_report(classes, c, a) for c, a in zip(confusions, fold_accuracies)]
+
+
+def _report(classes: list[str], confusion: np.ndarray, fold_accuracies: list[float]) -> CVReport:
     precision, recall = (
         np.divide(confusion.diagonal(), sums, out=np.zeros(len(classes)), where=sums > 0).tolist()
         for sums in (confusion.sum(axis=0), confusion.sum(axis=1))

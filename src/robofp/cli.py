@@ -140,7 +140,7 @@ def _cmd_defend(args) -> int:
         defense = modulation_preset(args.s_p, args.t_i, tail_dummies=args.tail_dummies)
     out_dir = Path(args.out_dir)
     manifest, overhead, max_latency = defend_dataset(
-        dataset, defense, lambda defended: save_dataset((d.trace for d in defended), out_dir)
+        dataset, defense, lambda defended: save_dataset((d.capture for d in defended), out_dir)
     )
     summary = {
         "config": defense.to_doc(),

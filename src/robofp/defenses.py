@@ -29,8 +29,10 @@ with the DefendedTrace, beside the per-message latencies.  The slot count
 is checked against MAX_SLOTS first.
 
 The wire packets are built from the plan only when ``DefendedTrace.trace``
-is read, slot by slot with the outgoing packet first.  For t_i >= 1 us the
-microsecond-rounded slot times strictly increase, so that is time order.
+is read, slot by slot with the outgoing packet first; the trace writer
+builds them a chunk of rows at a time (``SlotPlan.columns``).  For
+t_i >= 1 us the microsecond-rounded slot times strictly increase, so that
+is time order.
 Only ``.orig_index`` builds the (n_slots, 2) origin grid, outgoing in
 column 0, from each message's first slot.
 """
@@ -197,6 +199,23 @@ class SlotPlan:
         sizes[rows] += delta
         return sizes
 
+    def columns(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times, directions and sizes of wire packets ``start`` up to
+        ``stop``, as those rows of ``wire_packets()`` hold them, built for
+        the slots that carry them only."""
+        stop = min(stop, len(self))
+        first, end = start // 2, (stop + 1) // 2  # the slots holding those rows
+        sizes = np.full((end - first, 2), self.s_p, dtype=np.int64)
+        for column, (rows, delta) in enumerate(self.odd):
+            inside = (rows >= first) & (rows < end)
+            sizes[rows[inside] - first, column] += delta[inside]
+        cut = slice(start - 2 * first, stop - 2 * first)
+        return (
+            np.repeat(self.slot_times(np.arange(first, end)), 2)[cut],
+            np.tile(np.array([1, -1], dtype=np.int32), end - first)[cut],
+            sizes.ravel()[cut],
+        )
+
     def wire_packets(self) -> Trace:
         """The defended trace, slot by slot with the outgoing packet first."""
         sizes = np.column_stack([self.column_sizes(c) for c in (0, 1)])
@@ -238,6 +257,13 @@ class DefendedTrace:
         if self.packets is None:
             self.packets = (self.plan.wire_packets(), None)
         return self.packets[0]
+
+    @property
+    def capture(self) -> Trace | SlotPlan:
+        """What features and the trace writer read: the slot plan of a
+        modulated capture, which they take without its wire packets, or
+        the padded trace."""
+        return self.trace if self.plan is None else self.plan
 
     @property
     def orig_index(self) -> np.ndarray:

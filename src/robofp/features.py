@@ -379,12 +379,15 @@ def featurize_dataset(
     feature_set: str = "full",
 ) -> FeatureMatrix:
     """One feature row, label and id per trace of ``dataset``, in order.  The
-    traces may be modulated captures' slot plans, as ``compute_features`` takes."""
+    traces may be modulated captures' slot plans, as ``compute_features`` takes.
+    They are read in one pass, so a manifest's captures are read once."""
     config = config or SigprocConfig()
     schema = make_schema(bank, config, feature_set)
-    rows = [compute_features(t, bank, config, feature_set) for t in dataset.traces]
-    labels = [t.label.value if t.label is not None else "" for t in dataset.traces]
-    ids = [t.trace_id or f"trace_{i:04d}" for i, t in enumerate(dataset.traces)]
+    rows, labels, ids = [], [], []
+    for i, t in enumerate(dataset.traces):
+        rows.append(compute_features(t, bank, config, feature_set))
+        labels.append(t.label.value if t.label is not None else "")
+        ids.append(t.trace_id or f"trace_{i:04d}")
     return FeatureMatrix(np.vstack(rows), labels, ids, schema)
 
 

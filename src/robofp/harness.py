@@ -4,17 +4,36 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
+A manifest's captures are read on demand: ``load_inputs`` parses the rows
+and each pass (featurizing, defending) reads one capture at a time, keeping
+none, so no run holds the whole set.  A sweep re-reads them once per point.
+Generated captures are held in memory.  A run that cross-validates a
+manifest refuses more folds than a class has rows before reading a capture.
+
 Sweep points run one after another, in sweep-key order, in one thread:
-threads sharing the interpreter lock never made a sweep faster.
+threads sharing the interpreter lock never made a sweep faster.  Fold
+models are shared where the answer cannot change:
+
+* the adapting adversary cross-validates once per distinct training
+  problem (``classifier.problem_key``: the rank-class columns, labels,
+  folds, seed and GBDT parameters); a point whose key an earlier point had
+  takes its accuracy, and each point is fitted before the next is made;
+* the fixed adversary featurizes every point, then fits each fold once on
+  the clean matrix and scores every point's held-out rows before the next
+  fold (``cross_validate_each``).
+
+No fold model outlives its fold, and nothing is kept across calls.
+
 ``defend_dataset`` is the one per-trace defense loop, shared by both defense
 sweeps and ``robofp defend``: it defends each trace as its consumer reads
-it, so ``robofp defend`` writes each defended trace as it is made.  A sweep
-point featurizes inside that consumer: it collects per capture what
+it, so ``robofp defend`` writes each defended trace as it is made, a
+modulated one from its slot plan without building its wire packets.  A
+sweep point featurizes inside that consumer: it collects per capture what
 ``featurize_dataset`` reads, the padded trace or the modulated trace's slot
 plan (no per-message array: 0 bytes of arrays for the 200 seed-42 plans at
 s_p = 500 B, t_i = 0.1 ms, against 84M wire packets), and lets go of them
-before cross-validation.  Each DefendedTrace, with its per-message arrays
-and any wire packets, goes before the next trace is defended.
+before any fit.  Each DefendedTrace, with its per-message arrays and any
+wire packets, goes before the next trace is defended.
 
 Emitted tables, all plain CSV:
 
@@ -34,7 +53,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import GBDTClassifier, GBDTParams, cross_validate
+from .classifier import (
+    GBDTClassifier,
+    GBDTParams,
+    cross_validate,
+    cross_validate_each,
+    problem_key,
+    stratified_folds,
+)
 from .defenses import (
     MODULATION_INTERVALS,
     PaddingConfig,
@@ -51,7 +77,9 @@ from .synthgen import (
     default_kernel_bank,
     gen_dataset,
 )
-from .trace import Dataset, load_dataset
+# load_dataset is no longer called here, but perfbench's traced runs wrap it
+# under this module's name
+from .trace import Dataset, ManifestCaptures, load_dataset  # noqa: F401
 
 TOP_FEATURES = 20
 
@@ -147,8 +175,10 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
+    """The captures and the kernel bank.  A manifest's captures are read on
+    demand, once per pass (``ManifestCaptures``); generated ones are held."""
     if config.manifest is not None:
-        dataset = load_dataset(config.manifest)
+        dataset = Dataset(ManifestCaptures(config.manifest))
     else:
         dataset = gen_dataset(
             GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
@@ -163,6 +193,18 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
                 )
     else:
         bank = default_kernel_bank(bin_width=config.sigproc.bin_width)
+    return dataset, bank
+
+
+def _cv_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
+    """``load_inputs`` for a run that cross-validates.  More folds than a
+    class has captures are refused first: for generated data before
+    generating, for a manifest once its rows are parsed, before any capture
+    is read."""
+    config.check_folds()
+    dataset, bank = load_inputs(config)
+    if config.manifest is not None:
+        stratified_folds(dataset.traces.labels, config.n_folds, config.seed)
     return dataset, bank
 
 
@@ -191,12 +233,11 @@ def _top_features(matrix: FeatureMatrix, config: ExperimentConfig) -> list[dict]
 
 def run_attack_experiment(config: ExperimentConfig) -> dict:
     """Featurize, cross-validate, rank features; returns the report document."""
-    config.check_folds()
-    dataset, bank = load_inputs(config)
+    dataset, bank = _cv_inputs(config)
     n_traces = len(dataset.traces)
     matrix = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
-    # the captures are not read again: cross-validation and the top-feature
-    # fit need only the matrix, so their packets are not held through them
+    # cross-validation and the top-feature fit need only the matrix, so
+    # generated captures are not held through them
     del dataset
     report = _evaluate(config, matrix)
     return {
@@ -232,23 +273,53 @@ def write_csv(path: str | Path, rows: list[dict]) -> None:
 # sweeps
 
 
+def _sweep_accuracies(config: ExperimentConfig, points, matrix_of, clean) -> list[float]:
+    """Accuracy per sweep point; ``matrix_of(point)`` makes its FeatureMatrix.
+
+    The adapting adversary (``clean`` None) cross-validates a point only if
+    no earlier point had its ``problem_key``, and lets go of its matrix
+    before the next is made.  The fixed one fits each fold once on the
+    ``clean`` matrix and scores every point's held-out rows, so it takes
+    every point's matrix first."""
+    if clean is not None:
+        reports = cross_validate_each(
+            clean.X,
+            clean.labels,
+            [matrix_of(p).X for p in points],
+            params=config.classifier,
+            n_folds=config.n_folds,
+            seed=config.seed,
+            feature_names=list(clean.schema.names),
+        )
+        return [r.accuracy for r in reports]
+    accuracy = {}
+
+    def key_of(point) -> str:
+        m = matrix_of(point)
+        key = problem_key(m.X, m.labels, config.classifier, config.n_folds, config.seed)
+        if key not in accuracy:
+            accuracy[key] = _evaluate(config, m, X_test=m.X).accuracy
+        return key
+
+    return [accuracy[k] for k in [key_of(p) for p in points]]
+
+
 def threshold_sweep(
     config: ExperimentConfig, thresholds: tuple[float, ...] = DEFAULT_THRESHOLD_GRID
 ) -> list[dict]:
-    """One full attack run per convolution threshold; rows sorted by t."""
+    """Accuracy per convolution threshold; rows sorted by t."""
     for t in thresholds:
         if not 0.0 <= t <= 1.3:
             raise InvalidConfig(f"threshold {t} outside [0, 1.3]")
-    config.check_folds()
-    dataset, bank = load_inputs(config)
+    dataset, bank = _cv_inputs(config)
+    thresholds = sorted(thresholds)
 
-    def job(t: float) -> dict:
+    def matrix_of(t: float) -> FeatureMatrix:
         sig = replace(config.sigproc, conv_threshold=float(t))
-        matrix = featurize_dataset(dataset, bank, sig, config.feature_set)
-        report = _evaluate(config, matrix)
-        return {"t": t, "accuracy": report.accuracy}
+        return featurize_dataset(dataset, bank, sig, config.feature_set)
 
-    return [job(t) for t in sorted(thresholds)]
+    accuracies = _sweep_accuracies(config, thresholds, matrix_of, None)
+    return [{"t": t, "accuracy": a} for t, a in zip(thresholds, accuracies)]
 
 
 def defend_dataset(dataset: Dataset, defense, consume) -> tuple:
@@ -275,24 +346,25 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
 
     The adapting adversary (retrain_on_defended) cross-validates on the
     defended features.  The fixed one fits each fold on clean traffic and
-    scores the same held-out captures after the defense.  A modulated
+    scores the same held-out captures after each defense.  A modulated
     trace is featurized from its slot plan, never as wire packets."""
-    config.check_folds()
-    dataset, bank = load_inputs(config)
+    dataset, bank = _cv_inputs(config)
     clean = None
     if not config.retrain_on_defended:
         clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
+    costs = []
 
     def featurize(defended) -> FeatureMatrix:
-        sources = [d.trace if d.plan is None else d.plan for d in defended]
+        sources = [d.capture for d in defended]
         return featurize_dataset(Dataset(sources), bank, config.sigproc, config.feature_set)
 
-    def job(defense) -> tuple[float, float, float]:
+    def matrix_of(defense) -> FeatureMatrix:
         matrix, overhead, max_latency = defend_dataset(dataset, defense, featurize)
-        report = _evaluate(config, matrix if clean is None else clean, X_test=matrix.X)
-        return report.accuracy, overhead, max_latency
+        costs.append((overhead, max_latency))
+        return matrix
 
-    return [job(d) for d in defenses]
+    accuracies = _sweep_accuracies(config, defenses, matrix_of, clean)
+    return [(a, o, lat) for a, (o, lat) in zip(accuracies, costs)]
 
 
 def padding_sweep(

@@ -12,7 +12,9 @@ File formats:
   each row as ``"{:.6f},{},{}".format`` renders it, so ``t`` is in fixed
   notation with six decimal digits.
 * manifest CSV: header ``path,label``, one trace file per row, paths
-  relative to the manifest's directory.
+  relative to the manifest's directory.  ``ManifestCaptures`` parses the
+  rows and reads each trace file when an iteration reaches it;
+  ``load_dataset`` reads them all at once.
 
 The writer formats 2**16 rows at a time as a uint8 matrix, so its
 temporaries do not grow with the trace, and ``save_trace`` writes each chunk
@@ -22,7 +24,9 @@ six, which is what ``"{:.6f}"`` prints for it (``_csv_rows`` says why).  A
 chunk holding any other time (from about 1.13e9 s, or off the microsecond
 grid) is formatted whole in Python; every time the pipeline makes is on the
 grid, so generated and defended captures never are.  A defended capture of
-586,002 rows writes at about 0.23 us a row instead of 1.2 us.
+586,002 rows writes at about 0.23 us a row instead of 1.2 us.  A modulated
+capture's ``SlotPlan`` is written the same way: each chunk's rows are built
+from the plan (``SlotPlan.columns``), never the whole wire trace.
 
 The reader takes the writer's own form (times of at most nine integer
 digits, directions ``1``/``-1``, a final LF) in one array pass: one regex
@@ -131,10 +135,17 @@ class Trace:
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
 
+    def columns(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times, directions and sizes of packets ``start`` up to ``stop``."""
+        return self.times[start:stop], self.dirs[start:stop], self.sizes[start:stop]
+
 
 @dataclass
 class Dataset:
-    traces: list[Trace] = field(default_factory=list)
+    """Traces in order: a list, or a manifest's ``ManifestCaptures``, which
+    reads them on demand.  Either can be counted and iterated again."""
+
+    traces: list[Trace] | ManifestCaptures = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -323,15 +334,16 @@ def _csv_rows(times: np.ndarray, dirs: np.ndarray, sizes: np.ndarray) -> bytes:
     return rows[rows != _PAD].tobytes()
 
 
-def _csv_chunks(trace: Trace) -> Iterator[bytes]:
+def _csv_chunks(trace) -> Iterator[bytes]:
     yield _HEAD
     for start in range(0, len(trace), _WRITE_CHUNK):
-        stop = start + _WRITE_CHUNK
-        yield _csv_rows(trace.times[start:stop], trace.dirs[start:stop], trace.sizes[start:stop])
+        yield _csv_rows(*trace.columns(start, start + _WRITE_CHUNK))
 
 
-def write_trace_csv(trace: Trace) -> bytes:
-    """The trace CSV document; ``save_trace`` writes the same bytes."""
+def write_trace_csv(trace) -> bytes:
+    """The trace CSV document of a Trace, or of a modulated capture's
+    ``SlotPlan`` (its wire packets, built one chunk at a time); ``save_trace``
+    writes the same bytes."""
     return b"".join(_csv_chunks(trace))
 
 
@@ -341,7 +353,7 @@ def read_trace(
     return parse_trace_csv(read_input(path), trace_id or Path(path).stem, label)
 
 
-def save_trace(trace: Trace, path: str | Path) -> None:
+def save_trace(trace, path: str | Path) -> None:
     with open(path, "wb") as f:
         f.writelines(_csv_chunks(trace))
 
@@ -350,42 +362,63 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 # manifests and datasets
 
 
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load every trace referenced by a manifest.
+class ManifestCaptures:
+    """The traces a manifest lists, read from disk one at a time as an
+    iteration reaches them; none is kept, so each pass reads them again.
 
-    Labels come from the manifest, not the trace files.  A label outside the
-    four known actions raises UnknownLabel; a dangling path raises
-    MissingFile; a manifest with no rows raises EmptyDataset.
-    """
-    rows = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
-    base = Path(manifest_path).parent
-    traces: list[Trace] = []
-    valid = {lab.value: lab for lab in ActionLabel}
-    for i, raw in enumerate(rows, start=2):
-        row = raw.rstrip("\r")
-        if not row:
-            continue
-        parts = row.rsplit(",", 1)
-        if len(parts) != 2:
-            raise MalformedRow(f"expected 'path,label', got {row!r}", line=i)
-        rel, label_s = parts
-        if label_s not in valid:
-            raise UnknownLabel(f"unknown action label {label_s!r} (line {i})")
-        traces.append(read_trace(base / rel, Path(rel).stem, valid[label_s]))
-    if not traces:
-        raise EmptyDataset(f"manifest {manifest_path} lists no traces")
-    return Dataset(traces)
+    The rows are parsed when it is made: a label outside the four known
+    actions raises UnknownLabel, a malformed row MalformedRow and a manifest
+    with no rows EmptyDataset.  A trace file's own errors (MissingFile for a
+    dangling path) are raised by the pass that reaches it.  Labels come from
+    the manifest, not the trace files."""
+
+    def __init__(self, manifest_path: str | Path):
+        lines = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
+        base = Path(manifest_path).parent
+        valid = {lab.value: lab for lab in ActionLabel}
+        self.rows: list[tuple[Path, str, ActionLabel]] = []
+        for i, raw in enumerate(lines, start=2):
+            row = raw.rstrip("\r")
+            if not row:
+                continue
+            parts = row.rsplit(",", 1)
+            if len(parts) != 2:
+                raise MalformedRow(f"expected 'path,label', got {row!r}", line=i)
+            rel, label_s = parts
+            if label_s not in valid:
+                raise UnknownLabel(f"unknown action label {label_s!r} (line {i})")
+            self.rows.append((base / rel, Path(rel).stem, valid[label_s]))
+        if not self.rows:
+            raise EmptyDataset(f"manifest {manifest_path} lists no traces")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Trace]:
+        for path, trace_id, label in self.rows:
+            yield read_trace(path, trace_id, label)
+
+    @property
+    def labels(self) -> list[str]:
+        return [label.value for _, _, label in self.rows]
+
+
+def load_dataset(manifest_path: str | Path) -> Dataset:
+    """Every trace a manifest lists, read at once (see ManifestCaptures)."""
+    return Dataset(list(ManifestCaptures(manifest_path)))
 
 
 def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
     """Write one CSV per trace plus a manifest; returns the manifest path.
 
     Each trace is written as the dataset or iterable yields it, so traces
-    made on the fly are never all held at once.  A trace whose file name an
-    earlier trace took (two trace ids alike, as ``load_dataset`` gives
-    ``a/x.csv`` and ``b/x.csv``) raises DuplicateTrace before it is written,
-    and a trace without a label, which no manifest row can name, raises
-    UnknownLabel; either way no manifest is written."""
+    made on the fly are never all held at once; a modulated capture may come
+    as its ``SlotPlan``, whose wire packets are built 2**16 at a time as they
+    are written.  A trace whose file name an earlier trace took (two trace
+    ids alike, as ``load_dataset`` gives ``a/x.csv`` and ``b/x.csv``)
+    raises DuplicateTrace before it is written, and a trace without a
+    label, which no manifest row can name, raises UnknownLabel; either way
+    no manifest is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [MANIFEST_HEADER]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from robofp.classifier import (
     _softmax,
     _Tree,
     cross_validate,
+    cross_validate_each,
+    problem_key,
     stratified_folds,
 )
 from robofp.defenses import modulation_preset
@@ -844,3 +847,46 @@ def test_cross_validate_matches_reference_tally(problem, shifted):
     expected = _reference_cross_validate(X, y, params, n_folds, seed, X_test)
     assert report == expected
     assert json.dumps(report.to_doc()) == json.dumps(expected.to_doc())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cv_problems(), st.integers(0, 2), st.booleans())
+def test_cross_validate_each_matches_reference_per_test_matrix(problem, n_shifted, flat):
+    # rank copies, a reversed copy and a constant column: the folds fit on
+    # the rank-class columns only, and every test matrix scores as a fit on
+    # all of them would; with every column constant no column is kept
+    y, n_folds, seed = problem
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=len(y))
+    X = np.column_stack(
+        [rng.integers(0, 3, len(y)).astype(float), x, 3 * x + 1, np.full(len(y), 2.0), -x,
+         np.exp(x)]
+    )
+    if flat:
+        X = np.full((len(y), 3), 1.5)
+    tests = [X] + [rng.normal(size=X.shape) for _ in range(n_shifted)]
+    params = GBDTParams(n_rounds=2, max_depth=2)
+    reports = cross_validate_each(X, y, tests, params, n_folds, seed)
+    assert reports == [_reference_cross_validate(X, y, params, n_folds, seed, t) for t in tests]
+
+
+def test_problem_key_covers_the_reduced_problem_only():
+    X, y = _random_problem(3, n=20, d=3, copies=True)
+    key = problem_key(X, y, FAST, 5, 0)
+    # columns 3-5 share column 1's rank class, so no fit reads them, and none
+    # reads a constant column
+    same = X.copy()
+    same[:, 4] = 2 * same[:, 4] + 7
+    assert problem_key(np.column_stack([same, np.full(20, 3.0)]), y, FAST, 5, 0) == key
+    # the searched column's values set the thresholds, even at the same ranks
+    moved = X.copy()
+    moved[:, 1] *= 2
+    flipped = ["b" if v != "b" else "a" for v in y[:1]] + list(y[1:])
+    others = {
+        problem_key(moved, y, FAST, 5, 0),
+        problem_key(X, flipped, FAST, 5, 0),
+        problem_key(X, y, FAST, 4, 0),
+        problem_key(X, y, FAST, 5, 1),
+        problem_key(X, y, replace(FAST, n_rounds=FAST.n_rounds + 1), 5, 0),
+    }
+    assert len(others) == 5 and key not in others

@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from robofp import errors, harness
+from robofp import errors, harness, trace
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
 from robofp.features import SigprocConfig, make_schema
 from robofp.harness import ExperimentConfig, padding_sweep, write_csv
-from robofp.synthgen import default_kernel_bank
+from robofp.defenses import SlotPlan, apply_defense, modulation_preset
+from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
+from robofp.trace import write_trace_csv
 
 FAST_CFG = ExperimentConfig(
     seed=5,
@@ -381,6 +383,23 @@ def test_report_missing_key_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "'cv'" in err
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["sweep-threshold"],
+                                     ["sweep-defense", "--kind", "padding"]])
+def test_too_many_folds_for_a_manifest_exits_1_before_reading_a_capture(
+    tmp_path, capsys, monkeypatch, command
+):
+    # two captures per class cannot fill the default 10 folds; the rows say
+    # so before any trace file is opened
+    assert cli(["generate", "--seed", "3", "--samples-per-class", "2",
+                "--out-dir", str(tmp_path / "data")]) == 0
+    opened = []
+    monkeypatch.setattr(trace, "read_trace", lambda path, *args: opened.append(path))
+    _assert_exit_1([*command, "--manifest", str(tmp_path / "data" / "manifest.csv"),
+                    "--out-dir", str(tmp_path / "o")], capsys, "fewer than 10 folds", "n_folds")
+    assert opened == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_defend_padding(tmp_path, capsys):
     out = tmp_path / "defended"
     assert cli(["defend", "--seed", "3", "--samples-per-class", "2",
@@ -406,6 +425,22 @@ def test_defend_modulation(tmp_path, capsys):
     assert summary["config"]["type"] == "modulation"
     assert summary["config"]["s_p"] == 150
     assert summary["max_added_latency"] <= 0.02
+    capsys.readouterr()
+
+
+def test_defend_modulation_writes_wire_packets_without_building_them(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "defended"
+    argv = ["defend", "--seed", "3", "--samples-per-class", "1", "--defense", "modulation",
+            "--s-p", "150", "--t-i", "0.001", "--out-dir", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(SlotPlan, "wire_packets", lambda plan: pytest.fail("wire packets built"))
+        assert cli(argv) == 0
+    defense = modulation_preset(150, 0.001)
+    for capture in gen_dataset(GenConfig(seed=3, samples_per_class=1)).traces:
+        written = (out / f"{capture.trace_id}.csv").read_bytes()
+        assert written == write_trace_csv(apply_defense(capture, defense).trace)
     capsys.readouterr()
 
 

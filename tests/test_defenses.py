@@ -1,18 +1,22 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_trace
-from robofp import errors
+from robofp import errors, trace
 from robofp.defenses import (
     CONTROLLER_LATENCY_BUDGET,
     MAX_SLOTS,
     MODULATION_INTERVALS,
     ModulationConfig,
     PaddingConfig,
+    SlotPlan,
     apply_defense,
     apply_modulation_defense,
     apply_padding_defense,
@@ -21,7 +25,7 @@ from robofp.defenses import (
     segment_plan,
 )
 from robofp.synthgen import GenConfig, gen_dataset
-from robofp.trace import MTU, Trace
+from robofp.trace import MTU, Trace, write_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +472,39 @@ def test_modulation_slot_cap_raises_before_allocating():
     trace = make_trace([(0.0, 1, 100), ((MAX_SLOTS - 2) * 1e-3, 1, MTU)])
     with pytest.raises(errors.OutOfRange, match="slots"):
         apply_modulation_defense(trace, ModulationConfig(300, 1e-3, 5e-3))
+
+
+# ---------------------------------------------------------------------------
+# a plan is written as its wire packets, a chunk of rows at a time
+
+
+@st.composite
+def slot_plans(draw):
+    """Plans as the defense makes them: per direction, ascending distinct
+    slot rows of segments whose size is not s_p."""
+    n_slots = draw(st.integers(1, 40))
+    s_p = draw(st.integers(1, MTU))
+    odd = []
+    for _ in range(2):
+        rows = sorted(draw(st.sets(st.integers(0, n_slots - 1), max_size=n_slots)))
+        sizes = [draw(st.integers(1, MTU).filter(lambda s: s != s_p)) for _ in rows]
+        odd.append((np.array(rows, dtype=np.int64), np.array(sizes, dtype=np.int64) - s_p))
+    t_i = draw(st.sampled_from([1e-6, 1.5e-6, 1e-4, 1e-3, 0.01, 1 / 36, 1.0]))
+    return SlotPlan(t_i, s_p, n_slots, tuple(odd))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot_plans(), st.integers(1, 9))
+def test_plan_writes_the_bytes_of_its_wire_packets(plan, chunk):
+    """Every chunk size, odd ones too (a chunk may start mid-slot), gives the
+    bytes of writing ``wire_packets()``."""
+    expected = write_trace_csv(plan.wire_packets())
+    with mock.patch.object(trace, "_WRITE_CHUNK", chunk):
+        assert write_trace_csv(plan) == expected
+
+
+def test_long_plan_writes_the_bytes_of_its_wire_packets():
+    # 150,001 slots: five default chunks, the last one partial
+    rows = np.arange(7, 150_001, 1_000)
+    plan = SlotPlan(1e-4, 500, 150_001, ((rows, rows % 900 - 450), (rows[:3], -rows[:3] // 1000)))
+    assert write_trace_csv(plan) == write_trace_csv(plan.wire_packets())

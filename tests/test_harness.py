@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robofp import errors, harness
-from robofp.classifier import GBDTParams
+from robofp import errors, harness, trace
+from robofp.classifier import GBDTClassifier, GBDTParams, cross_validate, problem_key
 from robofp.defenses import SlotPlan
 from robofp.features import SigprocConfig
 from robofp.harness import (
@@ -28,6 +30,10 @@ from robofp.harness import (
 from robofp.sigproc import MAX_BINS
 from robofp.synthgen import MAX_DURATION, GenConfig, gen_dataset
 from robofp.trace import save_dataset
+
+# c07's accuracies at s_p = 100..1000, t_i = 0.1 ms (seed 42), recorded when
+# every sweep point cross-validated on its own
+C07_ACCURACIES = [0.395] + [0.415] * 9
 
 # small but CV-viable: 10 per class, 5 folds, light trees
 SMALL = ExperimentConfig(
@@ -365,3 +371,134 @@ def test_fixed_adversary_flag_changes_protocol():
     fixed = [r["accuracy"] for r in padding_sweep(fixed_cfg, (1, 2, 3))]
     assert retrain == [0.875, 0.775, 0.825]
     assert fixed == [0.7, 0.575, 0.375]
+
+
+# ---------------------------------------------------------------------------
+# sweeps fit once per distinct training problem
+
+
+def _count_fits(patch):
+    """A list that gets one entry per GBDTClassifier.fit from now on."""
+    fits = []
+    fit = GBDTClassifier.fit
+
+    def spy(self, X, y):
+        fits.append(X.shape)
+        return fit(self, X, y)
+
+    patch.setattr(GBDTClassifier, "fit", spy)
+    return fits
+
+
+def test_c07_sweep_fits_two_problems(monkeypatch):
+    # c07's ten points (s_p = 100..1000 at t_i = 0.1 ms) are two training
+    # problems, s_p = 100 and the rest
+    fits = _count_fits(monkeypatch)
+    rows = modulation_sweep(ExperimentConfig(), tuple(range(100, 1001, 100)), (0.0001,))
+    assert [r["accuracy"] for r in rows] == C07_ACCURACIES
+    assert len(fits) == 20
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda c: padding_sweep(c, (1,)), lambda c: padding_sweep(c, (1, 4, 10)),
+     lambda c: modulation_sweep(c)],
+    ids=["padding_1_point", "padding_3_points", "modulation_default_grid"],
+)
+def test_fixed_adversary_fits_each_fold_once(monkeypatch, sweep):
+    fits = _count_fits(monkeypatch)
+    rows = sweep(replace(SMALL, samples_per_class=4, n_folds=3, retrain_on_defended=False))
+    assert rows and len(fits) == 3
+
+
+def test_threshold_sweep_fits_equal_problems_once(monkeypatch):
+    fits = _count_fits(monkeypatch)
+    rows = threshold_sweep(SMALL, (0.9, 0.3, 0.9))
+    assert [r["t"] for r in rows] == [0.3, 0.9, 0.9]
+    assert rows[1] == rows[2]
+    assert len(fits) == 2 * SMALL.n_folds
+
+
+@st.composite
+def _sweep_points(draw):
+    """Labels, a clean matrix and sweep points made from it.  The last
+    column is a rank copy of column 0, so a point that only rewrites it is
+    the clean problem again; other points change column 0's values at the
+    same ranks, or are drawn afresh from a few levels."""
+    per_class = draw(st.integers(2, 4))
+    n, d = 3 * per_class, draw(st.integers(2, 3))
+    y = draw(st.permutations(["a", "b", "c"] * per_class))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.searchsorted(["a", "b", "c"], y)
+
+    def matrix():
+        # column 1 carries a drawn share of the label, so accuracies differ
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+        X[:, 1] += draw(st.sampled_from([0, 1, 3])) * codes
+        return np.column_stack([X, 3 * X[:, 0] + 1])
+
+    clean = matrix()
+    points = []
+    for op in draw(st.lists(st.sampled_from(["same", "recopy", "rescale", "fresh"]),
+                            min_size=2, max_size=5)):
+        X = clean.copy() if op != "fresh" else matrix()
+        if op == "recopy":
+            X[:, -1] = 5 * X[:, 0] - 2
+        if op == "rescale":
+            X[:, 0] *= 2
+        points.append(X)
+    return y, clean, points, draw(st.integers(2, per_class)), draw(st.integers(0, 99))
+
+
+def _matrix(X, y):
+    """What the sweep reads of a FeatureMatrix."""
+    names = [f"f{j}" for j in range(X.shape[1])]
+    return SimpleNamespace(X=X, labels=y, schema=SimpleNamespace(names=names))
+
+
+@pytest.mark.parametrize("retrain", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(_sweep_points())
+def test_grouped_sweep_rows_match_per_point_cross_validation(retrain, problem):
+    y, clean, points, n_folds, seed = problem
+    config = replace(SMALL, n_folds=n_folds, seed=seed,
+                     classifier=GBDTParams(n_rounds=2, max_depth=2, min_child_weight=0.0))
+    params = dict(params=config.classifier, n_folds=n_folds, seed=seed)
+    if retrain:
+        expected = [cross_validate(X, y, **params).accuracy for X in points]
+        problems = {problem_key(X, y, config.classifier, n_folds, seed) for X in points}
+    else:
+        expected = [cross_validate(clean, y, X_test=X, **params).accuracy for X in points]
+        problems = {"clean"}
+    with pytest.MonkeyPatch.context() as patch:
+        fits = _count_fits(patch)
+        got = harness._sweep_accuracies(
+            config, points, lambda X: _matrix(X, y), None if retrain else _matrix(clean, y)
+        )
+    assert got == expected
+    assert len(fits) == n_folds * len(problems)
+
+
+def test_no_capture_is_alive_when_cross_validation_starts(tmp_path, monkeypatch):
+    # weak references to every capture read from the manifest: an attack run
+    # and a sweep read each once per pass, and hold none through their CVs
+    manifest = save_dataset(gen_dataset(GenConfig(seed=3, samples_per_class=2)), tmp_path)
+    config = replace(SMALL, n_folds=2, manifest=str(manifest))
+    refs, alive_at_cv = [], []
+    read, cv = trace.read_trace, harness.cross_validate
+
+    def spy_read(*args):
+        capture = read(*args)
+        refs.append(weakref.ref(capture))
+        return capture
+
+    def spy_cv(*args, **kw):
+        alive_at_cv.append(sum(r() is not None for r in refs))
+        return cv(*args, **kw)
+
+    monkeypatch.setattr(trace, "read_trace", spy_read)
+    monkeypatch.setattr(harness, "cross_validate", spy_cv)
+    run_attack_experiment(config)
+    modulation_sweep(config, (500,), (0.001,))
+    assert len(refs) == 2 * 8
+    assert alive_at_cv == [0, 0]
