@@ -31,7 +31,8 @@ class, which cannot change a model:
   the full presort; the order within each column is the same.  The root
   takes the presort as it is.
 * g and h travel as one complex array, so one gather and one cumsum give
-  both running sums; each component is still a sequential IEEE sum.
+  both running sums; each component is still a sequential IEEE sum.  Both
+  write into one buffer made per fit, so no search allocates its sums.
 * A node's own (g, h) sums come from one gather of its rows, ``gh[mask]``,
   and one ``np.add.reduce`` (what ``.sum()`` calls, minus its Python
   wrapper) per part: the pairwise sum in row order that ``g[mask].sum()``
@@ -202,8 +203,11 @@ def _flatten(trees: list[list[_Tree]], n_classes: int, n_features: int, max_dept
         depth += 1
         if depth > max_depth:
             raise InvalidConfig(f"a tree is deeper than max_depth {max_depth}")
-        level = np.unique(np.concatenate([left[level], right[level]]))
-        level = level[split[level]]
+        # marks, not np.unique, which imports numpy.ma (about 1.2 MB)
+        reached = np.zeros(len(node), dtype=bool)
+        reached[left[level]] = True
+        reached[right[level]] = True
+        level = np.flatnonzero(reached & split)
     return _Forest(
         np.where(split, feature, 0),
         np.array([v for t in flat for v in t.threshold]),
@@ -250,6 +254,7 @@ class GBDTClassifier:
         self.trees_: list[list[_Tree]] = []  # [round][class]
         self._gain: np.ndarray | None = None
         self._forest: _Forest | None = None
+        self._sums: np.ndarray | None = None  # the split search's buffer, during fit
 
     # -- training ---------------------------------------------------------
 
@@ -271,6 +276,9 @@ class GBDTClassifier:
 
         features, order, sorted_x = _rank_classes(X)
         presorted = (order[:, features].T.copy(), sorted_x[:, features].T.copy())
+        del order, sorted_x  # only the searched columns are read from here on
+        # the running sums of every search, written in place (_best_split)
+        self._sums = np.empty(len(features) * n, dtype=np.complex128)
 
         self._gain = np.zeros(n_features)
         self.trees_ = []
@@ -288,6 +296,7 @@ class GBDTClassifier:
                 round_trees.append(tree)
                 scores[:, k] += self.params.learning_rate * update
             self.trees_.append(round_trees)
+        self._sums = None
         self._forest = _flatten(self.trees_, K, n_features, self.params.max_depth)
         return self
 
@@ -329,8 +338,13 @@ class GBDTClassifier:
         each sorted per searched column, or None."""
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
 
-        # running (g, h) sums left of each candidate split: (cols, n_node - 1)
-        cs = gh.take(rows[:, :-1]).cumsum(axis=1)
+        # running (g, h) sums left of each candidate split: (cols, n_node - 1),
+        # in the fit's buffer: take writes in place into a contiguous out
+        # unless mode="raise" makes it buffer (every row is in range)
+        sums = self._sums[: rows.size].reshape(rows.shape)
+        gh.take(rows, out=sums, mode="clip")
+        cs = sums[:, :-1]
+        cs.cumsum(axis=1, out=cs)
         valid = xs[:, 1:] > xs[:, :-1]  # no split between equal values
         valid &= cs.imag >= mcw
         valid &= h_sum - cs.imag >= mcw
@@ -522,13 +536,13 @@ def cross_validate_each(
     column, and the predictions are those of a fit on every column.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(y) != X.shape[0]:
+        raise SchemaMismatch("X must be 2-D with one label per row")
     X_tests = [np.asarray(t, dtype=np.float64) for t in X_tests]
     for X_test in X_tests:
         if X_test.shape != X.shape:
             raise SchemaMismatch(f"X_test has shape {X_test.shape}, X has {X.shape}")
     folds = stratified_folds(y, n_folds, seed)
-    if X.ndim != 2 or len(y) != X.shape[0]:
-        raise SchemaMismatch("X must be 2-D with one label per row")
     for matrix in (X, *X_tests):
         _check_finite(matrix, feature_names)
     columns = _rank_classes(X)[0]
@@ -542,7 +556,9 @@ def cross_validate_each(
     fold_accuracies = [[] for _ in X_tests]
 
     for heldout in folds:
-        train = np.setdiff1d(np.arange(len(y)), heldout)
+        keep = np.ones(len(y), dtype=bool)  # np.setdiff1d imports numpy.ma
+        keep[heldout] = False
+        train = np.flatnonzero(keep)
         model = GBDTClassifier(params, names)  # frees the previous fold's model
         model.fit(X[train], [y[i] for i in train])
         for X_test, confusion, accuracies in zip(X_tests, confusions, fold_accuracies):

@@ -7,8 +7,10 @@ reports apart from the created_at stamp (report_digest excludes it).
 A manifest's captures are read on demand: ``load_inputs`` parses the rows
 and each pass (featurizing, defending) reads one capture at a time, keeping
 none, so no run holds the whole set.  A sweep re-reads them once per point.
-Generated captures are held in memory.  A run that cross-validates a
-manifest refuses more folds than a class has rows before reading a capture.
+Generated captures are made on demand by ``gen_dataset`` but held in memory
+here, as a list, so that a sweep does not make them again at every point.
+A run that cross-validates a manifest refuses more folds than a class has
+rows before reading a capture.
 
 Sweep points run one after another, in sweep-key order, in one thread:
 threads sharing the interpreter lock never made a sweep faster.  Fold
@@ -176,13 +178,13 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """The captures and the kernel bank.  A manifest's captures are read on
-    demand, once per pass (``ManifestCaptures``); generated ones are held."""
+    demand, once per pass (``ManifestCaptures``); generated ones are made
+    once and held in a list."""
     if config.manifest is not None:
         dataset = Dataset(ManifestCaptures(config.manifest))
     else:
-        dataset = gen_dataset(
-            GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
-        )
+        gen = GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
+        dataset = Dataset(list(gen_dataset(gen)))
     if config.kernel_bank_path is not None:
         bank = KernelBank.load(config.kernel_bank_path)
         for kernel in bank:

@@ -36,6 +36,9 @@ keep-alives and anchors, and ``_packet_columns`` sorts them once into a
 Determinism: every trace is generated from an independent generator seeded
 with (seed, class_index, sample_index), so datasets are byte-identical for
 a given seed and per-trace output does not depend on generation order.
+``gen_dataset`` relies on that: its ``GeneratedCaptures`` makes each trace
+when a pass reaches it and keeps none, so writing a dataset holds one trace
+at a time, and every pass gives the same traces.
 Every draw keeps its place in the stream: single uniform draws go through
 ``_uniform`` and a step's kind through ``_choice``, which compute what
 ``Generator.uniform`` and ``Generator.choice`` compute from the same one
@@ -53,7 +56,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -481,16 +484,48 @@ def trace_rng(seed: int, class_index: int, sample_index: int) -> np.random.Gener
     return np.random.default_rng([seed, class_index, sample_index])
 
 
+class GeneratedCaptures:
+    """The captures of a GenConfig in (class, sample) order, each made from
+    its own ``trace_rng`` when it is reached; none is kept, so each pass
+    makes them again, and the same traces come out every time.
+
+    The generated counterpart of ``trace.ManifestCaptures``: it can be
+    counted, iterated, indexed and sliced (a slice is a list), and its
+    ``labels`` need no generation."""
+
+    def __init__(self, config: GenConfig):
+        self.config = config
+        self._templates = default_command_templates(), default_action_templates()
+
+    def __len__(self) -> int:
+        return len(ActionLabel) * self.config.samples_per_class
+
+    def _make(self, index: int) -> Trace:
+        c, i = divmod(index, self.config.samples_per_class)
+        label = list(ActionLabel)[c]
+        commands, actions = self._templates
+        rng = trace_rng(self.config.seed, c, i)
+        return gen_action(rng, actions[label], commands, trace_id=f"{label.name.lower()}_{i:03d}")
+
+    def __getitem__(self, index: int | slice) -> Trace | list[Trace]:
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(len(self)))]
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"capture {index} of {len(self)}")
+        return self._make(index % len(self))
+
+    def __iter__(self) -> Iterator[Trace]:
+        return map(self._make, range(len(self)))
+
+    @property
+    def labels(self) -> list[str]:
+        return [label.value for label in ActionLabel for _ in range(self.config.samples_per_class)]
+
+
 def gen_dataset(config: GenConfig) -> Dataset:
-    traces = []
-    commands, actions = default_command_templates(), default_action_templates()
-    for c, label in enumerate(ActionLabel):
-        for i in range(config.samples_per_class):
-            rng = trace_rng(config.seed, c, i)
-            traces.append(
-                gen_action(rng, actions[label], commands, trace_id=f"{label.name.lower()}_{i:03d}")
-            )
-    return Dataset(traces)
+    """The config's captures, made on demand (``GeneratedCaptures``): writing
+    or featurizing them holds one at a time."""
+    return Dataset(GeneratedCaptures(config))
 
 
 # ---------------------------------------------------------------------------

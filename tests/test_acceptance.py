@@ -38,11 +38,14 @@ from robofp.sigproc import (
     sliding_correlation,
 )
 from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
+from robofp.trace import Dataset
 
 
 @pytest.fixture(scope="module")
 def seed42():
-    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
+    # held as a list: several tests walk it, and gen_dataset makes its
+    # captures again on every pass
+    dataset = Dataset(list(gen_dataset(GenConfig(seed=42, samples_per_class=50))))
     bank = default_kernel_bank(bin_width=SigprocConfig().bin_width)
     return dataset, bank
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from robofp import errors
 from robofp.classifier import (
     _MIN_GAIN,
@@ -767,6 +768,33 @@ def test_cross_validate_scores_x_test():
     assert shifted.recall == {"a": 1.0, "b": 0.0, "c": 0.0}
     with pytest.raises(errors.SchemaMismatch):
         cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X[:, :1])
+
+
+def test_cross_validation_checks_shapes_before_dealing_folds():
+    # four labels cannot fill ten folds, but the shapes are what is wrong
+    X = np.zeros((40, 3))
+    with pytest.raises(errors.SchemaMismatch, match="one label per row"):
+        cross_validate(X, ["a", "b", "c", "d"], FAST, n_folds=10)
+    with pytest.raises(errors.SchemaMismatch, match="2-D"):
+        cross_validate_each(X[:, 0], ["a", "b"] * 20, [X[:, 0]], FAST, n_folds=30)
+
+
+def test_fitting_and_loading_never_import_numpy_ma():
+    # numpy.ma costs about 1.2 MB once imported; np.unique without
+    # return_inverse or counts, and np.setdiff1d, import it.  A fresh
+    # interpreter, since any earlier test may have imported it here
+    code = """
+import sys
+import numpy as np
+from robofp.classifier import GBDTClassifier, GBDTParams, cross_validate
+rng = np.random.default_rng(0)
+X = rng.normal(size=(60, 4))
+y = [("a", "b", "c")[i % 3] for i in range(60)]
+cross_validate(X, y, GBDTParams(n_rounds=3), n_folds=3)
+GBDTClassifier.from_json(GBDTClassifier(GBDTParams(n_rounds=3)).fit(X, y).to_json())
+print("numpy.ma" in sys.modules)
+"""
+    assert run_python(code).strip() == "False"
 
 
 # ---------------------------------------------------------------------------

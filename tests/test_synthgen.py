@@ -18,6 +18,7 @@ from robofp.synthgen import (
     ActionTemplate,
     CommandTemplate,
     GenConfig,
+    GeneratedCaptures,
     ScriptStep,
     _choice,
     _envelope,
@@ -32,7 +33,7 @@ from robofp.synthgen import (
     step,
     trace_rng,
 )
-from robofp.trace import MTU, ActionLabel, write_trace_csv
+from robofp.trace import MTU, ActionLabel, Dataset, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,9 @@ def commands():
 
 @pytest.fixture(scope="module")
 def dataset():
-    return gen_dataset(GenConfig(seed=7, samples_per_class=6))
+    # held as a list: several tests walk it, and gen_dataset makes its
+    # captures again on every pass
+    return Dataset(list(gen_dataset(GenConfig(seed=7, samples_per_class=6))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +222,42 @@ def test_dataset_shape_and_labels():
     assert set(by_label) == set(ActionLabel)
     assert all(len(v) == 3 for v in by_label.values())
     assert ds.traces[0].trace_id == "pick_and_place_000"
+
+
+def test_generated_captures_match_the_list_they_replace():
+    """Index, slice, iteration and labels give the traces, in (class,
+    sample) order, that generating each from its trace_rng gives."""
+    commands, actions = default_command_templates(), default_action_templates()
+    want = [
+        gen_action(trace_rng(11, c, i), actions[label], commands,
+                   trace_id=f"{label.name.lower()}_{i:03d}")
+        for c, label in enumerate(ActionLabel)
+        for i in range(3)
+    ]
+    captures = gen_dataset(GenConfig(seed=11, samples_per_class=3)).traces
+    assert isinstance(captures, GeneratedCaptures)
+
+    def same(got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert (a.label, a.trace_id) == (b.label, b.trace_id)
+            for x, y in ((a.times, b.times), (a.dirs, b.dirs), (a.sizes, b.sizes)):
+                assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
+
+    assert len(captures) == 12
+    same(list(captures), want)
+    same(list(captures), want)  # a second pass makes the same traces
+    for k in (0, 4, 11, -1, -12):
+        same([captures[k]], [want[k]])
+    for k in (12, -13):
+        with pytest.raises(IndexError):
+            captures[k]
+    for cut in (slice(None, 4), slice(3, 9, 2), slice(None, None, -1), slice(10, 40),
+                slice(5, 5)):
+        got = captures[cut]
+        assert isinstance(got, list)
+        same(got, want[cut])
+    assert captures.labels == [t.label.value for t in want]
 
 
 def test_regeneration_is_byte_identical():
