@@ -28,13 +28,13 @@ of wire packets.  Each message's original index and first slot stay
 with the DefendedTrace, beside the per-message latencies.  The slot count
 is checked against MAX_SLOTS first.
 
-The wire packets are built from the plan only when ``DefendedTrace.trace``
-is read, slot by slot with the outgoing packet first; the trace writer
-builds them a chunk of rows at a time (``SlotPlan.columns``).  For
+A plan's wire packets are built only when ``DefendedTrace.trace`` is read,
+anew on each read, slot by slot with the outgoing packet first.
+``SlotPlan.columns`` is their one builder: the trace writer takes them from
+it a chunk of rows at a time, and ``wire_packets`` all at once.  For
 t_i >= 1 us the microsecond-rounded slot times strictly increase, so that
-is time order.
-Only ``.orig_index`` builds the (n_slots, 2) origin grid, outgoing in
-column 0, from each message's first slot.
+is time order.  Only ``DefendedTrace.orig_index`` builds the (n_slots, 2)
+origin grid, outgoing in column 0, from each message's first slot.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ class SlotPlan:
 
     def columns(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Times, directions and sizes of wire packets ``start`` up to
-        ``stop``, as those rows of ``wire_packets()`` hold them, built for
-        the slots that carry them only."""
+        ``stop``, slot by slot with the outgoing packet first, built for the
+        slots that carry them only."""
         stop = min(stop, len(self))
         first, end = start // 2, (stop + 1) // 2  # the slots holding those rows
         sizes = np.full((end - first, 2), self.s_p, dtype=np.int64)
@@ -218,26 +218,20 @@ class SlotPlan:
 
     def wire_packets(self) -> Trace:
         """The defended trace, slot by slot with the outgoing packet first."""
-        sizes = np.column_stack([self.column_sizes(c) for c in (0, 1)])
-        return Trace(
-            np.repeat(self.slot_times(), 2),
-            np.tile(np.array([1, -1], dtype=np.int32), self.n_slots),
-            sizes.ravel(),
-            label=self.label, trace_id=self.trace_id,
-        )
+        return Trace(*self.columns(0, len(self)), label=self.label, trace_id=self.trace_id)
 
 
 @dataclass
 class DefendedTrace:
     """A defended capture plus the bookkeeping linking it to the original.
 
-    Padding keeps its wire packets.  Modulation keeps its slot ``plan``
-    (millions of wire packets at t_i = 0.1 ms come down to a few arrays)
-    and its ``carriers``: per direction (outgoing first), each message's
-    index in the original trace and its first slot.  ``trace`` is built
-    from the plan on first read, and ``orig_index`` from the carriers on
-    its first read; both are then kept in ``packets``.  Features can be
-    computed from the plan without either.
+    ``capture`` is what features and the trace writer read: the padded
+    trace, or a modulated capture's ``SlotPlan`` (millions of wire
+    packets at t_i = 0.1 ms come down to a few arrays).  Modulation also
+    keeps its ``carriers``: per direction (outgoing first), each message's
+    index in the original trace and its first slot.  Nothing else is kept:
+    ``trace`` builds a plan's wire packets on each read, and ``orig_index``
+    its origins from the carriers.
 
     orig_index maps each defended packet to the original packet it carries
     (-1 for dummies and, under modulation, for all but the first segment).
@@ -247,33 +241,21 @@ class DefendedTrace:
     original_bytes: int
     defended_bytes: int
     added_latency: np.ndarray
-    plan: SlotPlan | None = None
+    capture: Trace | SlotPlan
     carriers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-    # (trace, orig_index); orig_index is None until read
-    packets: tuple[Trace, np.ndarray | None] | None = None
 
     @property
     def trace(self) -> Trace:
-        if self.packets is None:
-            self.packets = (self.plan.wire_packets(), None)
-        return self.packets[0]
-
-    @property
-    def capture(self) -> Trace | SlotPlan:
-        """What features and the trace writer read: the slot plan of a
-        modulated capture, which they take without its wire packets, or
-        the padded trace."""
-        return self.trace if self.plan is None else self.plan
+        return self.capture if isinstance(self.capture, Trace) else self.capture.wire_packets()
 
     @property
     def orig_index(self) -> np.ndarray:
-        trace = self.trace
-        if self.packets[1] is None:
-            orig = np.full((self.plan.n_slots, 2), -1, dtype=np.int64)
-            for column, (idx, first) in enumerate(self.carriers):
-                orig[first, column] = idx
-            self.packets = (trace, orig.ravel())
-        return self.packets[1]
+        if isinstance(self.capture, Trace):
+            return np.arange(len(self.capture), dtype=np.int64)
+        orig = np.full((self.capture.n_slots, 2), -1, dtype=np.int64)
+        for column, (idx, first) in enumerate(self.carriers):
+            orig[first, column] = idx
+        return orig.ravel()
 
     @property
     def max_added_latency(self) -> float:
@@ -295,7 +277,7 @@ def apply_padding_defense(trace: Trace, config: PaddingConfig) -> DefendedTrace:
         original_bytes=trace.total_bytes,
         defended_bytes=defended.total_bytes,
         added_latency=np.zeros(len(trace)),
-        packets=(defended, np.arange(len(trace), dtype=np.int64)),
+        capture=defended,
     )
 
 
@@ -335,7 +317,7 @@ def apply_modulation_defense(trace: Trace, config: ModulationConfig) -> Defended
         original_bytes=trace.total_bytes,
         defended_bytes=2 * n_slots * config.s_p + sum(int(delta.sum()) for _, delta in odd),
         added_latency=latency,
-        plan=SlotPlan(t_i, config.s_p, n_slots, tuple(odd), trace.label, trace.trace_id),
+        capture=SlotPlan(t_i, config.s_p, n_slots, tuple(odd), trace.label, trace.trace_id),
         carriers=tuple(carriers),
     )
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from .defenses import SlotPlan, grid_times
 from .errors import (
+    EmptyDataset,
     EmptyTrace,
     InvalidConfig,
     OutOfRange,
@@ -380,7 +381,8 @@ def featurize_dataset(
 ) -> FeatureMatrix:
     """One feature row, label and id per trace of ``dataset``, in order.  The
     traces may be modulated captures' slot plans, as ``compute_features`` takes.
-    They are read in one pass, so a manifest's captures are read once."""
+    They are read in one pass, so a manifest's captures are read once.  A
+    dataset with no traces has no matrix: it raises EmptyDataset."""
     config = config or SigprocConfig()
     schema = make_schema(bank, config, feature_set)
     rows, labels, ids = [], [], []
@@ -388,6 +390,8 @@ def featurize_dataset(
         rows.append(compute_features(t, bank, config, feature_set))
         labels.append(t.label.value if t.label is not None else "")
         ids.append(t.trace_id or f"trace_{i:04d}")
+    if not rows:
+        raise EmptyDataset("no traces to featurize")
     return FeatureMatrix(np.vstack(rows), labels, ids, schema)
 
 

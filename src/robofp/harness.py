@@ -34,8 +34,8 @@ sweep point featurizes inside that consumer: it collects per capture what
 ``featurize_dataset`` reads, the padded trace or the modulated trace's slot
 plan (no per-message array: 0 bytes of arrays for the 200 seed-42 plans at
 s_p = 500 B, t_i = 0.1 ms, against 84M wire packets), and lets go of them
-before any fit.  Each DefendedTrace, with its per-message arrays and any
-wire packets, goes before the next trace is defended.
+before any fit.  Each DefendedTrace, with its per-message arrays, goes
+before the next trace is defended; it keeps no wire packets.
 
 Emitted tables, all plain CSV:
 
@@ -81,7 +81,7 @@ from .synthgen import (
 )
 # load_dataset is no longer called here, but perfbench's traced runs wrap it
 # under this module's name
-from .trace import Dataset, ManifestCaptures, load_dataset  # noqa: F401
+from .trace import Dataset, load_dataset, manifest_captures  # noqa: F401
 
 TOP_FEATURES = 20
 
@@ -178,10 +178,10 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """The captures and the kernel bank.  A manifest's captures are read on
-    demand, once per pass (``ManifestCaptures``); generated ones are made
-    once and held in a list."""
+    demand, once per pass (``trace.manifest_captures``); generated ones are
+    made once and held in a list."""
     if config.manifest is not None:
-        dataset = Dataset(ManifestCaptures(config.manifest))
+        dataset = Dataset(manifest_captures(config.manifest))
     else:
         gen = GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
         dataset = Dataset(list(gen_dataset(gen)))

@@ -12,8 +12,8 @@ File formats:
   each row as ``"{:.6f},{},{}".format`` renders it, so ``t`` is in fixed
   notation with six decimal digits.
 * manifest CSV: header ``path,label``, one trace file per row, paths
-  relative to the manifest's directory.  ``ManifestCaptures`` parses the
-  rows and reads each trace file when an iteration reaches it;
+  relative to the manifest's directory.  ``manifest_captures`` parses the
+  rows and reads each trace file when a pass reaches it (``Captures``);
   ``load_dataset`` reads them all at once.
 
 The writer formats 2**16 rows at a time in one uint8 matrix, so its
@@ -46,7 +46,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -61,9 +61,6 @@ from .errors import (
     UnknownLabel,
     read_input,
 )
-
-if TYPE_CHECKING:
-    from .synthgen import GeneratedCaptures
 
 MTU = 1500
 TRACE_HEADER = "t,dir,size"
@@ -144,13 +141,37 @@ class Trace:
         return self.times[start:stop], self.dirs[start:stop], self.sizes[start:stop]
 
 
+class Captures:
+    """Captures in order, capture ``i`` made by ``make(i)`` when a pass or an
+    index reaches it; none is kept, so each pass makes them again.  It can
+    be counted, iterated, indexed and sliced (a slice is a list), and its
+    ``labels`` (label values, in order) need no capture made."""
+
+    def __init__(self, labels: list[str], make: Callable[[int], Trace]):
+        self.labels = labels
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[Trace]:
+        return map(self._make, range(len(self)))
+
+    def __getitem__(self, index: int | slice) -> Trace | list[Trace]:
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(len(self)))]
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"capture {index} of {len(self)}")
+        return self._make(index % len(self))
+
+
 @dataclass
 class Dataset:
-    """Traces in order: a list, a manifest's ``ManifestCaptures``, which
-    reads them on demand, or ``synthgen.GeneratedCaptures``, which makes
-    them on demand.  Each can be counted and iterated again."""
+    """Traces in order: a list, or ``Captures`` that makes them on demand (a
+    manifest's, read from disk, or ``synthgen.gen_dataset``'s, generated).
+    Each can be counted and iterated again."""
 
-    traces: list[Trace] | ManifestCaptures | GeneratedCaptures = field(default_factory=list)
+    traces: list[Trace] | Captures = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -375,50 +396,38 @@ def save_trace(trace, path: str | Path) -> None:
 # manifests and datasets
 
 
-class ManifestCaptures:
-    """The traces a manifest lists, read from disk one at a time as an
-    iteration reaches them; none is kept, so each pass reads them again.
+def manifest_captures(manifest_path: str | Path) -> Captures:
+    """The traces a manifest lists, each read from disk when a pass or an
+    index reaches it.
 
-    The rows are parsed when it is made: a label outside the four known
+    The rows are parsed when it is called: a label outside the four known
     actions raises UnknownLabel, a malformed row MalformedRow and a manifest
     with no rows EmptyDataset.  A trace file's own errors (MissingFile for a
-    dangling path) are raised by the pass that reaches it.  Labels come from
+    dangling path) are raised by the read that reaches it.  Labels come from
     the manifest, not the trace files."""
-
-    def __init__(self, manifest_path: str | Path):
-        lines = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
-        base = Path(manifest_path).parent
-        valid = {lab.value: lab for lab in ActionLabel}
-        self.rows: list[tuple[Path, str, ActionLabel]] = []
-        for i, raw in enumerate(lines, start=2):
-            row = raw.rstrip("\r")
-            if not row:
-                continue
-            parts = row.rsplit(",", 1)
-            if len(parts) != 2:
-                raise MalformedRow(f"expected 'path,label', got {row!r}", line=i)
-            rel, label_s = parts
-            if label_s not in valid:
-                raise UnknownLabel(f"unknown action label {label_s!r} (line {i})")
-            self.rows.append((base / rel, Path(rel).stem, valid[label_s]))
-        if not self.rows:
-            raise EmptyDataset(f"manifest {manifest_path} lists no traces")
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Trace]:
-        for path, trace_id, label in self.rows:
-            yield read_trace(path, trace_id, label)
-
-    @property
-    def labels(self) -> list[str]:
-        return [label.value for _, _, label in self.rows]
+    lines = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
+    base = Path(manifest_path).parent
+    valid = {lab.value: lab for lab in ActionLabel}
+    rows: list[tuple[Path, str, ActionLabel]] = []
+    for i, raw in enumerate(lines, start=2):
+        row = raw.rstrip("\r")
+        if not row:
+            continue
+        parts = row.rsplit(",", 1)
+        if len(parts) != 2:
+            raise MalformedRow(f"expected 'path,label', got {row!r}", line=i)
+        rel, label_s = parts
+        if label_s not in valid:
+            raise UnknownLabel(f"unknown action label {label_s!r} (line {i})")
+        rows.append((base / rel, Path(rel).stem, valid[label_s]))
+    if not rows:
+        raise EmptyDataset(f"manifest {manifest_path} lists no traces")
+    return Captures([label.value for _, _, label in rows], lambda i: read_trace(*rows[i]))
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Every trace a manifest lists, read at once (see ManifestCaptures)."""
-    return Dataset(list(ManifestCaptures(manifest_path)))
+    """Every trace a manifest lists, read at once (see manifest_captures)."""
+    return Dataset(list(manifest_captures(manifest_path)))
 
 
 def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
@@ -431,9 +440,10 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
     ids alike, as ``load_dataset`` gives ``a/x.csv`` and ``b/x.csv``)
     raises DuplicateTrace before it is written, and a trace without a
     label, which no manifest row can name, raises UnknownLabel; either way
-    no manifest is written."""
+    no manifest is written.  A dataset with no traces, whose manifest
+    ``manifest_captures`` would refuse, raises EmptyDataset and writes
+    nothing, not even ``out_dir``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [MANIFEST_HEADER]
     written = set()
     for i, tr in enumerate(dataset):
@@ -443,9 +453,13 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
             raise DuplicateTrace(f"two traces would be written to {str(out_dir / rel)!r}")
         if tr.label is None:
             raise UnknownLabel(f"trace {name!r} has no label for the manifest")
+        if not written:
+            out_dir.mkdir(parents=True, exist_ok=True)
         written.add(rel)
         save_trace(tr, out_dir / rel)
         rows.append(f"{rel},{tr.label.value}")
+    if not written:
+        raise EmptyDataset(f"no traces to write to {str(out_dir)!r}")
     manifest = out_dir / "manifest.csv"
     manifest.write_text("\n".join(rows) + "\n", "utf-8")
     return manifest

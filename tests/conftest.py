@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import robofp
+from robofp.classifier import GBDTClassifier
+from robofp.harness import ExperimentConfig, modulation_sweep
 from robofp.trace import Trace
 
 
@@ -26,6 +30,30 @@ def run_python(code, *args):
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )
     return done.stdout
+
+
+def count_fits(patch):
+    """A list that gets one entry per GBDTClassifier.fit from now on."""
+    fits = []
+    fit = GBDTClassifier.fit
+
+    def spy(self, X, y):
+        fits.append(X.shape)
+        return fit(self, X, y)
+
+    patch.setattr(GBDTClassifier, "fit", spy)
+    return fits
+
+
+@pytest.fixture(scope="session")
+def c07_sweep():
+    """The rows of c07's seed-42 modulation sweep (s_p = 100..1000 B at
+    t_i = 0.1 ms) and the number of GBDT fits it made, computed on first use
+    and shared by every test that asks for it."""
+    with pytest.MonkeyPatch.context() as patch:
+        fits = count_fits(patch)
+        rows = modulation_sweep(ExperimentConfig(), tuple(range(100, 1001, 100)), (0.0001,))
+    return rows, len(fits)
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_c(\d+)_")

@@ -20,7 +20,6 @@ from robofp.defenses import modulation_preset, pad_packet, segment_plan
 from robofp.features import SigprocConfig, command_clusters, featurize_dataset
 from robofp.harness import (
     ExperimentConfig,
-    modulation_sweep,
     padding_sweep,
     report_digest,
     run_attack_experiment,
@@ -294,10 +293,8 @@ def test_c06_segment_plans_match_hand_oracle():
 # 7. fine-interval modulation defeats the classifier at bounded latency
 
 
-def test_c07_fine_interval_modulation_defeats_classifier():
-    rows = modulation_sweep(
-        ExperimentConfig(), dummy_sizes=tuple(range(100, 1001, 100)), intervals=(0.0001,)
-    )
+def test_c07_fine_interval_modulation_defeats_classifier(c07_sweep):
+    rows, _ = c07_sweep
     assert len(rows) == 10
     for row in rows:
         preset = modulation_preset(row["s_p"], row["t_i"])

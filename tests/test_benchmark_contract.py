@@ -69,7 +69,7 @@ def test_featurized_packet_counter_reads_slot_plans(tracing):
     # its wire packets, two per slot
     dataset = gen_dataset(GenConfig(seed=3, samples_per_class=1))
     defense = ModulationConfig(500, 0.001, 0.001)
-    plans = Dataset([apply_defense(t, defense).plan for t in dataset.traces])
+    plans = Dataset([apply_defense(t, defense).capture for t in dataset.traces])
     matrix = featurize_dataset(plans, default_kernel_bank(), feature_set="summary")
     counts = tracing._featurized_packets(matrix, (plans,))
     assert counts == {"packets": sum(2 * p.n_slots for p in plans.traces)}

@@ -471,7 +471,7 @@ def test_seed42_c07_fold_models_pinned():
     X, _, _ = defend_dataset(
         dataset,
         modulation_preset(500, 0.0001),
-        lambda defended: np.vstack([compute_features(d.plan, bank) for d in defended]),
+        lambda defended: np.vstack([compute_features(d.capture, bank) for d in defended]),
     )
     y = np.array([t.label.value for t in dataset.traces])
     digest = hashlib.sha256()
@@ -504,7 +504,7 @@ def seed42_fold_problems():
     X_c07, _, _ = defend_dataset(
         dataset,
         modulation_preset(500, 0.0001),
-        lambda defended: np.vstack([compute_features(d.plan, bank) for d in defended]),
+        lambda defended: np.vstack([compute_features(d.capture, bank) for d in defended]),
     )
     return {"attack": (featurize_dataset(dataset, bank).X, y), "c07": (X_c07, y)}
 

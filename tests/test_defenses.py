@@ -441,25 +441,17 @@ def test_modulated_arrays_pinned(s_p, t_i, expected):
     assert h.hexdigest() == expected
 
 
-def test_modulated_origin_grid_built_only_for_orig_index():
-    # robofp defend reads only .trace; the origin grid waits for .orig_index
+def test_modulated_wire_packets_and_origins_built_from_the_plan():
+    # only the slot plan and the carriers are kept; .trace and .orig_index
+    # are built from them when read
     trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
     d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
-    wire = d.trace
-    assert d.packets == (wire, None)
+    assert len(d.capture) == 2 * d.capture.n_slots
     # message 0 in slot 0 (outgoing), 1 in slot 2 (incoming), 2 in slot 4
     assert d.orig_index.tolist() == [0, -1, -1, -1, -1, 1, -1, -1, 2, -1]
-    assert d.packets[0] is wire and d.trace is wire
-
-
-def test_modulated_wire_packets_built_on_first_read():
-    trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
-    d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
-    assert d.packets is None and len(d.plan) == 2 * d.plan.n_slots
-    assert d.trace is d.trace and d.orig_index is d.packets[1]
-    assert len(d.trace) == len(d.plan) and d.defended_bytes == d.trace.total_bytes
+    assert len(d.trace) == len(d.capture) and d.defended_bytes == d.trace.total_bytes
     # the 1400-byte message goes out as three 500-byte segments: no odd sizes
-    assert all(len(rows) == 0 for rows, _ in d.plan.odd)
+    assert all(len(rows) == 0 for rows, _ in d.capture.odd)
     assert d.bandwidth_overhead() == (d.trace.total_bytes - 1550) / 1550
 
 

@@ -279,6 +279,12 @@ def test_featurize_dataset_shapes(bank):
     assert featurize_dataset(ds, bank, feature_set="summary").X.shape == (2, 28)
 
 
+def test_featurize_dataset_refuses_an_empty_dataset(bank):
+    for feature_set in FEATURE_SETS:
+        with pytest.raises(errors.EmptyDataset):
+            featurize_dataset(Dataset(), bank, feature_set=feature_set)
+
+
 @pytest.mark.parametrize(
     "defense, expected",
     [
@@ -395,9 +401,8 @@ def test_scan_work_cap_far_above_shipped_scans(bank):
 
 def _assert_plan_features_match(trace, config, bank):
     d = apply_modulation_defense(trace, config)
-    assert d.packets is None  # nothing built yet
     for fs in FEATURE_SETS:
-        compact = compute_features(d.plan, bank, feature_set=fs)
+        compact = compute_features(d.capture, bank, feature_set=fs)
         assert compact.tobytes() == compute_features(d.trace, bank, feature_set=fs).tobytes(), fs
     assert d.defended_bytes == d.trace.total_bytes
     return d
@@ -445,7 +450,7 @@ def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
     try:
         bank = KernelBank([Kernel(kn.kind, kn.bin_width, kn.values * 10.0**k, kn.source_id)
                            for kn in DEFAULT_BANKS[width]])
-        target = apply_modulation_defense(trace, config).plan if from_plan else trace
+        target = apply_modulation_defense(trace, config).capture if from_plan else trace
         vector = compute_features(target, bank, SigprocConfig(bin_width=width))
     except errors.RobofpError:
         return
@@ -465,7 +470,7 @@ def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
 )
 def test_plan_features_match_with_odd_segments(bank, rows, config):
     d = _assert_plan_features_match(make_trace(rows), config, bank)
-    assert all(len(odd_rows) for odd_rows, _ in d.plan.odd)
+    assert all(len(odd_rows) for odd_rows, _ in d.capture.odd)
 
 
 def test_plan_features_match_in_one_slot(bank):
@@ -473,7 +478,7 @@ def test_plan_features_match_in_one_slot(bank):
     d = _assert_plan_features_match(
         make_trace([(0.0, -1, 100), (0.0, 1, 80)]), ModulationConfig(100, 1e-3, 1e-3), bank
     )
-    assert d.plan.n_slots == 1
+    assert d.capture.n_slots == 1
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +569,7 @@ def test_no_scan_response_holds_negative_zero(bank):
     config = SigprocConfig()
     modulation = modulation_preset(500, 1e-4)
     for trace in gen_dataset(GenConfig(seed=42, samples_per_class=50)):
-        for capture in (trace, apply_modulation_defense(trace, modulation).plan):
+        for capture in (trace, apply_modulation_defense(trace, modulation).capture):
             signal = features._signal(capture, config.bin_width)
             for kind in ALL_KINDS:
                 response = features._scan(signal, kind, bank, config)[0].values

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_fits
 from robofp import errors, harness, trace
-from robofp.classifier import GBDTClassifier, GBDTParams, cross_validate, problem_key
+from robofp.classifier import GBDTParams, cross_validate, problem_key
 from robofp.defenses import SlotPlan
 from robofp.features import SigprocConfig
 from robofp.harness import (
@@ -377,26 +378,12 @@ def test_fixed_adversary_flag_changes_protocol():
 # sweeps fit once per distinct training problem
 
 
-def _count_fits(patch):
-    """A list that gets one entry per GBDTClassifier.fit from now on."""
-    fits = []
-    fit = GBDTClassifier.fit
-
-    def spy(self, X, y):
-        fits.append(X.shape)
-        return fit(self, X, y)
-
-    patch.setattr(GBDTClassifier, "fit", spy)
-    return fits
-
-
-def test_c07_sweep_fits_two_problems(monkeypatch):
+def test_c07_sweep_fits_two_problems(c07_sweep):
     # c07's ten points (s_p = 100..1000 at t_i = 0.1 ms) are two training
     # problems, s_p = 100 and the rest
-    fits = _count_fits(monkeypatch)
-    rows = modulation_sweep(ExperimentConfig(), tuple(range(100, 1001, 100)), (0.0001,))
+    rows, fits = c07_sweep
     assert [r["accuracy"] for r in rows] == C07_ACCURACIES
-    assert len(fits) == 20
+    assert fits == 20
 
 
 @pytest.mark.parametrize(
@@ -406,13 +393,13 @@ def test_c07_sweep_fits_two_problems(monkeypatch):
     ids=["padding_1_point", "padding_3_points", "modulation_default_grid"],
 )
 def test_fixed_adversary_fits_each_fold_once(monkeypatch, sweep):
-    fits = _count_fits(monkeypatch)
+    fits = count_fits(monkeypatch)
     rows = sweep(replace(SMALL, samples_per_class=4, n_folds=3, retrain_on_defended=False))
     assert rows and len(fits) == 3
 
 
 def test_threshold_sweep_fits_equal_problems_once(monkeypatch):
-    fits = _count_fits(monkeypatch)
+    fits = count_fits(monkeypatch)
     rows = threshold_sweep(SMALL, (0.9, 0.3, 0.9))
     assert [r["t"] for r in rows] == [0.3, 0.9, 0.9]
     assert rows[1] == rows[2]
@@ -471,7 +458,7 @@ def test_grouped_sweep_rows_match_per_point_cross_validation(retrain, problem):
         expected = [cross_validate(clean, y, X_test=X, **params).accuracy for X in points]
         problems = {"clean"}
     with pytest.MonkeyPatch.context() as patch:
-        fits = _count_fits(patch)
+        fits = count_fits(patch)
         got = harness._sweep_accuracies(
             config, points, lambda X: _matrix(X, y), None if retrain else _matrix(clean, y)
         )

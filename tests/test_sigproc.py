@@ -370,7 +370,7 @@ def test_captures_and_plans_take_prefix_sums(monkeypatch):
     modulation = modulation_preset(500, 1e-4)
     signals = []
     for trace in gen_dataset(GenConfig(seed=42)):
-        for capture in (trace, apply_modulation_defense(trace, modulation).plan):
+        for capture in (trace, apply_modulation_defense(trace, modulation).capture):
             signals.append(features._signal(capture, config.bin_width))
     spy = ConvolveSpy(monkeypatch)
     for signal in signals:

@@ -18,7 +18,6 @@ from robofp.synthgen import (
     ActionTemplate,
     CommandTemplate,
     GenConfig,
-    GeneratedCaptures,
     ScriptStep,
     _choice,
     _envelope,
@@ -33,7 +32,15 @@ from robofp.synthgen import (
     step,
     trace_rng,
 )
-from robofp.trace import MTU, ActionLabel, Dataset, write_trace_csv
+from robofp.trace import (
+    MTU,
+    ActionLabel,
+    Captures,
+    Dataset,
+    manifest_captures,
+    save_dataset,
+    write_trace_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -224,9 +231,10 @@ def test_dataset_shape_and_labels():
     assert ds.traces[0].trace_id == "pick_and_place_000"
 
 
-def test_generated_captures_match_the_list_they_replace():
+def test_generated_captures_match_the_list_they_replace(tmp_path):
     """Index, slice, iteration and labels give the traces, in (class,
-    sample) order, that generating each from its trace_rng gives."""
+    sample) order, that generating each from its trace_rng gives: as
+    generated, and as read back from the manifest they were saved to."""
     commands, actions = default_command_templates(), default_action_templates()
     want = [
         gen_action(trace_rng(11, c, i), actions[label], commands,
@@ -234,8 +242,8 @@ def test_generated_captures_match_the_list_they_replace():
         for c, label in enumerate(ActionLabel)
         for i in range(3)
     ]
-    captures = gen_dataset(GenConfig(seed=11, samples_per_class=3)).traces
-    assert isinstance(captures, GeneratedCaptures)
+    generated = gen_dataset(GenConfig(seed=11, samples_per_class=3)).traces
+    saved = manifest_captures(save_dataset(generated, tmp_path))
 
     def same(got, expected):
         assert len(got) == len(expected)
@@ -244,20 +252,22 @@ def test_generated_captures_match_the_list_they_replace():
             for x, y in ((a.times, b.times), (a.dirs, b.dirs), (a.sizes, b.sizes)):
                 assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes())
 
-    assert len(captures) == 12
-    same(list(captures), want)
-    same(list(captures), want)  # a second pass makes the same traces
-    for k in (0, 4, 11, -1, -12):
-        same([captures[k]], [want[k]])
-    for k in (12, -13):
-        with pytest.raises(IndexError):
-            captures[k]
-    for cut in (slice(None, 4), slice(3, 9, 2), slice(None, None, -1), slice(10, 40),
-                slice(5, 5)):
-        got = captures[cut]
-        assert isinstance(got, list)
-        same(got, want[cut])
-    assert captures.labels == [t.label.value for t in want]
+    for captures in (generated, saved):
+        assert isinstance(captures, Captures)
+        assert len(captures) == 12
+        same(list(captures), want)
+        same(list(captures), want)  # a second pass makes the same traces
+        for k in (0, 4, 11, -1, -12):
+            same([captures[k]], [want[k]])
+        for k in (12, -13):
+            with pytest.raises(IndexError):
+                captures[k]
+        for cut in (slice(None, 4), slice(3, 9, 2), slice(None, None, -1), slice(10, 40),
+                    slice(5, 5)):
+            got = captures[cut]
+            assert isinstance(got, list)
+            same(got, want[cut])
+        assert captures.labels == [t.label.value for t in want]
 
 
 def test_regeneration_is_byte_identical():

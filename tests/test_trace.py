@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from robofp.trace import (
     Dataset,
     Trace,
     load_dataset,
+    manifest_captures,
     parse_trace_csv,
     quantize_time,
     read_trace,
@@ -434,6 +436,26 @@ class TestManifest:
         with pytest.raises(errors.UnknownLabel, match="'trace_0001' has no label"):
             save_dataset([labelled, Trace([0.0, 0.1], [1, -1], [10, 20])], out)
         assert sorted(p.name for p in out.iterdir()) == ["a.csv"]
+
+    def test_save_refuses_an_empty_dataset_before_writing(self, tmp_path):
+        """A manifest of no rows would be refused when read, so none is written."""
+        out = tmp_path / "out"
+        for empty in ([], Dataset(), iter(())):
+            with pytest.raises(errors.EmptyDataset):
+                save_dataset(empty, out)
+            assert not out.exists()
+
+    def test_manifest_captures_read_each_file_when_reached(self, tmp_path):
+        """Captures before a deleted file still index and slice; a full pass
+        raises MissingFile naming the file."""
+        manifest = save_dataset(gen_dataset(GenConfig(seed=3, samples_per_class=2)), tmp_path)
+        rel = manifest.read_text().splitlines()[1 + 3].split(",")[0]
+        (tmp_path / rel).unlink()
+        captures = manifest_captures(manifest)
+        assert len(captures) == 8 and captures[0].trace_id == "pick_and_place_000"
+        assert [t.trace_id for t in captures[:2]] == ["pick_and_place_000", "pick_and_place_001"]
+        with pytest.raises(errors.MissingFile, match=re.escape(rel)):
+            list(captures)
 
     def test_read_trace_missing(self, tmp_path):
         with pytest.raises(errors.MissingFile):
