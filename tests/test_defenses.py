@@ -441,18 +441,29 @@ def test_modulated_arrays_pinned(s_p, t_i, expected):
     assert h.hexdigest() == expected
 
 
-def test_modulated_wire_packets_and_origins_built_from_the_plan():
-    # only the slot plan and the carriers are kept; .trace and .orig_index
-    # are built from them when read
+def test_modulated_origin_grid_built_only_for_orig_index():
+    # robofp defend reads only .trace; the origin grid is built from the
+    # carriers when .orig_index is read, and nothing of it is kept
+    trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
+    d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
+    assert set(vars(d)) == {"original_bytes", "defended_bytes", "added_latency", "capture", "carriers"}
+    with mock.patch.object(type(d.capture), "wire_packets", side_effect=AssertionError):
+        # message 0 in slot 0 (outgoing), 1 in slot 2 (incoming), 2 in slot 4
+        assert d.orig_index.tolist() == [0, -1, -1, -1, -1, 1, -1, -1, 2, -1]
+    assert len(d.orig_index) == len(d.trace)
+
+
+def test_modulated_wire_packets_built_on_first_read():
+    # only the slot plan is kept; each read of .trace builds its wire packets
     trace = make_trace([(0.0, 1, 1400), (0.002, -1, 90), (0.0031, 1, 60)])
     d = apply_modulation_defense(trace, ModulationConfig(500, 0.001, 0.005))
     assert len(d.capture) == 2 * d.capture.n_slots
-    # message 0 in slot 0 (outgoing), 1 in slot 2 (incoming), 2 in slot 4
-    assert d.orig_index.tolist() == [0, -1, -1, -1, -1, 1, -1, -1, 2, -1]
-    assert len(d.trace) == len(d.capture) and d.defended_bytes == d.trace.total_bytes
+    first = d.trace
+    assert first is not d.trace and np.array_equal(first.sizes, d.trace.sizes)
+    assert len(first) == len(d.capture) and d.defended_bytes == first.total_bytes
     # the 1400-byte message goes out as three 500-byte segments: no odd sizes
     assert all(len(rows) == 0 for rows, _ in d.capture.odd)
-    assert d.bandwidth_overhead() == (d.trace.total_bytes - 1550) / 1550
+    assert d.bandwidth_overhead() == (first.total_bytes - 1550) / 1550
 
 
 def test_modulation_slot_cap_raises_before_allocating():
