@@ -4,13 +4,14 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
-A manifest's captures are read on demand: ``load_inputs`` parses the rows
-and each pass (featurizing, defending) reads one capture at a time, keeping
-none, so no run holds the whole set.  A sweep re-reads them once per point.
-Generated captures are made on demand by ``gen_dataset`` but held in memory
-here, as a list, so that a sweep does not make them again at every point.
-A run that cross-validates a manifest refuses more folds than a class has
-rows before reading a capture.
+Every run walks its captures on demand: ``load_inputs`` returns a
+manifest's or ``gen_dataset``'s ``trace.Captures``, and each pass
+(featurizing, defending) reads or makes one capture at a time and keeps
+none.  Only a sweep holds captures, and only generated ones
+(``_sweep_inputs``): it walks them once per point, and generating the
+seed-42 captures takes about four times the CPU of reading them.  A run
+that cross-validates refuses more folds than a class has captures from the
+labels alone, before any capture is read or made.
 
 Sweep points run one after another, in sweep-key order, in one thread:
 threads sharing the interpreter lock never made a sweep faster.  Fold
@@ -101,8 +102,10 @@ class ExperimentConfig:
 
     ``samples_per_class`` is bounded as in GenConfig, by
     synthgen.MAX_SAMPLES_PER_CLASS (10,000), also when a manifest is given.
-    ``n_folds`` is at most MAX_FOLDS; runs that cross-validate generated
-    data also need it at most ``samples_per_class`` (``check_folds``).
+    ``n_folds`` is at most MAX_FOLDS; runs that cross-validate also need it
+    at most each class's capture count, checked before any capture is read
+    or made.  Every run walks its captures on demand; only a sweep holds
+    generated ones.
     Generated captures last up to synthgen.MAX_DURATION, so without a
     manifest ``sigproc.bin_width`` must bin them in sigproc.MAX_BINS bins."""
 
@@ -138,17 +141,6 @@ class ExperimentConfig:
                 f"workers must be 0 or 1, got {self.workers}: sweep points run in one thread"
             )
 
-    def check_folds(self) -> None:
-        """InvalidConfig unless generated data can be dealt into n_folds folds.
-
-        Runs that cross-validate call it before generating; featurizing and
-        defending deal no folds, so the config itself does not."""
-        if self.manifest is None and self.n_folds > self.samples_per_class:
-            raise InvalidConfig(
-                f"n_folds must be <= samples_per_class ({self.samples_per_class}) "
-                f"for generated data, got {self.n_folds}"
-            )
-
     def to_doc(self) -> dict:
         return asdict(self)
 
@@ -177,14 +169,13 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
-    """The captures and the kernel bank.  A manifest's captures are read on
-    demand, once per pass (``trace.manifest_captures``); generated ones are
-    made once and held in a list."""
+    """The captures and the kernel bank.  The captures are read from a
+    manifest (``trace.manifest_captures``) or generated (``gen_dataset``)
+    on demand, once per pass."""
     if config.manifest is not None:
         dataset = Dataset(manifest_captures(config.manifest))
     else:
-        gen = GenConfig(seed=config.seed, samples_per_class=config.samples_per_class)
-        dataset = Dataset(list(gen_dataset(gen)))
+        dataset = gen_dataset(GenConfig(seed=config.seed, samples_per_class=config.samples_per_class))
     if config.kernel_bank_path is not None:
         bank = KernelBank.load(config.kernel_bank_path)
         for kernel in bank:
@@ -200,13 +191,20 @@ def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 
 def _cv_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """``load_inputs`` for a run that cross-validates.  More folds than a
-    class has captures are refused first: for generated data before
-    generating, for a manifest once its rows are parsed, before any capture
-    is read."""
-    config.check_folds()
+    class has captures are refused from the labels, before any capture is
+    read or made."""
     dataset, bank = load_inputs(config)
-    if config.manifest is not None:
-        stratified_folds(dataset.traces.labels, config.n_folds, config.seed)
+    stratified_folds(dataset.traces.labels, config.n_folds, config.seed)
+    return dataset, bank
+
+
+def _sweep_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
+    """``_cv_inputs`` for a sweep, which walks its captures once per point:
+    generated ones are made once and held in a list, a manifest's are read
+    again at each point."""
+    dataset, bank = _cv_inputs(config)
+    if config.manifest is None:
+        dataset = Dataset(list(dataset))
     return dataset, bank
 
 
@@ -214,7 +212,7 @@ def _cv_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 # attack evaluation
 
 
-def _evaluate(config: ExperimentConfig, matrix: FeatureMatrix, X_test=None):
+def _evaluate(config: ExperimentConfig, matrix: FeatureMatrix):
     return cross_validate(
         matrix.X,
         matrix.labels,
@@ -222,7 +220,6 @@ def _evaluate(config: ExperimentConfig, matrix: FeatureMatrix, X_test=None):
         n_folds=config.n_folds,
         seed=config.seed,
         feature_names=list(matrix.schema.names),
-        X_test=X_test,
     )
 
 
@@ -238,9 +235,6 @@ def run_attack_experiment(config: ExperimentConfig) -> dict:
     dataset, bank = _cv_inputs(config)
     n_traces = len(dataset.traces)
     matrix = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)
-    # cross-validation and the top-feature fit need only the matrix, so
-    # generated captures are not held through them
-    del dataset
     report = _evaluate(config, matrix)
     return {
         "config": config.to_doc(),
@@ -300,7 +294,7 @@ def _sweep_accuracies(config: ExperimentConfig, points, matrix_of, clean) -> lis
         m = matrix_of(point)
         key = problem_key(m.X, m.labels, config.classifier, config.n_folds, config.seed)
         if key not in accuracy:
-            accuracy[key] = _evaluate(config, m, X_test=m.X).accuracy
+            accuracy[key] = _evaluate(config, m).accuracy
         return key
 
     return [accuracy[k] for k in [key_of(p) for p in points]]
@@ -313,7 +307,7 @@ def threshold_sweep(
     for t in thresholds:
         if not 0.0 <= t <= 1.3:
             raise InvalidConfig(f"threshold {t} outside [0, 1.3]")
-    dataset, bank = _cv_inputs(config)
+    dataset, bank = _sweep_inputs(config)
     thresholds = sorted(thresholds)
 
     def matrix_of(t: float) -> FeatureMatrix:
@@ -350,7 +344,7 @@ def _defense_sweep(config: ExperimentConfig, defenses: list) -> list[tuple[float
     defended features.  The fixed one fits each fold on clean traffic and
     scores the same held-out captures after each defense.  A modulated
     trace is featurized from its slot plan, never as wire packets."""
-    dataset, bank = _cv_inputs(config)
+    dataset, bank = _sweep_inputs(config)
     clean = None
     if not config.retrain_on_defended:
         clean = featurize_dataset(dataset, bank, config.sigproc, config.feature_set)

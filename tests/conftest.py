@@ -32,6 +32,24 @@ def run_python(code, *args):
     return done.stdout
 
 
+_CLI_PEAK = (
+    "import re, sys\n"
+    "from pathlib import Path\n"
+    "from robofp.cli import cli\n"
+    "assert cli(sys.argv[1:]) == 0\n"
+    "status = Path('/proc/self/status').read_text()\n"
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+)
+
+
+def cli_peak_kb(*args):
+    """Standard output and peak resident set (kB) of ``robofp args`` run in a
+    fresh interpreter.  The peak is the child's VmHWM, which starts afresh at
+    exec; ru_maxrss would keep this process's peak from before the fork."""
+    out, _, peak = run_python(_CLI_PEAK, *args).rstrip("\n").rpartition("\n")
+    return out, int(peak)
+
+
 def count_fits(patch):
     """A list that gets one entry per GBDTClassifier.fit from now on."""
     fits = []

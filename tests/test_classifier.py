@@ -442,40 +442,45 @@ def test_split_search_gets_one_column_per_rank_class(monkeypatch):
     assert model.to_json() == _reference_fit(GBDTParams(n_rounds=3), X, y).to_json()
 
 
-def test_seed42_fold_models_pinned():
+@pytest.fixture(scope="module")
+def seed42_fold_problems():
+    """(training matrix, labels) of the models the two seed-42 pins cover."""
+    bank = default_kernel_bank()
+    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
+    y = [t.label.value for t in dataset.traces]
+    X_c07, _, _ = defend_dataset(
+        dataset,
+        modulation_preset(500, 0.0001),
+        lambda defended: np.vstack([compute_features(d.capture, bank) for d in defended]),
+    )
+    return {"attack": (featurize_dataset(dataset, bank).X, y), "c07": (X_c07, y)}
+
+
+def test_seed42_fold_models_pinned(seed42_fold_problems):
     # sha256 over the to_json() of the ten seed-42 fold models and the full
     # fit, recorded before the split search skipped nodes and columns
-    matrix = featurize_dataset(
-        gen_dataset(GenConfig(seed=42, samples_per_class=50)), default_kernel_bank()
-    )
-    names = list(matrix.schema.names)
-    y = np.array(matrix.labels)
+    X, labels = seed42_fold_problems["attack"]
+    y = np.array(labels)
     digest = hashlib.sha256()
-    for heldout in stratified_folds(matrix.labels, 10, seed=42):
+    for heldout in stratified_folds(labels, 10, seed=42):
         train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(GBDTParams(), names).fit(matrix.X[train], list(y[train]))
+        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train]))
         digest.update(model.to_json().encode())
-    full = GBDTClassifier(GBDTParams(), names).fit(matrix.X, matrix.labels)
+    full = GBDTClassifier(GBDTParams(), feature_names()).fit(X, labels)
     digest.update(full.to_json().encode())
     assert digest.hexdigest() == (
         "61424b979821033581ea59d9af886eca71a6e65ecc33f624282442112467a489"
     )
 
 
-def test_seed42_c07_fold_models_pinned():
+def test_seed42_c07_fold_models_pinned(seed42_fold_problems):
     # sha256 over the to_json() of the ten seed-42 fold models on the
     # (500 B, 0.1 ms) modulated matrix, where ten varying columns fall into
     # three rank classes; recorded before the search skipped rank copies
-    bank = default_kernel_bank()
-    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
-    X, _, _ = defend_dataset(
-        dataset,
-        modulation_preset(500, 0.0001),
-        lambda defended: np.vstack([compute_features(d.capture, bank) for d in defended]),
-    )
-    y = np.array([t.label.value for t in dataset.traces])
+    X, labels = seed42_fold_problems["c07"]
+    y = np.array(labels)
     digest = hashlib.sha256()
-    for heldout in stratified_folds(list(y), 10, seed=42):
+    for heldout in stratified_folds(labels, 10, seed=42):
         train = np.setdiff1d(np.arange(len(y)), heldout)
         model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train]))
         digest.update(model.to_json().encode())
@@ -493,20 +498,6 @@ def _assert_scores_match_reference(model, X):
     clone = GBDTClassifier.from_json(model.to_json())
     assert model.decision_scores(X).tobytes() == expected.tobytes()
     assert clone.decision_scores(X).tobytes() == expected.tobytes()
-
-
-@pytest.fixture(scope="module")
-def seed42_fold_problems():
-    """(training matrix, labels) of the models the two seed-42 pins cover."""
-    bank = default_kernel_bank()
-    dataset = gen_dataset(GenConfig(seed=42, samples_per_class=50))
-    y = [t.label.value for t in dataset.traces]
-    X_c07, _, _ = defend_dataset(
-        dataset,
-        modulation_preset(500, 0.0001),
-        lambda defended: np.vstack([compute_features(d.capture, bank) for d in defended]),
-    )
-    return {"attack": (featurize_dataset(dataset, bank).X, y), "c07": (X_c07, y)}
 
 
 @pytest.mark.parametrize("matrix", ["attack", "c07"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_python
+from conftest import cli_peak_kb
 from robofp import errors, harness, trace
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
@@ -72,24 +72,24 @@ def test_generate_writes_dataset(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's VmHWM")
-def test_generate_holds_one_capture_at_a_time(tmp_path):
-    """Ten times the captures peak within 3 MB: each is written as it is
-    made (1,000 held captures would take about 8.5 MB).  The peak is the
-    child's VmHWM, which starts afresh at exec; ru_maxrss would keep this
-    process's peak from before the fork."""
-    code = (
-        "import re, sys\n"
-        "from robofp.cli import cli\n"
-        "assert cli(sys.argv[1:]) == 0\n"
-        "status = open('/proc/self/status').read()\n"
-        "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
-    )
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "--out-dir", "{out}"],
+        ["featurize", "--feature-set", "summary", "--out", "{out}/features.csv"],
+        ["defend", "--defense", "padding", "--x", "1", "--out-dir", "{out}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_one_pass_command_holds_one_capture_at_a_time(tmp_path, command):
+    """Ten times the generated captures peak within 3 MB: a one-pass
+    command makes, uses and drops each in turn (1,000 held captures would
+    take about 8.5 MB)."""
     peak_kb = {}
     for n in (25, 250):
-        out = run_python(code, "generate", "--seed", "42", "--samples-per-class", str(n),
-                         "--out-dir", str(tmp_path / str(n)))
-        assert f"wrote {4 * n} traces" in out
-        peak_kb[n] = int(out.split()[-1])
+        args = [arg.format(out=tmp_path / str(n)) for arg in command]
+        out, peak_kb[n] = cli_peak_kb(*args, "--seed", "42", "--samples-per-class", str(n))
+        assert f"wrote {4 * n}" in out
     assert peak_kb[250] - peak_kb[25] <= 3 * 1024, peak_kb
 
 

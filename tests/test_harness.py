@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_fits
-from robofp import errors, harness, trace
+from robofp import errors, harness, synthgen, trace
 from robofp.classifier import GBDTParams, cross_validate, problem_key
 from robofp.defenses import SlotPlan
 from robofp.features import SigprocConfig
@@ -114,11 +114,10 @@ def test_config_bounds_refuse_before_any_work(monkeypatch):
     # more folds than generated captures per class: refused before generating,
     # though featurizing and defending accept the config
     config = ExperimentConfig(samples_per_class=2, n_folds=3)
-    monkeypatch.setattr(harness, "load_inputs", lambda c: pytest.fail("generated data"))
+    monkeypatch.setattr(synthgen, "gen_action", lambda *a, **k: pytest.fail("generated data"))
     for run in (run_attack_experiment, threshold_sweep, padding_sweep, modulation_sweep):
-        with pytest.raises(errors.InvalidConfig, match="n_folds must be <= samples_per_class"):
+        with pytest.raises(errors.TooFewSamples, match="n_folds must not exceed"):
             run(config)
-    replace(config, manifest="m.csv").check_folds()
 
 
 def test_resolve_workers():
@@ -258,15 +257,17 @@ def test_modulation_sweep_rows():
 
 @pytest.mark.parametrize("retrain", [True, False])
 def test_sweep_point_holds_one_defended_trace_at_a_time(monkeypatch, retrain):
-    # weak references to every DefendedTrace and its .trace: when the next
-    # trace is defended, at most the previous one may still be alive
+    # weak references to every DefendedTrace and its per-message
+    # added_latency (a modulated .trace is built anew on every read, so a
+    # reference to it would die at once): when the next trace is defended, at
+    # most the previous one may still be alive
     made, alive_at_call = [], []
     apply = harness.apply_defense
 
     def tracked(trace, defense):
         alive_at_call.append(sum(any(r() is not None for r in refs) for refs in made))
         result = apply(trace, defense)
-        made.append((weakref.ref(result), weakref.ref(result.trace)))
+        made.append((weakref.ref(result), weakref.ref(result.added_latency)))
         return result
 
     monkeypatch.setattr(harness, "apply_defense", tracked)
@@ -323,7 +324,7 @@ def test_sweep_plans_hold_only_their_odd_segments(monkeypatch):
             refs.append(weakref.ref(plan))
         return featurize(dataset, *args)
 
-    def cv(X, labels, X_test=None, **kw):
+    def cv(X, labels, **kw):
         alive_at_cv.append(sum(r() is not None for r in refs))
         return SimpleNamespace(accuracy=0.0)
 
@@ -350,8 +351,8 @@ def test_sweep_point_features_pinned(monkeypatch, s_p, t_i, expected):
     # cross-validation (seed 7, 20 traces), built without any wire packets
     seen = []
 
-    def capture(X, labels, X_test=None, **kw):
-        seen.append(X_test)
+    def capture(X, labels, **kw):
+        seen.append(X)
         return SimpleNamespace(accuracy=0.0)
 
     def refuse(plan):
