@@ -503,17 +503,11 @@ def cross_validate(
     n_folds: int = 10,
     seed: int = 0,
     feature_names: list[str] | None = None,
-    X_test: np.ndarray | None = None,
 ) -> CVReport:
     """Stratified k-fold CV: fit on each fold's complement, score the fold.
-
-    Each fold's model trains on rows of ``X`` and predicts the held-out rows
-    of ``X_test`` (default ``X``), so a model fitted on clean traffic can be
-    scored on the same captures after a defense.
-    """
-    (report,) = cross_validate_each(
-        X, y, [X if X_test is None else X_test], params, n_folds, seed, feature_names
-    )
+    ``cross_validate_each`` scores other matrices of the same captures, such
+    as the captures after a defense, with the same fold models."""
+    (report,) = cross_validate_each(X, y, [X], params, n_folds, seed, feature_names)
     return report
 
 

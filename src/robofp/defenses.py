@@ -192,6 +192,14 @@ class SlotPlan:
         """Time of the last slot, rounded as in the grid."""
         return float(self.slot_times(np.array([self.n_slots - 1]))[0])
 
+    def signed_bytes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and signed bytes that bin as the wire packets do: the two
+        s_p-byte packets of a slot cancel, so only the segments of another
+        size remain, each as its signed ``size - s_p`` (integer sums, exact)."""
+        (out_rows, out_delta), (in_rows, in_delta) = self.odd
+        times = self.slot_times(np.concatenate([out_rows, in_rows]))
+        return times, np.concatenate([out_delta, -in_delta]).astype(np.float64)
+
     def column_sizes(self, column: int) -> np.ndarray:
         """One direction's packet sizes in slot order."""
         sizes = np.full(self.n_slots, self.s_p, dtype=np.int64)

@@ -14,11 +14,12 @@ Two feature families:
 
 ``compute_features`` also takes a modulated capture as its ``SlotPlan``
 and gives the same vector, bit for bit, as for the plan's wire packets
-without building them: the two directions' s_p-byte packets cancel in
+without building them.  Both kinds are binned by ``sigproc.bin_trace``,
+the one binning entry: a plan's two s_p-byte packets of a slot cancel in
 every signed bin, so only segments of another size are binned (integer
-sums, exact); a direction of s_p-byte packets only has the size statistics
-of one such packet; and both directions share one slot grid, hence one set
-of inter-arrival percentiles.
+sums, exact; ``SlotPlan.signed_bytes``).  A direction of s_p-byte packets
+only has the size statistics of one such packet, and both directions share
+one slot grid, hence one set of inter-arrival percentiles.
 
 Those percentiles are read without building the grid.  A slot's time
 depends only on its row and t_i, so every plan's inter-arrival times are
@@ -68,9 +69,7 @@ from .sigproc import (
     CommandKind,
     CommandStats,
     KernelBank,
-    Signal,
     bin_trace,
-    bin_weights,
     cluster_statistics,
     convolve,
     detect_clusters,
@@ -218,8 +217,11 @@ def make_schema(
     )
 
 
-def command_clusters(trace: Trace, kind: CommandKind, bank: KernelBank, config: SigprocConfig):
-    """Detection route for one command kind: (response signal, clusters)."""
+def command_clusters(
+    trace: Trace | SlotPlan, kind: CommandKind, bank: KernelBank, config: SigprocConfig
+):
+    """Detection route for one command kind of a capture or a modulated
+    capture's slot plan: (response signal, clusters)."""
     signal = bin_trace(trace, config.bin_width)
     return _scan(signal, kind, bank, config)
 
@@ -239,15 +241,6 @@ def _scan(signal, kind, bank, config):
         response = convolve(signal, kernel)
         threshold, min_duration = config.conv_threshold, config.conv_min_duration
     return response, detect_clusters(response, threshold, config.merge_gap, min_duration)
-
-
-def _signal(trace: Trace | SlotPlan, bin_width: float) -> Signal:
-    if isinstance(trace, Trace):
-        return bin_trace(trace, bin_width)
-    (out_rows, out_delta), (in_rows, in_delta) = trace.odd
-    times = trace.slot_times(np.concatenate([out_rows, in_rows]))
-    weights = np.concatenate([out_delta, -in_delta]).astype(np.float64)
-    return Signal(bin_weights(times, weights, trace.duration, bin_width), bin_width)
 
 
 def _iat_percentiles(times: np.ndarray) -> list[float]:
@@ -345,7 +338,7 @@ def compute_features(
 
     blocks = []
     if feature_set in ("full", "command"):
-        signal = _signal(trace, config.bin_width)
+        signal = bin_trace(trace, config.bin_width)
         for kind in ALL_KINDS:
             response, clusters = _scan(signal, kind, bank, config)
             stats = cluster_statistics(response, clusters)

@@ -4,14 +4,15 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
-Every run walks its captures on demand: ``load_inputs`` returns a
-manifest's or ``gen_dataset``'s ``trace.Captures``, and each pass
-(featurizing, defending) reads or makes one capture at a time and keeps
-none.  Only a sweep holds captures, and only generated ones
-(``_sweep_inputs``): it walks them once per point, and generating the
-seed-42 captures takes about four times the CPU of reading them.  A run
-that cross-validates refuses more folds than a class has captures from the
-labels alone, before any capture is read or made.
+Every run walks its captures on demand: ``load_inputs`` returns what
+``trace.load_dataset`` reads from a manifest or ``gen_dataset`` generates,
+a ``trace.Captures`` either way, and each pass (featurizing, defending)
+reads or makes one capture at a time and keeps none.  Only a sweep holds
+captures, and only generated ones (``_sweep_inputs``): it walks them once
+per point, and generating the seed-42 captures takes about four times the
+CPU of reading them.  A run that cross-validates refuses more folds than a
+class has captures from the labels alone, before any capture is read or
+made.
 
 Sweep points run one after another, in sweep-key order, in one thread:
 threads sharing the interpreter lock never made a sweep faster.  Fold
@@ -80,9 +81,7 @@ from .synthgen import (
     default_kernel_bank,
     gen_dataset,
 )
-# load_dataset is no longer called here, but perfbench's traced runs wrap it
-# under this module's name
-from .trace import Dataset, load_dataset, manifest_captures  # noqa: F401
+from .trace import Dataset, load_dataset
 
 TOP_FEATURES = 20
 
@@ -170,10 +169,10 @@ def resolve_workers(config: ExperimentConfig) -> int:
 
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """The captures and the kernel bank.  The captures are read from a
-    manifest (``trace.manifest_captures``) or generated (``gen_dataset``)
-    on demand, once per pass."""
+    manifest (``trace.load_dataset``) or generated (``gen_dataset``) on
+    demand, once per pass."""
     if config.manifest is not None:
-        dataset = Dataset(manifest_captures(config.manifest))
+        dataset = load_dataset(config.manifest)
     else:
         dataset = gen_dataset(GenConfig(seed=config.seed, samples_per_class=config.samples_per_class))
     if config.kernel_bank_path is not None:

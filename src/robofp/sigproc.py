@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .defenses import SlotPlan
 from .errors import (
     EmptyKernel,
     EmptyWindow,
@@ -136,17 +137,19 @@ def bin_weights(
     return np.bincount(idx, weights=weights, minlength=n_bins)
 
 
-def bin_trace(trace: Trace, bin_width: float = 0.01) -> Signal:
-    """Accumulate signed packet bytes (``dir * size``) into fixed-width time bins.
+def bin_trace(capture: Trace | SlotPlan, bin_width: float = 0.01) -> Signal:
+    """Accumulate a capture's signed packet bytes (its ``signed_bytes()``)
+    into fixed-width time bins.
 
     Opposing directions cancel within a bin.  The signal starts at time 0
     and spans ceil(duration / bin_width) bins (at least one); a packet
-    falling exactly on the end boundary lands in the last bin.
+    falling exactly on the end boundary lands in the last bin.  A modulated
+    capture's ``SlotPlan`` bins to its wire packets' signal, bit for bit.
     """
     if bin_width <= 0:
         raise InvalidConfig("bin_width must be positive")
-    weights = (trace.dirs * trace.sizes).astype(np.float64)
-    return Signal(bin_weights(trace.times, weights, trace.duration, bin_width), bin_width)
+    times, weights = capture.signed_bytes()
+    return Signal(bin_weights(times, weights, capture.duration, bin_width), bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +448,8 @@ def extract_kernel(
     sel = (trace.times >= start) & (trace.times < end)
     if not sel.any():
         raise EmptyWindow(f"no packets in [{start}, {end})")
-    weights = (trace.dirs[sel] * trace.sizes[sel]).astype(np.float64)
-    values = bin_weights(trace.times[sel] - start, weights, end - start, bin_width)
+    times, weights = trace.signed_bytes()
+    values = bin_weights(times[sel] - start, weights[sel], end - start, bin_width)
     return Kernel(kind=kind, bin_width=bin_width, values=values, source_id=source_id)
 
 

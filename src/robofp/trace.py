@@ -12,9 +12,8 @@ File formats:
   each row as ``"{:.6f},{},{}".format`` renders it, so ``t`` is in fixed
   notation with six decimal digits.
 * manifest CSV: header ``path,label``, one trace file per row, paths
-  relative to the manifest's directory.  ``manifest_captures`` parses the
-  rows and reads each trace file when a pass reaches it (``Captures``);
-  ``load_dataset`` reads them all at once.
+  relative to the manifest's directory.  ``load_dataset`` parses the rows
+  and reads each trace file when a pass reaches it (``Captures``).
 
 The writer formats 2**16 rows at a time in one uint8 matrix, so its
 temporaries do not grow with the trace, and ``save_trace`` writes each chunk
@@ -139,6 +138,10 @@ class Trace:
     def columns(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Times, directions and sizes of packets ``start`` up to ``stop``."""
         return self.times[start:stop], self.dirs[start:stop], self.sizes[start:stop]
+
+    def signed_bytes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and signed packet bytes (``dir * size``, float64), as binned."""
+        return self.times, (self.dirs * self.sizes).astype(np.float64)
 
 
 class Captures:
@@ -396,15 +399,15 @@ def save_trace(trace, path: str | Path) -> None:
 # manifests and datasets
 
 
-def manifest_captures(manifest_path: str | Path) -> Captures:
+def load_dataset(manifest_path: str | Path) -> Dataset:
     """The traces a manifest lists, each read from disk when a pass or an
-    index reaches it.
+    index reaches it (``Captures``), so a second pass reads them again.
 
     The rows are parsed when it is called: a label outside the four known
     actions raises UnknownLabel, a malformed row MalformedRow and a manifest
     with no rows EmptyDataset.  A trace file's own errors (MissingFile for a
-    dangling path) are raised by the read that reaches it.  Labels come from
-    the manifest, not the trace files."""
+    dangling path, a parse error) are raised by the read that reaches it.
+    Labels come from the manifest, not the trace files."""
     lines = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
     base = Path(manifest_path).parent
     valid = {lab.value: lab for lab in ActionLabel}
@@ -422,12 +425,7 @@ def manifest_captures(manifest_path: str | Path) -> Captures:
         rows.append((base / rel, Path(rel).stem, valid[label_s]))
     if not rows:
         raise EmptyDataset(f"manifest {manifest_path} lists no traces")
-    return Captures([label.value for _, _, label in rows], lambda i: read_trace(*rows[i]))
-
-
-def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Every trace a manifest lists, read at once (see manifest_captures)."""
-    return Dataset(list(manifest_captures(manifest_path)))
+    return Dataset(Captures([label.value for _, _, label in rows], lambda i: read_trace(*rows[i])))
 
 
 def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
@@ -441,7 +439,7 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
     raises DuplicateTrace before it is written, and a trace without a
     label, which no manifest row can name, raises UnknownLabel; either way
     no manifest is written.  A dataset with no traces, whose manifest
-    ``manifest_captures`` would refuse, raises EmptyDataset and writes
+    ``load_dataset`` would refuse, raises EmptyDataset and writes
     nothing, not even ``out_dir``."""
     out_dir = Path(out_dir)
     rows = [MANIFEST_HEADER]

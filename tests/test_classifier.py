@@ -753,12 +753,12 @@ def test_cross_validate_on_separable_data():
 def test_cross_validate_scores_x_test():
     X, y = _blobs(n_per=20)
     base = cross_validate(X, y, FAST, n_folds=5, seed=0)
-    assert cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X) == base
+    assert cross_validate_each(X, y, [X], FAST, n_folds=5, seed=0) == [base]
     # every test row sits on class a's centre, so only class a is recovered
-    shifted = cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=np.zeros_like(X))
+    (shifted,) = cross_validate_each(X, y, [np.zeros_like(X)], FAST, n_folds=5, seed=0)
     assert shifted.recall == {"a": 1.0, "b": 0.0, "c": 0.0}
     with pytest.raises(errors.SchemaMismatch):
-        cross_validate(X, y, FAST, n_folds=5, seed=0, X_test=X[:, :1])
+        cross_validate_each(X, y, [X[:, :1]], FAST, n_folds=5, seed=0)
 
 
 def test_cross_validation_checks_shapes_before_dealing_folds():
@@ -862,7 +862,10 @@ def test_cross_validate_matches_reference_tally(problem, shifted):
     X = rng.normal(size=(len(y), 2))
     X_test = rng.normal(size=X.shape) if shifted else None
     params = GBDTParams(n_rounds=2, max_depth=2)
-    report = cross_validate(X, y, params, n_folds=n_folds, seed=seed, X_test=X_test)
+    if shifted:
+        (report,) = cross_validate_each(X, y, [X_test], params, n_folds=n_folds, seed=seed)
+    else:
+        report = cross_validate(X, y, params, n_folds=n_folds, seed=seed)
     expected = _reference_cross_validate(X, y, params, n_folds, seed, X_test)
     assert report == expected
     assert json.dumps(report.to_doc()) == json.dumps(expected.to_doc())

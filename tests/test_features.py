@@ -431,7 +431,16 @@ def _modulated_cases(draw):
 @given(_modulated_cases())
 @example((Trace(np.zeros(1), np.ones(1), np.array([80])), ModulationConfig(100, 1e-3, 1e-3)))
 def test_plan_features_match_wire_packets(bank, case):
-    _assert_plan_features_match(*case, bank)
+    """Also the plan's signal and every kind's clusters: ``bin_trace`` and
+    ``command_clusters`` take the plan as they take its wire packets."""
+    d = _assert_plan_features_match(*case, bank)
+    plan, wire = d.capture, d.trace
+    config = SigprocConfig()
+    got, want = (bin_trace(c, config.bin_width).values for c in (plan, wire))
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    for kind in ALL_KINDS:
+        got, want = (command_clusters(c, kind, bank, config)[1] for c in (plan, wire))
+        assert got == want, kind
 
 
 # kernel banks scaled far from the defaults: responses near float range
@@ -570,7 +579,7 @@ def test_no_scan_response_holds_negative_zero(bank):
     modulation = modulation_preset(500, 1e-4)
     for trace in gen_dataset(GenConfig(seed=42, samples_per_class=50)):
         for capture in (trace, apply_modulation_defense(trace, modulation).capture):
-            signal = features._signal(capture, config.bin_width)
+            signal = bin_trace(capture, config.bin_width)
             for kind in ALL_KINDS:
                 response = features._scan(signal, kind, bank, config)[0].values
                 assert not np.signbit(response[response == 0]).any(), (trace.trace_id, kind)

@@ -190,6 +190,13 @@ def _apply(recipe, good: dict, kind: str) -> bytes:
     return "\n".join(lines).encode()
 
 
+def _write_slots(d, good: dict, recipes: dict = ALL_GOOD) -> None:
+    """Write every slot file, by default the well-formed one: the fuzz
+    examples leave malformed documents behind in the shared directory."""
+    for slot, (name, kind) in SLOTS.items():
+        (d / name).write_bytes(_apply(recipes[slot], good, kind))
+
+
 def _argv(command: str, flags: dict, d) -> list[str]:
     out = str(d / "out")
     data = (["--config", str(d / "config.json")] if flags["use_config"] else
@@ -237,10 +244,8 @@ def _argv(command: str, flags: dict, d) -> list[str]:
          width=0.01)
 def test_cli_exits_cleanly(workdir, command, flags, recipes, width):
     d, goods = workdir
-    good = goods[width]
     shutil.rmtree(d / "out", ignore_errors=True)
-    for slot, (name, kind) in SLOTS.items():
-        (d / name).write_bytes(_apply(recipes[slot], good, kind))
+    _write_slots(d, goods[width], recipes)
     code, err = _quiet_cli([command, *_argv(command, flags, d), *flags["usage"]])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -249,6 +254,7 @@ def test_cli_exits_cleanly(workdir, command, flags, recipes, width):
 @pytest.mark.parametrize("n_rounds", [MAX_ROUNDS + 1, 10**12, 2**63])
 def test_oversize_n_rounds_exits_1_at_once(workdir, n_rounds):
     d, goods = workdir
+    _write_slots(d, goods[0.01])
     config = _set_key(json.loads(goods[0.01]["config"]), "n_rounds", n_rounds)
     (d / "config.json").write_text(json.dumps(config))
     start = time.perf_counter()
@@ -266,8 +272,8 @@ def test_oversize_n_rounds_exits_1_at_once(workdir, n_rounds):
         ({"max_depth": 10**12}, f"max_depth must be <= {MAX_DEPTH}, got {10**12}"),
         ({"n_folds": MAX_FOLDS + 1}, f"n_folds must lie in [2, {MAX_FOLDS}], got {MAX_FOLDS + 1}"),
         ({"n_folds": 10**12}, f"n_folds must lie in [2, {MAX_FOLDS}], got {10**12}"),
-        # generated data: 2 captures per class cannot fill 3 folds (the default
-        # kernel bank, since the fuzz tests may leave bank.json malformed)
+        # generated data, with the default kernel bank: 2 captures per class
+        # cannot fill 3 folds
         ({"manifest": None, "kernel_bank_path": None, "n_folds": 3},
          "class 'PickAndPlace' has 2 samples, fewer than 3 folds; "
          "n_folds must not exceed any class's sample count"),
@@ -279,6 +285,7 @@ def test_oversize_n_rounds_exits_1_at_once(workdir, n_rounds):
 )
 def test_oversize_config_fields_exit_1_at_once(workdir, edit, message):
     d, goods = workdir
+    _write_slots(d, goods[0.01])
     config = json.loads(goods[0.01]["config"])
     for key, value in edit.items():
         config = _set_key(config, key, value)

@@ -154,7 +154,8 @@ def test_written_traces_parse_alike_on_both_paths(rows):
 @given(data=_csv(MANIFEST_HEADER, ["a.csv", "b.csv", "c.csv", ".", "PressKey", "Nope", "", "\r"]))
 def test_load_dataset(workdir, data):
     (workdir / "manifest.csv").write_bytes(data)
-    _loads_or_refuses(load_dataset, workdir / "manifest.csv")
+    # a trace file's own errors come from the pass that reads it
+    _loads_or_refuses(lambda path: list(load_dataset(path)), workdir / "manifest.csv")
 
 
 @FUZZ

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import count_fits
 from robofp import errors, harness, synthgen, trace
-from robofp.classifier import GBDTParams, cross_validate, problem_key
+from robofp.classifier import GBDTParams, cross_validate, cross_validate_each, problem_key
 from robofp.defenses import SlotPlan
 from robofp.features import SigprocConfig
 from robofp.harness import (
@@ -456,7 +456,7 @@ def test_grouped_sweep_rows_match_per_point_cross_validation(retrain, problem):
         expected = [cross_validate(X, y, **params).accuracy for X in points]
         problems = {problem_key(X, y, config.classifier, n_folds, seed) for X in points}
     else:
-        expected = [cross_validate(clean, y, X_test=X, **params).accuracy for X in points]
+        expected = [cross_validate_each(clean, y, [X], **params)[0].accuracy for X in points]
         problems = {"clean"}
     with pytest.MonkeyPatch.context() as patch:
         fits = count_fits(patch)

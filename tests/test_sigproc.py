@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from robofp import errors, features, sigproc
+from robofp import errors, sigproc
 from robofp.defenses import apply_modulation_defense, modulation_preset
 from robofp.features import SigprocConfig, command_clusters
 from robofp.sigproc import (
@@ -371,7 +371,7 @@ def test_captures_and_plans_take_prefix_sums(monkeypatch):
     signals = []
     for trace in gen_dataset(GenConfig(seed=42)):
         for capture in (trace, apply_modulation_defense(trace, modulation).capture):
-            signals.append(features._signal(capture, config.bin_width))
+            signals.append(bin_trace(capture, config.bin_width))
     spy = ConvolveSpy(monkeypatch)
     for signal in signals:
         sliding_correlation(signal, kernel)

@@ -37,7 +37,7 @@ from robofp.trace import (
     ActionLabel,
     Captures,
     Dataset,
-    manifest_captures,
+    load_dataset,
     save_dataset,
     write_trace_csv,
 )
@@ -243,7 +243,7 @@ def test_generated_captures_match_the_list_they_replace(tmp_path):
         for i in range(3)
     ]
     generated = gen_dataset(GenConfig(seed=11, samples_per_class=3)).traces
-    saved = manifest_captures(save_dataset(generated, tmp_path))
+    saved = load_dataset(save_dataset(generated, tmp_path)).traces
 
     def same(got, expected):
         assert len(got) == len(expected)

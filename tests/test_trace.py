@@ -16,7 +16,6 @@ from robofp.trace import (
     Dataset,
     Trace,
     load_dataset,
-    manifest_captures,
     parse_trace_csv,
     quantize_time,
     read_trace,
@@ -369,8 +368,9 @@ class TestManifest:
         d = tmp_path / "data"
         d.mkdir()
         (d / "manifest.csv").write_text("path,label\nghost.csv,PressKey\n")
+        dataset = load_dataset(d / "manifest.csv")
         with pytest.raises(errors.MissingFile):
-            load_dataset(d / "manifest.csv")
+            list(dataset)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(errors.MissingFile):
@@ -445,13 +445,13 @@ class TestManifest:
                 save_dataset(empty, out)
             assert not out.exists()
 
-    def test_manifest_captures_read_each_file_when_reached(self, tmp_path):
+    def test_load_dataset_reads_each_file_when_reached(self, tmp_path):
         """Captures before a deleted file still index and slice; a full pass
         raises MissingFile naming the file."""
         manifest = save_dataset(gen_dataset(GenConfig(seed=3, samples_per_class=2)), tmp_path)
         rel = manifest.read_text().splitlines()[1 + 3].split(",")[0]
         (tmp_path / rel).unlink()
-        captures = manifest_captures(manifest)
+        captures = load_dataset(manifest).traces
         assert len(captures) == 8 and captures[0].trace_id == "pick_and_place_000"
         assert [t.trace_id for t in captures[:2]] == ["pick_and_place_000", "pick_and_place_001"]
         with pytest.raises(errors.MissingFile, match=re.escape(rel)):
@@ -479,7 +479,7 @@ def test_dataset_loads_in_one_array_pass(tmp_path):
     generated = gen_dataset(GenConfig(seed=42, samples_per_class=50))
     manifest = save_dataset(generated, tmp_path)
     with mock.patch.object(trace, "_parse_lines", wraps=trace._parse_lines) as spy:
-        loaded = load_dataset(manifest)
+        loaded = list(load_dataset(manifest))
         assert spy.call_count == 0
         parse_trace_csv(b"t,dir,size\r\n0.000000,1,60\r\n")
         assert spy.call_count == 1
