@@ -31,10 +31,12 @@ is checked against MAX_SLOTS first.
 A plan's wire packets are built only when ``DefendedTrace.trace`` is read,
 anew on each read, slot by slot with the outgoing packet first.
 ``SlotPlan.columns`` is their one builder: the trace writer takes them from
-it a chunk of rows at a time, and ``wire_packets`` all at once.  For
-t_i >= 1 us the microsecond-rounded slot times strictly increase, so that
-is time order.  Only ``DefendedTrace.orig_index`` builds the (n_slots, 2)
-origin grid, outgoing in column 0, from each message's first slot.
+it a chunk of rows at a time, and ``wire_packets`` all at once.  Slot
+row r is sent at ``trace.quantize_time(r * t_i)``, the one microsecond-grid
+rule of every capture time; for t_i >= 1 us those times strictly increase,
+so that is time order.  Only ``DefendedTrace.orig_index`` builds the
+(n_slots, 2) origin grid, outgoing in column 0, from each message's first
+slot.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, OutOfRange, check_field_types
-from .trace import MTU, ActionLabel, Trace
+from .trace import MTU, ActionLabel, Trace, quantize_time
 
 PAD_STEP = 100
 PAD_FACTOR_MIN = 1
@@ -76,22 +78,6 @@ def modulation_preset(s_p: int, t_i: float, tail_dummies: float = 0.0) -> "Modul
     return ModulationConfig(
         s_p=s_p, t_i=t_i, big_l=max(t_i, CONTROLLER_LATENCY_BUDGET), tail_dummies=tail_dummies
     )
-
-
-def grid_times(t_i: float, rows: np.ndarray) -> np.ndarray:
-    """Microsecond-rounded times of the given slot rows at interval t_i.
-
-    A slot's time depends only on its row and t_i, so every plan at t_i
-    shares one grid, and any rows of it give the same times wherever taken.
-    """
-    # float rows hold the same whole numbers; in place, because fresh
-    # temporaries of a whole grid cost more than the arithmetic
-    times = rows.astype(np.float64)
-    times *= t_i
-    times *= 1e6
-    np.round(times, out=times)
-    times /= 1e6
-    return times
 
 
 def pad_packet(size: int, x: int) -> int:
@@ -184,13 +170,15 @@ class SlotPlan:
         return 2 * self.n_slots  # wire packets
 
     def slot_times(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Microsecond-rounded times of the given slots, all slots by default."""
-        return grid_times(self.t_i, np.arange(self.n_slots) if rows is None else rows)
+        """Times of the given slot rows, all slots by default: ``rows * t_i``
+        on the microsecond grid.  A slot's time depends only on its row and
+        t_i, so any rows of a plan give the same times wherever taken."""
+        return quantize_time((np.arange(self.n_slots) if rows is None else rows) * self.t_i)
 
     @property
     def duration(self) -> float:
-        """Time of the last slot, rounded as in the grid."""
-        return float(self.slot_times(np.array([self.n_slots - 1]))[0])
+        """Time of the last slot, as ``slot_times`` gives it."""
+        return float(quantize_time((self.n_slots - 1) * self.t_i))
 
     def signed_bytes(self) -> tuple[np.ndarray, np.ndarray]:
         """Times and signed bytes that bin as the wire packets do: the two

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .defenses import SlotPlan, grid_times
+from .defenses import SlotPlan
 from .errors import (
     EmptyDataset,
     EmptyTrace,
@@ -76,7 +76,7 @@ from .sigproc import (
     linear_percentiles,
     sliding_correlation,
 )
-from .trace import Dataset, Trace
+from .trace import Dataset, Trace, quantize_time
 
 SCHEMA_VERSION = 1
 
@@ -252,7 +252,7 @@ def _iat_percentiles(times: np.ndarray) -> list[float]:
 
 def _iat_counts(t_i: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct inter-arrival times of grid slots start..stop - 1, with counts."""
-    return np.unique(np.diff(grid_times(t_i, np.arange(start, stop))), return_counts=True)
+    return np.unique(np.diff(quantize_time(np.arange(start, stop) * t_i)), return_counts=True)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -15,7 +15,7 @@ File formats:
   relative to the manifest's directory.  ``load_dataset`` parses the rows
   and reads each trace file when a pass reaches it (``Captures``).
 
-The writer formats 2**16 rows at a time in one uint8 matrix, so its
+The writer formats 2**12 rows at a time in one uint8 matrix, so its
 temporaries do not grow with the trace, and ``save_trace`` writes each chunk
 as it is made.  A time whose product ``t * 1e6`` is below 2**50 and within
 0.25 of an integer N is written as N's digits with a point before the last
@@ -82,7 +82,9 @@ def quantize_time(t: float | np.ndarray) -> np.float64 | np.ndarray:
     The CSV writer renders six decimal digits, so timestamps must sit on the
     microsecond grid for serialization to round-trip exactly.  ``np.rint``
     rounds half to even, as ``round`` does, so each value equals
-    ``round(t * 1e6) / 1e6`` (a zero result keeps the sign of ``t``).
+    ``round(t * 1e6) / 1e6`` (a zero result keeps the sign of ``t``).  This
+    is the one rule for every capture time: generated packets, and the slot
+    times of a modulated capture (``SlotPlan.slot_times``).
     """
     return np.rint(np.multiply(t, 1e6)) / 1e6
 
@@ -305,8 +307,9 @@ def _parse_lines(data: str | bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # rows the writer formats at once; its temporaries stay this size whatever
-# the trace length
-_WRITE_CHUNK = 2**16
+# the trace length, and small enough to be reused from the heap rather than
+# mapped afresh for every chunk (2**16 rows took 512 KB arrays)
+_WRITE_CHUNK = 2**12
 _PAD = 0  # a byte no row holds, dropped from the row matrix
 # _TRIPLES[k, v] is digit k of v's three decimal digits, zeros kept: a
 # 1,000-entry table per digit, so each digit column is one take
@@ -433,7 +436,7 @@ def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:
 
     Each trace is written as the dataset or iterable yields it, so traces
     made on the fly are never all held at once; a modulated capture may come
-    as its ``SlotPlan``, whose wire packets are built 2**16 at a time as they
+    as its ``SlotPlan``, whose wire packets are built 2**12 at a time as they
     are written.  A trace whose file name an earlier trace took (two trace
     ids alike, as ``load_dataset`` gives ``a/x.csv`` and ``b/x.csv``)
     raises DuplicateTrace before it is written, and a trace without a

@@ -93,6 +93,22 @@ def test_one_pass_command_holds_one_capture_at_a_time(tmp_path, command):
     assert peak_kb[250] - peak_kb[25] <= 3 * 1024, peak_kb
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's VmHWM")
+def test_modulation_defend_peaks_as_padding_does(tmp_path):
+    """A modulated capture is written from its slot plan a chunk at a time:
+    at t_i = 0.05 ms (0.47M to 1.17M wire packets per seed-42 capture) ``defend``
+    peaks within 2 MB of padding the same captures."""
+    peak_kb = {}
+    for name, defense in (
+        ("padding", ["--defense", "padding", "--x", "2"]),
+        ("modulation", ["--defense", "modulation", "--s-p", "500", "--t-i", "0.00005"]),
+    ):
+        out, peak_kb[name] = cli_peak_kb("defend", *defense, "--out-dir", str(tmp_path / name),
+                                         "--seed", "42", "--samples-per-class", "1")
+        assert "wrote 4" in out
+    assert peak_kb["modulation"] - peak_kb["padding"] <= 2 * 1024, peak_kb
+
+
 def test_generate_negative_seed_exits_1(tmp_path, capsys):
     assert cli(["generate", "--seed", "-1", "--out-dir", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
@@ -477,6 +477,19 @@ def test_modulation_slot_cap_raises_before_allocating():
         apply_modulation_defense(trace, ModulationConfig(300, 1e-3, 5e-3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 1.0), st.integers(0, MAX_SLOTS - 1), st.integers(0, 2**32 - 1))
+@example(1.5e-6, 673_823, 0)  # rint(r * (t_i * 1e6)) would round this row the other way
+def test_slot_times_follow_the_reference_rule_up_to_the_slot_cap(t_i, last, seed):
+    """Slot times and the duration of plans as long as the cap allows are
+    ``reference_modulation``'s rule bit for bit, not only close to it."""
+    rows = np.append(np.random.default_rng(seed).integers(0, last + 1, 999), last)
+    plan = SlotPlan(t_i, 500, last + 1, ((rows[:0], rows[:0]),) * 2)
+    rule = np.round(rows * t_i * 1e6) / 1e6
+    assert plan.slot_times(rows).tobytes() == rule.tobytes()
+    assert np.float64(plan.duration).tobytes() == rule[-1:].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # a plan is written as its wire packets, a chunk of rows at a time
 
@@ -507,7 +520,7 @@ def test_plan_writes_the_bytes_of_its_wire_packets(plan, chunk):
 
 
 def test_long_plan_writes_the_bytes_of_its_wire_packets():
-    # 150,001 slots: five default chunks, the last one partial
+    # 150,001 slots: 74 default chunks, the last one partial
     rows = np.arange(7, 150_001, 1_000)
     plan = SlotPlan(1e-4, 500, 150_001, ((rows, rows % 900 - 450), (rows[:3], -rows[:3] // 1000)))
     assert write_trace_csv(plan) == write_trace_csv(plan.wire_packets())
