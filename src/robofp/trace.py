@@ -55,7 +55,9 @@ from .errors import (
     EmptyDataset,
     MalformedHeader,
     MalformedRow,
+    MissingFile,
     NonMonotonicTime,
+    RobofpError,
     SizeOutOfRange,
     UnknownLabel,
     read_input,
@@ -409,8 +411,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     The rows are parsed when it is called: a label outside the four known
     actions raises UnknownLabel, a malformed row MalformedRow and a manifest
     with no rows EmptyDataset.  A trace file's own errors (MissingFile for a
-    dangling path, a parse error) are raised by the read that reaches it.
-    Labels come from the manifest, not the trace files."""
+    dangling path, a parse error) are raised by the read that reaches it,
+    a parse error's message led by the file's path.  Labels come from the
+    manifest, not the trace files."""
     lines = _csv_lines(read_input(manifest_path), MANIFEST_HEADER)
     base = Path(manifest_path).parent
     valid = {lab.value: lab for lab in ActionLabel}
@@ -428,7 +431,17 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         rows.append((base / rel, Path(rel).stem, valid[label_s]))
     if not rows:
         raise EmptyDataset(f"manifest {manifest_path} lists no traces")
-    return Dataset(Captures([label.value for _, _, label in rows], lambda i: read_trace(*rows[i])))
+
+    def read(i: int) -> Trace:
+        try:
+            return read_trace(*rows[i])
+        except MissingFile:
+            raise  # it quotes the path already
+        except RobofpError as e:
+            e.args = (f"{str(rows[i][0])!r}: {e}",)
+            raise
+
+    return Dataset(Captures([label.value for _, _, label in rows], read))
 
 
 def save_dataset(dataset: Iterable[Trace], out_dir: str | Path) -> Path:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -456,15 +457,30 @@ def seed42_fold_problems():
     return {"attack": (featurize_dataset(dataset, bank).X, y), "c07": (X_c07, y)}
 
 
-def test_seed42_fold_models_pinned(seed42_fold_problems):
+@pytest.fixture(scope="module")
+def seed42_fold_models(seed42_fold_problems):
+    """fold_models(matrix): the ten seed-42 fold models on that matrix, fitted
+    once for the module, in fold order."""
+
+    @functools.cache
+    def fold_models(matrix):
+        X, labels = seed42_fold_problems[matrix]
+        y = np.array(labels)
+        models = []
+        for heldout in stratified_folds(labels, 10, seed=42):
+            train = np.setdiff1d(np.arange(len(y)), heldout)
+            models.append(GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train])))
+        return tuple(models)
+
+    return fold_models
+
+
+def test_seed42_fold_models_pinned(seed42_fold_problems, seed42_fold_models):
     # sha256 over the to_json() of the ten seed-42 fold models and the full
     # fit, recorded before the split search skipped nodes and columns
     X, labels = seed42_fold_problems["attack"]
-    y = np.array(labels)
     digest = hashlib.sha256()
-    for heldout in stratified_folds(labels, 10, seed=42):
-        train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train]))
+    for model in seed42_fold_models("attack"):
         digest.update(model.to_json().encode())
     full = GBDTClassifier(GBDTParams(), feature_names()).fit(X, labels)
     digest.update(full.to_json().encode())
@@ -473,16 +489,12 @@ def test_seed42_fold_models_pinned(seed42_fold_problems):
     )
 
 
-def test_seed42_c07_fold_models_pinned(seed42_fold_problems):
+def test_seed42_c07_fold_models_pinned(seed42_fold_models):
     # sha256 over the to_json() of the ten seed-42 fold models on the
     # (500 B, 0.1 ms) modulated matrix, where ten varying columns fall into
     # three rank classes; recorded before the search skipped rank copies
-    X, labels = seed42_fold_problems["c07"]
-    y = np.array(labels)
     digest = hashlib.sha256()
-    for heldout in stratified_folds(labels, 10, seed=42):
-        train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y[train]))
+    for model in seed42_fold_models("c07"):
         digest.update(model.to_json().encode())
     assert digest.hexdigest() == (
         "d095431cc8744039617e21f686c9fd9cc5b1d313ebbc9df8167b0a02a749ccdc"
@@ -501,12 +513,11 @@ def _assert_scores_match_reference(model, X):
 
 
 @pytest.mark.parametrize("matrix", ["attack", "c07"])
-def test_seed42_fold_scores_match_reference_walk(seed42_fold_problems, matrix):
-    X, y = seed42_fold_problems[matrix]
-    y_arr = np.array(y)
-    for heldout in stratified_folds(y, 10, seed=42):
-        train = np.setdiff1d(np.arange(len(y)), heldout)
-        model = GBDTClassifier(GBDTParams(), feature_names()).fit(X[train], list(y_arr[train]))
+def test_seed42_fold_scores_match_reference_walk(
+    seed42_fold_problems, seed42_fold_models, matrix
+):
+    X, _ = seed42_fold_problems[matrix]
+    for model in seed42_fold_models(matrix):
         _assert_scores_match_reference(model, X)
 
 

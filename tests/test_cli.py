@@ -220,6 +220,12 @@ def test_featurize_non_utf8_trace_exits_1(tmp_path, capsys):
                    capsys, "not UTF-8", "(line 3)")
 
 
+def test_featurize_bad_capture_field_names_the_file(tmp_path, capsys):
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,x\n")
+    _assert_exit_1(["featurize", "--manifest", manifest, "--out", str(tmp_path / "f.csv")],
+                   capsys, f"{str(tmp_path / 'a.csv')!r}: bad size 'x' (line 3)")
+
+
 @pytest.mark.parametrize(
     "bank_width, edit, needle",
     [(0.01, "nan", "non-finite"), (0.05, None, "bin_width 0.05"),

@@ -1,13 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robofp import errors
+from robofp import errors, synthgen
 from robofp.sigproc import CommandKind
 from robofp.harness import ExperimentConfig
 from robofp.synthgen import (
@@ -21,6 +23,7 @@ from robofp.synthgen import (
     ScriptStep,
     _choice,
     _envelope,
+    _integer_source,
     _packet_columns,
     _uniform,
     default_action_templates,
@@ -318,6 +321,117 @@ def test_uniform_matches_generator_uniform(seed, lo, width, n):
     assert batch.uniform(lo, hi, n).tobytes() == want.tobytes()
     # and each leaves the stream at the same place
     assert ours.integers(2**62) == numpys.integers(2**62) == batch.integers(2**62)
+
+
+# spans (hi - lo + 1) on both sides of each of the source's cases: one value
+# draws nothing, up to 2**32 take Lemire's rule on a 32-bit half (2**32 the
+# half as it is; 3 * 2**30 redraws a quarter of its halves), and wider ones
+# go to Generator.integers
+SPANS = (1, 2, 121, 1500, 2**31, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 5, 2**40)
+DOUBLES = {
+    "random": lambda g: g.random(),
+    "normal": lambda g: g.normal(),
+    "exponential": lambda g: g.exponential(),
+    "uniform": lambda g: g.uniform(size=5),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.sampled_from(SPANS), max_size=2),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(-(2**40), 2**40), st.sampled_from(SPANS)),
+            st.sampled_from(sorted(DOUBLES)),
+        ),
+        max_size=30,
+    ),
+)
+def test_integer_source_matches_generator_integers(seed, before, draws):
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in before:  # may leave the upper half of a word buffered
+        assert ours.integers(n) == numpys.integers(n)
+    with _integer_source(ours) as integer:
+        for draw in draws:
+            if isinstance(draw, tuple):
+                lo, n = draw
+                assert integer(lo, lo + n - 1) == int(numpys.integers(lo, lo + n))
+            else:
+                got, want = DOUBLES[draw](ours), DOUBLES[draw](numpys)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the buffered half is written back: the two generators are one stream
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(5, 4), (5, -3), (2**63 - 3, 2**63 + 117), (-(2**63) - 1, 0)],
+    ids=["empty", "reversed", "above_int64", "below_int64"],
+)
+def test_integer_source_raises_what_generator_integers_raises(lo, hi):
+    ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ValueError) as want:
+        numpys.integers(121)  # buffers the upper half of a word
+        numpys.integers(lo, hi + 1)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        with _integer_source(ours) as integer:
+            integer(0, 120)
+            integer(lo, hi)
+    # the buffered half is written back on the way out
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``integers`` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bits, numpy_calls", [(np.random.PCG64, 1), (np.random.MT19937, 4)])
+def test_integer_source_calls_generator_integers_only_off_pcg64(bits, numpy_calls):
+    # MT19937 buffers no 32-bit half, so every draw goes to Generator.integers;
+    # on PCG64 only the span wider than 2**32 does
+    spans = [(40, 160), (-7, -7), (0, 2**32 - 1), (0, 2**40)]
+    ours, numpys = CountingGenerator(bits(8)), np.random.Generator(bits(8))
+    with _integer_source(ours) as integer:
+        assert [integer(lo, hi) for lo, hi in spans] == [
+            int(numpys.integers(lo, hi + 1)) for lo, hi in spans
+        ]
+    assert ours.calls == numpy_calls
+    # and each leaves the stream, any buffered half too, at the same place
+    assert ours.integers(2**32, size=3).tolist() == numpys.integers(2**32, size=3).tolist()
+
+
+def test_generation_with_a_buffered_half_matches_generator_integers(monkeypatch, commands):
+    """gen_action and gen_command give the traces and leave the state that
+    drawing every integer with Generator.integers gives."""
+    actions = default_action_templates()
+
+    def generate():
+        out = []
+        for c, label in enumerate(ActionLabel):
+            rng = trace_rng(42, c, 3)
+            rng.integers(121)  # leaves the upper half of a word buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+            tr = gen_action(rng, actions[label], commands)
+            *columns, end = gen_command(rng, commands[CommandKind.GRIPPER_POSITION], 1.0)
+            out.append(([tr.times, tr.dirs, tr.sizes, *columns, end], rng.bit_generator.state))
+        return out
+
+    ours = generate()
+
+    @contextlib.contextmanager
+    def generator_integers(rng):
+        yield lambda lo, hi: int(rng.integers(lo, hi + 1))
+
+    monkeypatch.setattr(synthgen, "_integer_source", generator_integers)
+    for (got, got_state), (want, want_state) in zip(ours, generate(), strict=True):
+        assert [np.asarray(a).tobytes() for a in got] == [np.asarray(b).tobytes() for b in want]
+        assert got_state == want_state
 
 
 WEIGHTS = st.one_of(
