@@ -3,14 +3,15 @@
 Two feature families:
 
 * command features — the trace is binned into a signed byte-rate signal and
-  scanned with the nominal waveform of each command kind.  One-shot command
-  kinds (Cartesian moves, position bursts) use normalized convolution; the
-  sustained speed-burst kind uses sliding correlation, which keys on the
-  envelope shape rather than the byte rate.  Detected clusters are reduced
-  to the fourteen per-kind statistics from ``cluster_statistics``.
+  scanned with the nominal waveform of each command kind; every scan goes
+  through ``_scan``, which refuses a kernel at another bin width than the
+  signal's.  One-shot command kinds (Cartesian moves, position bursts) use
+  normalized convolution; the sustained speed-burst kind uses sliding
+  correlation, which keys on the envelope shape rather than the byte rate.
+  A kind's block is the ``CommandStats`` of its detected clusters, in order.
 * summary features — volume, duration, size moments and inter-arrival-time
-  percentiles per direction.  These ignore command structure entirely and
-  serve as the ablation baseline.
+  percentiles per direction, built in ``summary_feature_names`` order.  These
+  ignore command structure entirely and serve as the ablation baseline.
 
 ``compute_features`` also takes a modulated capture as its ``SlotPlan``
 and gives the same vector, bit for bit, as for the plan's wire packets
@@ -47,8 +48,7 @@ import functools
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,6 @@ _IAT_QUANTILES = tuple(p / 100 for p in _IAT_PERCENTILES)
 _GRID_CHUNK = 2**14
 _SIZE_PERCENTILES = (50, 90)
 _SIZE_QUANTILES = tuple(p / 100 for p in _SIZE_PERCENTILES)
-# a CommandStats as a flat tuple in field order, without astuple's deep copy
-_stat_values = attrgetter(*(f.name for f in fields(CommandStats)))
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,7 @@ def summary_feature_names() -> list[str]:
 
 
 def command_feature_names() -> list[str]:
-    stats = [f.name for f in fields(CommandStats)]
-    return [f"{kind.name.lower()}_{stat}" for kind in ALL_KINDS for stat in stats]
+    return [f"{kind.name.lower()}_{stat}" for kind in ALL_KINDS for stat in CommandStats._fields]
 
 
 def feature_names(feature_set: str = "full") -> list[str]:
@@ -228,6 +225,10 @@ def command_clusters(
 
 def _scan(signal, kind, bank, config):
     kernel = bank.kernel_for(kind)
+    if kernel.bin_width != signal.bin_width:
+        raise SchemaMismatch(
+            f"{kind} kernel has bin_width {kernel.bin_width}, signal bin_width {signal.bin_width}"
+        )
     work = len(signal) * len(kernel.values)
     if work > MAX_SCAN_WORK:
         raise OutOfRange(
@@ -310,17 +311,13 @@ def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
             size_q = _plan_size_percentiles(trace, column)
             per_dir.append((trace.n_slots, total, sizes.astype(float), size_q, iat))
 
-    blocks = []
-    for count, total, sizes, size_q, iat in per_dir:
-        blocks.append([
-            [float(count)], [float(total)], [float(sizes.mean()), float(sizes.std())],
-            size_q, iat,
-        ])
-    out, inn = blocks
-    values = [float(len(trace)), *out[0], *inn[0], *out[1], *inn[1], trace.duration]
-    for o, i in zip(out[2:], inn[2:]):
-        values += o + i
-    return np.array(values)
+    (n_out, bytes_out, sizes_out, q_out, iat_out), (n_in, bytes_in, sizes_in, q_in, iat_in) = per_dir
+    # in summary_feature_names order
+    return np.array([
+        len(trace), n_out, n_in, bytes_out, bytes_in, trace.duration,
+        sizes_out.mean(), sizes_out.std(), sizes_in.mean(), sizes_in.std(),
+        *q_out, *q_in, *iat_out, *iat_in,
+    ], dtype=np.float64)
 
 
 def compute_features(
@@ -341,8 +338,7 @@ def compute_features(
         signal = bin_trace(trace, config.bin_width)
         for kind in ALL_KINDS:
             response, clusters = _scan(signal, kind, bank, config)
-            stats = cluster_statistics(response, clusters)
-            blocks.append(np.array(_stat_values(stats)))
+            blocks.append(np.array(cluster_statistics(response, clusters)))
     if feature_set in ("full", "summary"):
         blocks.append(_summary_features(trace))
     vector = np.concatenate(blocks)

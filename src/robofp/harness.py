@@ -71,7 +71,7 @@ from .defenses import (
     apply_defense,
     modulation_preset,
 )
-from .errors import InvalidConfig, OutOfRange, SchemaMismatch, check_field_types, load_json
+from .errors import InvalidConfig, OutOfRange, check_field_types, load_json
 from .features import FEATURE_SETS, FeatureMatrix, SigprocConfig, featurize_dataset
 from .sigproc import MAX_BINS, KernelBank
 from .synthgen import (
@@ -170,19 +170,13 @@ def resolve_workers(config: ExperimentConfig) -> int:
 def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """The captures and the kernel bank.  The captures are read from a
     manifest (``trace.load_dataset``) or generated (``gen_dataset``) on
-    demand, once per pass."""
+    demand, once per pass; each scan checks the bank's bin width."""
     if config.manifest is not None:
         dataset = load_dataset(config.manifest)
     else:
         dataset = gen_dataset(GenConfig(seed=config.seed, samples_per_class=config.samples_per_class))
     if config.kernel_bank_path is not None:
         bank = KernelBank.load(config.kernel_bank_path)
-        for kernel in bank:
-            if kernel.bin_width != config.sigproc.bin_width:
-                raise SchemaMismatch(
-                    f"{kernel.kind} kernel has bin_width {kernel.bin_width}, "
-                    f"sigproc bin_width is {config.sigproc.bin_width}"
-                )
     else:
         bank = default_kernel_bank(bin_width=config.sigproc.bin_width)
     return dataset, bank

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Signal:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:  # NaN too
             raise InvalidConfig("bin_width must be positive")
 
     def __len__(self) -> int:
@@ -146,7 +146,7 @@ def bin_trace(capture: Trace | SlotPlan, bin_width: float = 0.01) -> Signal:
     falling exactly on the end boundary lands in the last bin.  A modulated
     capture's ``SlotPlan`` bins to its wire packets' signal, bit for bit.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:  # NaN too
         raise InvalidConfig("bin_width must be positive")
     times, weights = capture.signed_bytes()
     return Signal(bin_weights(times, weights, capture.duration, bin_width), bin_width)
@@ -175,6 +175,8 @@ def convolve(signal: Signal, kernel: Kernel) -> Signal:
     x = signal.values
     h = kernel.values
     n, k = len(x), len(h)
+    if n == 0:  # np.convolve refuses an empty signal; its response is empty
+        return Signal(x, signal.bin_width)
     full = _full_scan(x, h) / (kernel.norm**2)
     lo = (k - 1) // 2
     out = full[lo : lo + n]
@@ -275,9 +277,8 @@ def detect_clusters(
     ]
 
 
-@dataclass
-class CommandStats:
-    """Distribution summary of a scan output plus its cluster structure."""
+class CommandStats(NamedTuple):
+    """A scan output's distribution and clusters: one kind's command feature block, in order."""
 
     mean: float
     std: float
@@ -379,7 +380,7 @@ def linear_percentiles(
 
 
 def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
-    """Reduce a scan output and its clusters to a fixed statistics block.
+    """Reduce a scan output and its clusters to one kind's feature block, ``CommandStats``.
 
     Moment statistics run over the full scan output, not only the clusters.
     ``avg_time_gap`` is the mean start-to-start spacing of consecutive
@@ -407,20 +408,7 @@ def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
         gap = (last.start - first.start) / (count - 1) if count > 1 else 0.0
 
     return CommandStats(
-        mean=mu,
-        std=sd,
-        median=med,
-        p25=p25,
-        p75=p75,
-        max=vmax,
-        min=vmin,
-        skewness=sk,
-        kurtosis=ku,
-        cluster_count=count,
-        total_cluster_length=total_len,
-        avg_cluster_length=avg_len,
-        total_time_span=span,
-        avg_time_gap=gap,
+        mu, sd, med, p25, p75, vmax, vmin, sk, ku, count, total_len, avg_len, span, gap
     )
 
 
@@ -441,7 +429,7 @@ def extract_kernel(
     The window must contain at least one packet; kernels are built from the
     signed bin values so the direction pattern is part of the signature.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:  # NaN too
         raise InvalidConfig("bin_width must be positive")
     if not (0.0 <= start < end):
         raise EmptyWindow(f"bad window [{start}, {end})")

@@ -81,6 +81,18 @@ def test_feature_name_counts():
         feature_names("bogus")
 
 
+def test_command_feature_names_follow_command_stats():
+    stats = (
+        "mean", "std", "median", "p25", "p75", "max", "min", "skewness", "kurtosis",
+        "cluster_count", "total_cluster_length", "avg_cluster_length", "total_time_span",
+        "avg_time_gap",
+    )
+    assert sigproc.CommandStats._fields == stats
+    names = command_feature_names()
+    for i, kind in enumerate(ALL_KINDS):
+        assert names[14 * i : 14 * (i + 1)] == [f"{kind.name.lower()}_{s}" for s in stats]
+
+
 def test_schema_round_trip(bank):
     schema = make_schema(bank, SigprocConfig(), "full")
     back = FeatureSchema.from_json(schema.to_json())
@@ -191,6 +203,29 @@ def test_profile_shape_separates_run_lengths(bank):
             assert lens["rise_slow"] > lens["rise_fast"]
 
 
+def test_command_block_is_read_by_name(bank):
+    trace = gen_dataset(GenConfig(seed=1, samples_per_class=1)).traces[0]
+    config = SigprocConfig()
+    got = dict(zip(command_feature_names(), compute_features(trace, bank, config, "command")))
+    for kind in ALL_KINDS:
+        stats = sigproc.cluster_statistics(*command_clusters(trace, kind, bank, config))
+        for name in sigproc.CommandStats._fields:
+            assert got[f"{kind.name.lower()}_{name}"] == getattr(stats, name), (kind, name)
+
+
+def test_scan_refuses_kernel_at_other_bin_width(bank):
+    # the bank's kernels are 0.01 s kernels
+    trace = make_trace(_quiet_rows(2.0))
+    config = SigprocConfig(bin_width=0.05)
+    for fs in ("full", "command"):
+        with pytest.raises(errors.SchemaMismatch, match="bin_width 0.01"):
+            compute_features(trace, bank, config, fs)
+    with pytest.raises(errors.SchemaMismatch, match="signal bin_width 0.05"):
+        command_clusters(trace, CommandKind.GRIPPER_SPEED, bank, config)
+    # the summary set scans nothing
+    assert len(compute_features(trace, bank, config, "summary")) == 28
+
+
 def test_command_clusters_routes_by_kind(bank):
     rows = _quiet_rows(6.0)
     trace = make_trace(rows)
@@ -208,29 +243,74 @@ def test_command_clusters_routes_by_kind(bank):
 # summary features against a hand oracle
 
 
+def _summary_oracle(trace: Trace) -> dict:
+    """Every summary feature of a wire-packet trace by name, from numpy."""
+    want = {"packet_count": len(trace.times), "duration": trace.times[-1]}
+    for d, sign in (("out", 1), ("in", -1)):
+        mask = trace.dirs == sign
+        sizes, times = trace.sizes[mask].astype(float), trace.times[mask]
+        want[f"{d}_count"] = mask.sum()
+        want[f"bytes_{d}"] = sizes.sum()
+        want[f"size_mean_{d}"] = np.mean(sizes)
+        want[f"size_std_{d}"] = np.std(sizes)
+        for p in (50, 90):
+            want[f"size_p{p}_{d}"] = np.percentile(sizes, p)
+        for p in (5, 10, 25, 50, 75, 90, 95):
+            want[f"iat_p{p}_{d}"] = np.percentile(np.diff(times), p)
+    return want
+
+
+def _assert_summary_by_name(vec, trace: Trace):
+    want = _summary_oracle(trace)
+    assert sorted(want) == sorted(summary_feature_names())
+    got = dict(zip(summary_feature_names(), vec.tolist()))
+    assert got == {name: float(value) for name, value in want.items()}
+
+
 def test_summary_features_hand_computed(bank):
     rows = [
         (0.0, 1, 100),
         (0.5, 1, 200),
         (1.5, 1, 300),
+        (1.75, 1, 1000),
         (0.2, -1, 400),
         (1.2, -1, 600),
+        (1.3, -1, 50),
     ]
-    vec = compute_features(make_trace(sorted(rows)), bank, feature_set="summary")
-    names = summary_feature_names()
-    got = dict(zip(names, vec))
-    assert got["packet_count"] == 5
-    assert got["out_count"] == 3
-    assert got["in_count"] == 2
-    assert got["bytes_out"] == 600
-    assert got["bytes_in"] == 1000
-    assert got["duration"] == 1.5
-    assert got["size_mean_out"] == 200.0
-    assert got["size_std_out"] == pytest.approx(np.std([100, 200, 300]))
-    assert got["size_mean_in"] == 500.0
-    assert got["size_p50_out"] == 200.0
-    assert got["iat_p50_out"] == pytest.approx(0.75)
-    assert got["iat_p50_in"] == pytest.approx(1.0)
+    trace = make_trace(sorted(rows))
+    vec = compute_features(trace, bank, feature_set="summary")
+    got = dict(zip(summary_feature_names(), vec))
+    assert got["packet_count"] == 7
+    assert got["out_count"] == 4
+    assert got["in_count"] == 3
+    assert got["bytes_out"] == 1600
+    assert got["bytes_in"] == 1050
+    assert got["duration"] == 1.75
+    assert got["size_mean_out"] == 400.0
+    assert got["size_std_out"] == pytest.approx(np.std([100, 200, 300, 1000]))
+    assert got["size_mean_in"] == 350.0
+    assert got["size_p50_out"] == 250.0
+    assert got["size_p50_in"] == 400.0
+    assert got["iat_p50_out"] == pytest.approx(0.5)  # of 0.25, 0.5, 1.0
+    assert got["iat_p50_in"] == pytest.approx(0.55)  # of 0.1, 1.0
+    # all 28 by name; each outgoing value differs from its incoming one, so
+    # two blocks read in each other's place cannot pass
+    _assert_summary_by_name(vec, trace)
+    for name, value in got.items():
+        if name.endswith("_out"):
+            assert value != got[name[: -len("out")] + "in"], name
+
+
+def test_summary_features_by_name_for_a_plan_with_odd_segments(bank):
+    # uneven segments in both directions: each direction's sizes differ
+    rows = [(0.0, 1, 1400), (0.002, 1, 700), (0.004, -1, 900)]
+    d = apply_modulation_defense(make_trace(rows), ModulationConfig(300, 0.003, 0.006))
+    assert all(len(odd_rows) for odd_rows, _ in d.capture.odd)
+    vec = compute_features(d.capture, bank, feature_set="summary")
+    _assert_summary_by_name(vec, d.trace)
+    got = dict(zip(summary_feature_names(), vec))
+    for name in ("bytes", "size_mean", "size_std", "size_p90"):
+        assert got[f"{name}_out"] != got[f"{name}_in"], name
 
 
 def test_single_direction_trace_has_finite_features(bank):

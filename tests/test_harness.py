@@ -13,7 +13,7 @@ from conftest import count_fits
 from robofp import errors, harness, synthgen, trace
 from robofp.classifier import GBDTParams, cross_validate, cross_validate_each, problem_key
 from robofp.defenses import SlotPlan
-from robofp.features import SigprocConfig
+from robofp.features import SigprocConfig, featurize_dataset
 from robofp.harness import (
     DEFAULT_PADDING_GRID,
     DEFAULT_THRESHOLD_GRID,
@@ -153,10 +153,15 @@ def test_load_inputs_kernel_bank_path(tmp_path):
 
 
 def test_load_inputs_rejects_bank_at_other_bin_width(tmp_path):
+    # load_inputs reads the bank as it is; the first scan refuses it
     path = tmp_path / "kernels.json"
     load_inputs(replace(SMALL, sigproc=SigprocConfig(bin_width=0.05)))[1].save(path)
-    with pytest.raises(errors.SchemaMismatch, match="bin_width"):
-        load_inputs(replace(SMALL, kernel_bank_path=str(path)))
+    config = replace(SMALL, kernel_bank_path=str(path))
+    dataset, bank = load_inputs(config)
+    with pytest.raises(errors.SchemaMismatch, match="bin_width 0.05"):
+        featurize_dataset(dataset, bank, config.sigproc)
+    with pytest.raises(errors.SchemaMismatch, match="bin_width 0.05"):
+        run_attack_experiment(config)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,14 @@ class TestBinTrace:
         with pytest.raises(errors.InvalidConfig):
             bin_trace(make_trace([]), 0.0)
 
+    def test_nan_bin_width(self):
+        with pytest.raises(errors.InvalidConfig, match="bin_width must be positive"):
+            bin_trace(make_trace([(0.0, 1, 10)]), float("nan"))
+
+    def test_signal_refuses_nan_bin_width(self):
+        with pytest.raises(errors.InvalidConfig, match="bin_width must be positive"):
+            Signal([1.0], float("nan"))
+
     def test_bin_cap_raises_before_allocating(self):
         # 1e9 bins of 10 ms; the last packet alone sets the count
         tr = make_trace([(0.0, 1, 100), (1e7, -1, 100)])
@@ -194,6 +202,11 @@ class TestConvolve:
     def test_empty_kernel_rejected(self):
         with pytest.raises(errors.EmptyKernel):
             ker([])
+
+    def test_empty_signal_gives_empty_response(self):
+        response = convolve(sig([], 0.05), ker([1.0, 2.0, 3.0], bw=0.05))
+        assert len(response) == 0
+        assert response.bin_width == 0.05
 
     def test_zero_norm_kernel_rejected(self):
         with pytest.raises(errors.EmptyKernel):
@@ -816,6 +829,11 @@ class TestKernels:
         tr = make_trace([(0.0, 1, 10), (2.0, 1, 10)])
         with pytest.raises(errors.OutOfRange):
             extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 1.0, 1e7, 0.01)
+
+    def test_extract_nan_bin_width(self):
+        tr = make_trace([(0.0, 1, 10)])
+        with pytest.raises(errors.InvalidConfig, match="bin_width must be positive"):
+            extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 0.0, 0.5, float("nan"))
 
     def test_extract_bad_window(self):
         tr = make_trace([(0.0, 1, 10)])
