@@ -26,6 +26,7 @@ from .harness import (
     DEFAULT_THRESHOLD_GRID,
     ExperimentConfig,
     defend_dataset,
+    load_captures,
     load_inputs,
     modulation_sweep,
     padding_sweep,
@@ -133,7 +134,7 @@ def _cmd_sweep_threshold(args) -> int:
 
 def _cmd_defend(args) -> int:
     config = _config_from_args(args)
-    dataset, _ = load_inputs(config)
+    dataset = load_captures(config)
     if args.defense == "padding":
         defense = PaddingConfig(args.x)
     else:

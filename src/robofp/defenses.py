@@ -81,9 +81,8 @@ def modulation_preset(s_p: int, t_i: float, tail_dummies: float = 0.0) -> "Modul
 
 
 def pad_packet(size: int, x: int) -> int:
-    """Round size up to a multiple of 100x bytes, capped at the MTU."""
-    if not PAD_FACTOR_MIN <= x <= PAD_FACTOR_MAX:
-        raise OutOfRange(f"padding factor {x} outside [{PAD_FACTOR_MIN}, {PAD_FACTOR_MAX}]")
+    """Round size up to a multiple of 100x bytes, capped at the MTU; x as in PaddingConfig."""
+    PaddingConfig(x)
     if not 1 <= size <= MTU:
         raise OutOfRange(f"packet size {size} outside [1, {MTU}]")
     step = PAD_STEP * x
@@ -113,7 +112,10 @@ class PaddingConfig:
 
     def __post_init__(self):
         if type(self.x) is not int or not PAD_FACTOR_MIN <= self.x <= PAD_FACTOR_MAX:
-            raise OutOfRange(f"padding factor {self.x} outside [1, {PAD_FACTOR_MAX}]")
+            raise OutOfRange(
+                f"padding factor must be an integer in [{PAD_FACTOR_MIN}, {PAD_FACTOR_MAX}], "
+                f"got {self.x}"
+            )
 
     def to_doc(self) -> dict:
         return {"type": "padding", "x": self.x}

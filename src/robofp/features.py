@@ -3,11 +3,12 @@
 Two feature families:
 
 * command features — the trace is binned into a signed byte-rate signal and
-  scanned with the nominal waveform of each command kind; every scan goes
-  through ``_scan``, which refuses a kernel at another bin width than the
-  signal's.  One-shot command kinds (Cartesian moves, position bursts) use
-  normalized convolution; the sustained speed-burst kind uses sliding
-  correlation, which keys on the envelope shape rather than the byte rate.
+  scanned with the nominal waveform of each command kind; ``_kernel``
+  refuses a kernel at another bin width, in each scan and, before any
+  capture is read, in ``make_schema``.  One-shot command kinds (Cartesian
+  moves, position bursts) use normalized convolution; the sustained
+  speed-burst kind uses sliding correlation, keyed to the envelope shape
+  rather than the byte rate.
   A kind's block is the ``CommandStats`` of its detected clusters, in order.
 * summary features — volume, duration, size moments and inter-arrival-time
   percentiles per direction, built in ``summary_feature_names`` order.  These
@@ -30,11 +31,11 @@ most); full chunks come from a memo, only a plan's last, partial chunk is
 counted afresh.  ``linear_percentiles`` reads the order statistics around
 each percentile's virtual index off the merged cumulative counts and
 interpolates them with np.percentile's own linear rule, so the result is
-the same float.  A plan's size percentiles are counted the same way, from
-s_p and the odd sizes.  The memo is a pure function of (t_i, chunk index),
-bounded by ``lru_cache`` (0.5 to 1.1 MB when full).  It is module-wide
-rather than per sweep because scoping it would take a ``compute_features``
-parameter that no caller has a reason to set.
+the same float.  A plan's size percentiles are not counted: they are read,
+as a capture's are, from its sorted sizes.  The memo is a pure function of
+(t_i, chunk index), bounded by ``lru_cache`` (0.5 to 1.1 MB when full).  It
+is module-wide rather than per sweep because scoping it would take a
+``compute_features`` parameter that no caller has a reason to set.
 
 Feature vectors carry a schema (ordered names + a fingerprint of the
 configuration and kernel bank that produced them) so that models refuse
@@ -205,7 +206,11 @@ def make_schema(
     config: SigprocConfig | None = None,
     feature_set: str = "full",
 ) -> FeatureSchema:
+    """The schema of ``feature_set`` rows; a set that scans checks each kernel."""
     config = config or SigprocConfig()
+    if feature_set in ("full", "command"):
+        for kind in ALL_KINDS:
+            _kernel(bank, kind, config.bin_width)
     return FeatureSchema(
         names=tuple(feature_names(feature_set)),
         feature_set=feature_set,
@@ -223,12 +228,18 @@ def command_clusters(
     return _scan(signal, kind, bank, config)
 
 
-def _scan(signal, kind, bank, config):
+def _kernel(bank: KernelBank, kind: CommandKind, bin_width: float):
+    """The bank's kernel for ``kind``; SchemaMismatch unless it is at ``bin_width``."""
     kernel = bank.kernel_for(kind)
-    if kernel.bin_width != signal.bin_width:
+    if kernel.bin_width != bin_width:
         raise SchemaMismatch(
-            f"{kind} kernel has bin_width {kernel.bin_width}, signal bin_width {signal.bin_width}"
+            f"{kind} kernel has bin_width {kernel.bin_width}, signal bin_width {bin_width}"
         )
+    return kernel
+
+
+def _scan(signal, kind, bank, config):
+    kernel = _kernel(bank, kind, signal.bin_width)
     work = len(signal) * len(kernel.values)
     if work > MAX_SCAN_WORK:
         raise OutOfRange(
@@ -280,43 +291,33 @@ def _plan_iat_percentiles(plan: SlotPlan) -> list[float]:
     return linear_percentiles(values, _IAT_QUANTILES, np.cumsum(counts))
 
 
-def _plan_size_percentiles(plan: SlotPlan, column: int) -> list[float]:
-    """Size percentiles of one direction's ``column_sizes``, counted: n_slots
-    packets of s_p bytes, less the odd rows (one per slot), plus their sizes."""
-    rows, delta = plan.odd[column]
-    values, inverse = np.unique(np.concatenate(([0], delta)), return_inverse=True)
-    counts = np.bincount(inverse)
-    counts[inverse[0]] += plan.n_slots - rows.size - 1
-    sizes = (plan.s_p + values).astype(float)
-    return linear_percentiles(sizes, _SIZE_QUANTILES, np.cumsum(counts))
-
-
 def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
-    per_dir = []  # count, bytes, sizes, size percentiles, iat percentiles
+    per_dir = []  # count, bytes, sizes, iat percentiles
     if isinstance(trace, Trace):
         for mask in (trace.dirs == 1, trace.dirs == -1):
             sizes = trace.sizes[mask]
             count, total = sizes.size, sizes.sum()
             # a direction without packets reads 0.0 for its size statistics
             sizes = sizes.astype(float) if count else np.zeros(1)
-            size_q = linear_percentiles(np.sort(sizes), _SIZE_QUANTILES)
-            per_dir.append((count, total, sizes, size_q, _iat_percentiles(trace.times[mask])))
+            per_dir.append((count, total, sizes, _iat_percentiles(trace.times[mask])))
     else:
         iat = _plan_iat_percentiles(trace)
         for column in (0, 1):
             rows, delta = trace.odd[column]
             total = trace.n_slots * trace.s_p + delta.sum()
-            # n_slots packets of s_p bytes have the size mean and std of one
+            # n_slots packets of s_p bytes have the size statistics of one
             sizes = trace.column_sizes(column) if rows.size else np.full(1, trace.s_p)
-            size_q = _plan_size_percentiles(trace, column)
-            per_dir.append((trace.n_slots, total, sizes.astype(float), size_q, iat))
+            per_dir.append((trace.n_slots, total, sizes.astype(float), iat))
 
-    (n_out, bytes_out, sizes_out, q_out, iat_out), (n_in, bytes_in, sizes_in, q_in, iat_in) = per_dir
-    # in summary_feature_names order
+    (n_out, bytes_out, sizes_out, iat_out), (n_in, bytes_in, sizes_in, iat_in) = per_dir
+    # in summary_feature_names order; mean and std over the unsorted sizes,
+    # since np.mean's pairwise sum depends on the order of its input
     return np.array([
         len(trace), n_out, n_in, bytes_out, bytes_in, trace.duration,
         sizes_out.mean(), sizes_out.std(), sizes_in.mean(), sizes_in.std(),
-        *q_out, *q_in, *iat_out, *iat_in,
+        *linear_percentiles(np.sort(sizes_out), _SIZE_QUANTILES),
+        *linear_percentiles(np.sort(sizes_in), _SIZE_QUANTILES),
+        *iat_out, *iat_in,
     ], dtype=np.float64)
 
 

@@ -4,15 +4,15 @@ Every run is driven by an ExperimentConfig, which is embedded verbatim in
 the report it produces; identical config and seed give byte-identical
 reports apart from the created_at stamp (report_digest excludes it).
 
-Every run walks its captures on demand: ``load_inputs`` returns what
+Every run walks its captures on demand: ``load_captures`` returns what
 ``trace.load_dataset`` reads from a manifest or ``gen_dataset`` generates,
 a ``trace.Captures`` either way, and each pass (featurizing, defending)
 reads or makes one capture at a time and keeps none.  Only a sweep holds
 captures, and only generated ones (``_sweep_inputs``): it walks them once
 per point, and generating the seed-42 captures takes about four times the
 CPU of reading them.  A run that cross-validates refuses more folds than a
-class has captures from the labels alone, before any capture is read or
-made.
+class has captures from the labels alone, and a run that scans refuses a
+kernel bank at another bin width, before any capture is read or made.
 
 Sweep points run one after another, in sweep-key order, in one thread:
 threads sharing the interpreter lock never made a sweep faster.  Fold
@@ -72,15 +72,9 @@ from .defenses import (
     modulation_preset,
 )
 from .errors import InvalidConfig, OutOfRange, check_field_types, load_json
-from .features import FEATURE_SETS, FeatureMatrix, SigprocConfig, featurize_dataset
+from .features import FEATURE_SETS, FeatureMatrix, SigprocConfig, featurize_dataset, make_schema
 from .sigproc import MAX_BINS, KernelBank
-from .synthgen import (
-    MAX_DURATION,
-    GenConfig,
-    check_samples_per_class,
-    default_kernel_bank,
-    gen_dataset,
-)
+from .synthgen import MAX_DURATION, GenConfig, default_kernel_bank, gen_dataset
 from .trace import Dataset, load_dataset
 
 TOP_FEATURES = 20
@@ -99,8 +93,8 @@ MAX_FOLDS = 800
 class ExperimentConfig:
     """Everything a run needs; serializes to one JSON document.
 
-    ``samples_per_class`` is bounded as in GenConfig, by
-    synthgen.MAX_SAMPLES_PER_CLASS (10,000), also when a manifest is given.
+    ``seed`` and ``samples_per_class`` are checked by GenConfig (at most
+    10,000 per class), also when a manifest is given.
     ``n_folds`` is at most MAX_FOLDS; runs that cross-validate also need it
     at most each class's capture count, checked before any capture is read
     or made.  Every run walks its captures on demand; only a sweep holds
@@ -122,9 +116,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        check_samples_per_class(self.samples_per_class)
+        GenConfig(self.seed, self.samples_per_class)
         if not 2 <= self.n_folds <= MAX_FOLDS:
             raise InvalidConfig(f"n_folds must lie in [2, {MAX_FOLDS}], got {self.n_folds}")
         if self.manifest is None and MAX_DURATION / self.sigproc.bin_width > MAX_BINS:
@@ -167,14 +159,17 @@ def resolve_workers(config: ExperimentConfig) -> int:
     return max(config.workers, 1)
 
 
-def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
-    """The captures and the kernel bank.  The captures are read from a
-    manifest (``trace.load_dataset``) or generated (``gen_dataset``) on
-    demand, once per pass; each scan checks the bank's bin width."""
+def load_captures(config: ExperimentConfig) -> Dataset:
+    """The captures, read from a manifest (``trace.load_dataset``) or
+    generated (``gen_dataset``) on demand, once per pass."""
     if config.manifest is not None:
-        dataset = load_dataset(config.manifest)
-    else:
-        dataset = gen_dataset(GenConfig(seed=config.seed, samples_per_class=config.samples_per_class))
+        return load_dataset(config.manifest)
+    return gen_dataset(GenConfig(seed=config.seed, samples_per_class=config.samples_per_class))
+
+
+def load_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
+    """``load_captures`` and the kernel bank."""
+    dataset = load_captures(config)
     if config.kernel_bank_path is not None:
         bank = KernelBank.load(config.kernel_bank_path)
     else:
@@ -193,9 +188,10 @@ def _cv_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
 
 def _sweep_inputs(config: ExperimentConfig) -> tuple[Dataset, KernelBank]:
     """``_cv_inputs`` for a sweep, which walks its captures once per point:
-    generated ones are made once and held in a list, a manifest's are read
-    again at each point."""
+    generated ones are made once, after ``make_schema`` has checked the
+    bank, and held in a list; a manifest's are read again at each point."""
     dataset, bank = _cv_inputs(config)
+    make_schema(bank, config.sigproc, config.feature_set)
     if config.manifest is None:
         dataset = Dataset(list(dataset))
     return dataset, bank

@@ -238,14 +238,6 @@ def default_action_templates() -> dict[ActionLabel, ActionTemplate]:
 MAX_SAMPLES_PER_CLASS = 10_000
 
 
-def check_samples_per_class(value: int) -> None:
-    """InvalidConfig unless 1 <= value <= MAX_SAMPLES_PER_CLASS."""
-    if not 1 <= value <= MAX_SAMPLES_PER_CLASS:
-        raise InvalidConfig(
-            f"samples_per_class must lie in [1, {MAX_SAMPLES_PER_CLASS}], got {value}"
-        )
-
-
 @dataclass
 class GenConfig:
     """``samples_per_class`` traces of each action from ``seed``; at most
@@ -259,7 +251,11 @@ class GenConfig:
         check_field_types(self)
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        check_samples_per_class(self.samples_per_class)
+        if not 1 <= self.samples_per_class <= MAX_SAMPLES_PER_CLASS:
+            raise InvalidConfig(
+                f"samples_per_class must lie in [1, {MAX_SAMPLES_PER_CLASS}], "
+                f"got {self.samples_per_class}"
+            )
 
 
 @contextlib.contextmanager

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_peak_kb
-from robofp import errors, harness, trace
+from robofp import errors, harness, synthgen, trace
 from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
 from robofp.features import SigprocConfig, make_schema
@@ -58,6 +58,15 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: robofp {shlex.join(argv)}")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in commands} == set(sub.choices)  # every subcommand is shown
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # the seed-42 attack run prints the report digest whose prefix c09 pins
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split()[-1].startswith("0531a5e4c5371002")
 
 
 def test_generate_writes_dataset(tmp_path, capsys):
@@ -443,6 +452,37 @@ def test_too_many_folds_for_a_manifest_exits_1_before_reading_a_capture(
                     "--out-dir", str(tmp_path / "o")], capsys, "fewer than 10 folds", "n_folds")
     assert opened == []
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["sweep-threshold"],
+                                     ["sweep-defense", "--kind", "padding"]])
+def test_bank_at_other_bin_width_exits_1_before_making_a_capture(
+    tmp_path, capsys, monkeypatch, command
+):
+    bank = tmp_path / "kernels.json"
+    assert cli(["kernels", "--out", str(bank), "--bin-width", "0.05"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(kernel_bank_path=str(bank)).to_json())
+    made = []
+    gen_action = synthgen.gen_action
+    monkeypatch.setattr(synthgen, "gen_action",
+                        lambda *a, **k: made.append(1) or gen_action(*a, **k))
+    _assert_exit_1([*command, "--config", str(config), "--out-dir", str(tmp_path / "o")],
+                   capsys, "bin_width 0.05")
+    assert made == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_defend_loads_no_kernel_bank(tmp_path, capsys):
+    # defending never scans, so a config naming no bank file still defends
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(seed=3, samples_per_class=1,
+                                       kernel_bank_path=str(tmp_path / "no_bank.json")).to_json())
+    out = tmp_path / "defended"
+    assert cli(["defend", "--config", str(config), "--defense", "padding", "--x", "2",
+                "--out-dir", str(out)]) == 0
+    assert json.loads((out / "defense_summary.json").read_text())["traces"] == 4
+    capsys.readouterr()
 
 
 def test_defend_padding(tmp_path, capsys):

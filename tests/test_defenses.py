@@ -43,9 +43,10 @@ def test_pad_packet_hand_cases():
 
 
 def test_pad_packet_range_checks():
-    for bad_x in (0, 11, -1):
-        with pytest.raises(errors.OutOfRange):
-            pad_packet(100, bad_x)
+    # only the factors PaddingConfig takes: no float or bool reaches the step
+    for bad_x in (0, 11, -1, 2.5, 2.0, True):
+        with pytest.raises(errors.OutOfRange, match=r"must be an integer in \[1, 10\]"):
+            pad_packet(360, bad_x)
     for bad_size in (0, -5, MTU + 1):
         with pytest.raises(errors.OutOfRange):
             pad_packet(bad_size, 1)
@@ -180,6 +181,14 @@ def test_padding_defense_matches_per_packet_oracle():
         assert np.array_equal(d.trace.dirs, make_trace(rows).dirs)
         assert np.array_equal(d.orig_index, np.arange(4))
         assert d.max_added_latency == 0.0
+
+
+def test_padding_defense_matches_per_packet_oracle_over_whole_domain():
+    sizes = np.arange(1, MTU + 1)
+    trace = Trace(np.arange(MTU) * 1e-3, np.ones(MTU, dtype=np.int64), sizes)
+    for x in range(1, 11):
+        padded = apply_padding_defense(trace, PaddingConfig(x)).trace.sizes
+        assert padded.tolist() == [pad_packet(int(s), x) for s in sizes]
 
 
 def test_padding_defense_is_idempotent_and_counts_bytes():

@@ -543,7 +543,7 @@ def test_scaled_kernel_banks_featurize_or_refuse(case, k, width, from_plan):
         vector = compute_features(target, bank, SigprocConfig(bin_width=width))
     except errors.RobofpError:
         return
-    assert vector.shape == (len(make_schema(bank).names),)
+    assert vector.shape == (len(make_schema(bank, SigprocConfig(bin_width=width)).names),)
     assert np.isfinite(vector).all()
 
 
@@ -647,9 +647,10 @@ def test_plan_size_percentiles_match_np_percentile(case):
     n_slots, rows, delta = case
     empty = (np.zeros(0, dtype=np.int64),) * 2
     plan = SlotPlan(1e-3, 500, n_slots, ((rows, delta), empty))
-    for column in (0, 1):
+    summary = dict(zip(summary_feature_names(), features._summary_features(plan)))
+    for column, d in enumerate(("out", "in")):
         expected = np.percentile(plan.column_sizes(column).astype(float), (50, 90))
-        got = features._plan_size_percentiles(plan, column)
+        got = [summary[f"size_p50_{d}"], summary[f"size_p90_{d}"]]
         assert np.array(got).tobytes() == expected.tobytes()
 
 

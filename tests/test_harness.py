@@ -153,7 +153,7 @@ def test_load_inputs_kernel_bank_path(tmp_path):
 
 
 def test_load_inputs_rejects_bank_at_other_bin_width(tmp_path):
-    # load_inputs reads the bank as it is; the first scan refuses it
+    # load_inputs reads the bank as it is; make_schema refuses it before any scan
     path = tmp_path / "kernels.json"
     load_inputs(replace(SMALL, sigproc=SigprocConfig(bin_width=0.05)))[1].save(path)
     config = replace(SMALL, kernel_bank_path=str(path))
