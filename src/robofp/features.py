@@ -92,12 +92,9 @@ CORRELATION_KINDS = frozenset({CommandKind.GRIPPER_SPEED})
 MAX_SCAN_WORK = 2**30
 
 _IAT_PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
-# percentiles scaled as np.percentile scales them
-_IAT_QUANTILES = tuple(p / 100 for p in _IAT_PERCENTILES)
+_SIZE_PERCENTILES = (50, 90)
 # inter-arrival times per memoised chunk of a slot grid
 _GRID_CHUNK = 2**14
-_SIZE_PERCENTILES = (50, 90)
-_SIZE_QUANTILES = tuple(p / 100 for p in _SIZE_PERCENTILES)
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def _kernel(bank: KernelBank, kind: CommandKind, bin_width: float):
     kernel = bank.kernel_for(kind)
     if kernel.bin_width != bin_width:
         raise SchemaMismatch(
-            f"{kind} kernel has bin_width {kernel.bin_width}, signal bin_width {bin_width}"
+            f"{kind} kernel has bin_width {kernel.bin_width}, sigproc.bin_width {bin_width}"
         )
     return kernel
 
@@ -259,7 +256,7 @@ def _iat_percentiles(times: np.ndarray) -> list[float]:
     # without gaps they read 0.0; iat is ours, so it is sorted in place
     iat = np.diff(times) if len(times) > 1 else np.zeros(1)
     iat.sort()
-    return linear_percentiles(iat, _IAT_QUANTILES)
+    return linear_percentiles(iat, _IAT_PERCENTILES)
 
 
 def _iat_counts(t_i: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +285,7 @@ def _plan_iat_percentiles(plan: SlotPlan) -> list[float]:
         parts.append(_iat_counts(plan.t_i, full * _GRID_CHUNK, n + 1))
     values, inverse = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     counts = np.bincount(inverse, weights=np.concatenate([c for _, c in parts]))
-    return linear_percentiles(values, _IAT_QUANTILES, np.cumsum(counts))
+    return linear_percentiles(values, _IAT_PERCENTILES, np.cumsum(counts))
 
 
 def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
@@ -315,8 +312,8 @@ def _summary_features(trace: Trace | SlotPlan) -> np.ndarray:
     return np.array([
         len(trace), n_out, n_in, bytes_out, bytes_in, trace.duration,
         sizes_out.mean(), sizes_out.std(), sizes_in.mean(), sizes_in.std(),
-        *linear_percentiles(np.sort(sizes_out), _SIZE_QUANTILES),
-        *linear_percentiles(np.sort(sizes_in), _SIZE_QUANTILES),
+        *linear_percentiles(np.sort(sizes_out), _SIZE_PERCENTILES),
+        *linear_percentiles(np.sort(sizes_in), _SIZE_PERCENTILES),
         *iat_out, *iat_in,
     ], dtype=np.float64)
 
@@ -391,7 +388,7 @@ def write_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     w.writerow(["trace_id", "label", *matrix.schema.names])
     for tid, label, row in zip(matrix.trace_ids, matrix.labels, matrix.X):
         w.writerow([tid, label, *(repr(float(v)) for v in row)])
-    Path(path).write_text(buf.getvalue())
+    Path(path).write_text(buf.getvalue(), "utf-8")
 
 
 def read_feature_csv(path: str | Path, schema: FeatureSchema) -> FeatureMatrix:

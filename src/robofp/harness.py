@@ -248,7 +248,7 @@ def write_report(report: dict, path: str | Path) -> None:
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:
     """Plain CSV of non-empty rows; the header is the first row's keys."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)

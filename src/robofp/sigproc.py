@@ -44,8 +44,8 @@ from .errors import (
 from .trace import Trace
 
 _EPS = 1e-30
-# median, p25 and p75 of a scan response, scaled as np.percentile scales them
-_RESPONSE_QUANTILES = (0.5, 0.25, 0.75)
+# median, p25 and p75 of a scan response, in CommandStats order
+_RESPONSE_PERCENTILES = (50, 25, 75)
 
 # bins one binned signal may allocate: 2**24 bins of 10 ms cover 46 hours
 MAX_BINS = 2**24
@@ -72,8 +72,8 @@ class Signal:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not self.bin_width > 0:  # NaN too
-            raise InvalidConfig("bin_width must be positive")
+        if not 0 < self.bin_width < math.inf:  # NaN too
+            raise InvalidConfig(f"bin_width must be positive and finite, got {self.bin_width}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -128,6 +128,8 @@ def bin_weights(
 
     Packets at or past the last bin's end land in the last bin.
     """
+    if not 0 < bin_width < math.inf:  # NaN too
+        raise InvalidConfig(f"bin_width must be positive and finite, got {bin_width}")
     n_bins = max(1, math.ceil(span / bin_width - 1e-9))
     if n_bins > MAX_BINS:
         raise OutOfRange(
@@ -146,8 +148,6 @@ def bin_trace(capture: Trace | SlotPlan, bin_width: float = 0.01) -> Signal:
     falling exactly on the end boundary lands in the last bin.  A modulated
     capture's ``SlotPlan`` bins to its wire packets' signal, bit for bit.
     """
-    if not bin_width > 0:  # NaN too
-        raise InvalidConfig("bin_width must be positive")
     times, weights = capture.signed_bytes()
     return Signal(bin_weights(times, weights, capture.duration, bin_width), bin_width)
 
@@ -299,20 +299,16 @@ class CommandStats(NamedTuple):
 # a square or power past float range is inf, and a mean over infs of both
 # signs is NaN; compute_features maps either to 0.0, as it does the NaNs below
 @np.errstate(over="ignore", invalid="ignore")
-def _moments(
-    v: np.ndarray, ordered: np.ndarray | None = None
-) -> tuple[float, float, float, float]:
-    # population moments of v, given sorted as ``ordered`` or sorted here;
-    # zero-variance input maps skewness/kurtosis to 0.  Each mean is
-    # np.add.reduce(x) / n, what np.mean computes.
+def _moments(v: np.ndarray, ordered: np.ndarray) -> tuple[float, float, float, float]:
+    # population moments of v, given sorted as ``ordered``; zero-variance
+    # input maps skewness/kurtosis to 0.  Each mean is np.add.reduce(x) / n,
+    # what np.mean computes.
     n = len(v)
     mu = float(np.add.reduce(v) / n)
     d = v - mu
     m2 = float(np.add.reduce(d * d) / n)
     if m2 <= _EPS:
         return mu, 0.0, 0.0, 0.0
-    if ordered is None:
-        ordered = np.sort(v)
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     if 2 * np.count_nonzero(new) > n:
         d3, d4 = d**3, d**4
@@ -343,16 +339,14 @@ def _moments(
 
 
 def linear_percentiles(
-    values: np.ndarray, quantiles: Sequence[float], ends: np.ndarray | None = None
+    values: np.ndarray, percentiles: Sequence[float], ends: np.ndarray | None = None
 ) -> list[float]:
-    """np.percentile(x, [100 * q for q in quantiles]), for x sorted as
-    ``values``, or for the x with sorted distinct ``values`` and cumulative
-    counts ``ends``.
+    """np.percentile(x, percentiles), for x sorted as ``values``, or for the
+    x with sorted distinct ``values`` and cumulative counts ``ends``.
 
     numpy's linear rule takes the two order statistics around the virtual
-    index (n - 1) q and interpolates them as its _lerp does; the same double
-    operations on Python floats give the same float.  Each q must be scaled
-    as np.percentile scales it, ``percentile / 100``.
+    index (n - 1) (p / 100) and interpolates them as its _lerp does; the
+    same double operations on Python floats give the same float.
 
     The order statistics of a sort equal those of np.percentile's partition
     except where zeros of both signs tie at an index, and no caller holds
@@ -366,8 +360,8 @@ def linear_percentiles(
     if ends is not None:
         ends = ends.tolist()
     out = []
-    for q in quantiles:
-        index = last * q
+    for p in percentiles:
+        index = last * (p / 100)
         below = math.floor(index)
         gamma = index - below
         lo, hi = min(below, last), min(below + 1, last)
@@ -393,7 +387,7 @@ def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
     else:
         ordered = np.sort(v)
         mu, sd, sk, ku = _moments(v, ordered)
-        med, p25, p75 = linear_percentiles(ordered, _RESPONSE_QUANTILES)
+        med, p25, p75 = linear_percentiles(ordered, _RESPONSE_PERCENTILES)
         vmax = float(v.max())
         vmin = float(v.min())
 
@@ -429,8 +423,6 @@ def extract_kernel(
     The window must contain at least one packet; kernels are built from the
     signed bin values so the direction pattern is part of the signature.
     """
-    if not bin_width > 0:  # NaN too
-        raise InvalidConfig("bin_width must be positive")
     if not (0.0 <= start < end):
         raise EmptyWindow(f"bad window [{start}, {end})")
     sel = (trace.times >= start) & (trace.times < end)

@@ -1,6 +1,7 @@
 """Shared test helpers, and the acceptance suite outcome printed as one
 PASS/FAIL line per criterion."""
 
+import math
 import os
 import re
 import subprocess
@@ -21,11 +22,50 @@ def make_trace(rows, label=None, trace_id=None):
     return Trace(*columns, label=label, trace_id=trace_id)
 
 
-def run_python(code, *args):
+# independent oracles: plain double loops over the scan operators' definitions
+
+
+def oracle_scan_same(x, h):
+    """Normalised sliding dot product, full alignment grid, centre slice."""
+    n, k = len(x), len(h)
+    norm2 = sum(float(v) * float(v) for v in h)
+    full = []
+    for p in range(n + k - 1):
+        acc = 0.0
+        for i in range(k):
+            j = p - (k - 1) + i
+            if 0 <= j < n:
+                acc += float(x[j]) * float(h[i])
+        full.append(acc / norm2)
+    lo = (k - 1) // 2
+    return full[lo : lo + n]
+
+
+def oracle_sliding_pearson(x, h):
+    k = len(h)
+    xs = [float(v) for v in x] + [0.0] * max(0, k - len(x))
+    out = []
+    mh = sum(h) / k
+    vh = sum((v - mh) ** 2 for v in h) / k
+    for m in range(len(xs) - k + 1):
+        w = xs[m : m + k]
+        mw = sum(w) / k
+        vw = sum((v - mw) ** 2 for v in w) / k
+        cov = sum((a - mw) * (b - mh) for a, b in zip(w, h)) / k
+        if vw <= 0 or vh <= 0:
+            out.append(0.0)
+        else:
+            out.append(max(-1.0, min(1.0, cov / math.sqrt(vw * vh))))
+    return out
+
+
+def run_python(code, *args, **env):
     """Standard output of ``python -c code args`` in a fresh interpreter that
-    imports this robofp; raises if it exits non-zero."""
+    imports this robofp, with ``env`` added to its environment; raises if it
+    exits non-zero."""
     src = str(Path(robofp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, **env, PYTHONPATH=pythonpath)
     done = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )

@@ -2,7 +2,7 @@
 
     python tests/record_golden.py
 
-Runs test_golden's ten commands in a temporary directory and rewrites
+Runs test_golden's twelve commands in a temporary directory and rewrites
 ``tests/golden.json``.  Run it only when a change to robofp is meant to
 change an output, and say so.
 """

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import oracle_scan_same, oracle_sliding_pearson
 from robofp import errors
 from robofp.classifier import GBDTParams, cross_validate
 from robofp.defenses import modulation_preset, pad_packet, segment_plan
@@ -96,40 +97,6 @@ def test_c02_summary_features_strictly_weaker(seed42):
 # 3. scan operators against their plain double-loop definitions
 
 
-def _oracle_scan(x, h):
-    """Normalised sliding dot product, full alignment grid, centre slice."""
-    n, k = len(x), len(h)
-    norm2 = sum(float(v) * float(v) for v in h)
-    full = []
-    for p in range(n + k - 1):
-        acc = 0.0
-        for i in range(k):
-            j = p - (k - 1) + i
-            if 0 <= j < n:
-                acc += float(x[j]) * float(h[i])
-        full.append(acc / norm2)
-    lo = (k - 1) // 2
-    return full[lo : lo + n]
-
-
-def _oracle_pearson(x, h):
-    k = len(h)
-    xs = [float(v) for v in x] + [0.0] * max(0, k - len(x))
-    mh = sum(h) / k
-    vh = sum((v - mh) ** 2 for v in h) / k
-    out = []
-    for m in range(len(xs) - k + 1):
-        w = xs[m : m + k]
-        mw = sum(w) / k
-        vw = sum((v - mw) ** 2 for v in w) / k
-        cov = sum((a - mw) * (b - mh) for a, b in zip(w, h)) / k
-        if vw <= 0 or vh <= 0:
-            out.append(0.0)
-        else:
-            out.append(max(-1.0, min(1.0, cov / math.sqrt(vw * vh))))
-    return out
-
-
 def _random_case(rng, trial, k_min):
     n = int(rng.integers(1, 65))
     k = int(rng.integers(k_min, 17))
@@ -149,14 +116,14 @@ def test_c03_scan_operators_match_definitional_oracles():
     for trial in range(1000):
         x, h = _random_case(rng, trial, k_min=1)
         got = convolve(Signal(x, 0.01), Kernel(CommandKind.CARTESIAN_MOVE, 0.01, h)).values
-        want = np.asarray(_oracle_scan(x, h))
+        want = np.asarray(oracle_scan_same(x, h))
         assert len(got) == len(x)
         worst_conv = max(worst_conv, float(np.max(np.abs(got - want))))
     for trial in range(1000):
         # Pearson needs a kernel with variance, so its domain starts at 2 bins
         x, h = _random_case(rng, trial, k_min=2)
         got_r = sliding_correlation(Signal(x, 0.01), Kernel(CommandKind.GRIPPER_SPEED, 0.01, h)).values
-        want_r = np.asarray(_oracle_pearson(x, h))
+        want_r = np.asarray(oracle_sliding_pearson(x, h))
         assert len(got_r) == max(len(x), len(h)) - len(h) + 1
         assert np.all(got_r >= -1.0) and np.all(got_r <= 1.0)
         worst_corr = max(worst_corr, float(np.max(np.abs(got_r - want_r))))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import make_trace, run_python
 from robofp import errors, features, sigproc
 from robofp.defenses import (
     MODULATION_INTERVALS,
@@ -220,7 +220,7 @@ def test_scan_refuses_kernel_at_other_bin_width(bank):
     for fs in ("full", "command"):
         with pytest.raises(errors.SchemaMismatch, match="bin_width 0.01"):
             compute_features(trace, bank, config, fs)
-    with pytest.raises(errors.SchemaMismatch, match="signal bin_width 0.05"):
+    with pytest.raises(errors.SchemaMismatch, match="sigproc.bin_width 0.05"):
         command_clusters(trace, CommandKind.GRIPPER_SPEED, bank, config)
     # the summary set scans nothing
     assert len(compute_features(trace, bank, config, "summary")) == 28
@@ -441,6 +441,32 @@ def test_csv_non_numeric_value_names_line(tmp_path, bank):
         read_feature_csv(path, m.schema)
 
 
+_WRITE_UNDER_ASCII_LOCALE = (
+    "import sys\n"
+    "from pathlib import Path\n"
+    "import numpy as np\n"
+    "from robofp.features import FeatureMatrix, make_schema, read_feature_csv, write_feature_csv\n"
+    "from robofp.harness import write_csv\n"
+    "from robofp.sigproc import KernelBank\n"
+    "out = Path(sys.argv[1])\n"
+    "schema = make_schema(KernelBank([]), feature_set='summary')\n"
+    "matrix = FeatureMatrix(np.zeros((1, 28)), ['x'], ['caf\\xe9'], schema)\n"
+    "write_feature_csv(matrix, out / 'f.csv')\n"
+    "write_csv(out / 's.csv', [{'id': 'caf\\xe9'}])\n"
+    "print(ascii(read_feature_csv(out / 'f.csv', schema).trace_ids))\n"
+    "print(ascii((out / 's.csv').read_bytes().decode('utf-8')))\n"
+)
+
+
+def test_csv_writers_use_utf8_under_ascii_locale(tmp_path):
+    # the feature and sweep CSVs are read as UTF-8 whatever the locale
+    out = run_python(
+        _WRITE_UNDER_ASCII_LOCALE, str(tmp_path),
+        PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+    )
+    assert out == "['caf\\xe9']\n'id\\ncaf\\xe9\\n'\n"
+
+
 def test_csv_missing_file(tmp_path, bank):
     with pytest.raises(errors.MissingFile):
         read_feature_csv(tmp_path / "nope.csv", make_schema(bank))
@@ -598,11 +624,11 @@ def test_plan_iat_percentiles_match_np_percentile(t_i, n_slots):
     assert got.tobytes() == np.tile(expected, 2).tobytes()
 
 
-# every quantile set in use, with the percentiles it stands for
-QUANTILE_SETS = [
-    (features._IAT_PERCENTILES, features._IAT_QUANTILES),
-    (features._SIZE_PERCENTILES, features._SIZE_QUANTILES),
-    ((50, 25, 75), sigproc._RESPONSE_QUANTILES),
+# every percentile set in use, as the tuple that names its features
+PERCENTILE_SETS = [
+    features._IAT_PERCENTILES,
+    features._SIZE_PERCENTILES,
+    sigproc._RESPONSE_PERCENTILES,
 ]
 
 
@@ -610,24 +636,23 @@ QUANTILE_SETS = [
 @given(
     x=st.lists(st.sampled_from([0.0, 9.9e-5, 1e-4, 1.01e-4, 2e-4, 1 / 3, 7.0]) | st.floats(0, 1),
                min_size=1, max_size=40),
-    quantile_set=st.sampled_from(QUANTILE_SETS),
+    percentiles=st.sampled_from(PERCENTILE_SETS),
 )
-@example(x=[0.25], quantile_set=QUANTILE_SETS[0])  # n = 1
-@example(x=[1 / 3] * 9, quantile_set=QUANTILE_SETS[0])  # all equal
+@example(x=[0.25], percentiles=PERCENTILE_SETS[0])  # n = 1
+@example(x=[1 / 3] * 9, percentiles=PERCENTILE_SETS[0])  # all equal
 # ties on both sides of the interpolation points: n = 21 puts p5..p95 on
 # whole indices, n = 5 between them, n = 11 at half indices for p5 and p95
-@example(x=[0.0] * 10 + [7.0] * 11, quantile_set=QUANTILE_SETS[0])
-@example(x=[1e-4, 1e-4, 2e-4, 2e-4, 2e-4], quantile_set=QUANTILE_SETS[0])
-@example(x=[9.9e-5] * 5 + [1.01e-4] * 6, quantile_set=QUANTILE_SETS[0])
-@example(x=[100.0, 100.0, 500.0, 500.0, 1500.0], quantile_set=QUANTILE_SETS[1])
-@example(x=[-1.0, 0.0, 0.0, 0.5, 0.5, 0.9], quantile_set=QUANTILE_SETS[2])
-def test_counted_percentiles_match_np_percentile(x, quantile_set):
-    percentiles, quantiles = quantile_set
+@example(x=[0.0] * 10 + [7.0] * 11, percentiles=PERCENTILE_SETS[0])
+@example(x=[1e-4, 1e-4, 2e-4, 2e-4, 2e-4], percentiles=PERCENTILE_SETS[0])
+@example(x=[9.9e-5] * 5 + [1.01e-4] * 6, percentiles=PERCENTILE_SETS[0])
+@example(x=[100.0, 100.0, 500.0, 500.0, 1500.0], percentiles=PERCENTILE_SETS[1])
+@example(x=[-1.0, 0.0, 0.0, 0.5, 0.5, 0.9], percentiles=PERCENTILE_SETS[2])
+def test_counted_percentiles_match_np_percentile(x, percentiles):
     expected = np.percentile(x, percentiles).tobytes()
     values, counts = np.unique(x, return_counts=True)
-    counted = linear_percentiles(values, quantiles, np.cumsum(counts))
+    counted = linear_percentiles(values, percentiles, np.cumsum(counts))
     assert np.array(counted).tobytes() == expected
-    assert np.array(linear_percentiles(np.sort(x), quantiles)).tobytes() == expected
+    assert np.array(linear_percentiles(np.sort(x), percentiles)).tobytes() == expected
 
 
 @st.composite

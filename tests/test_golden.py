@@ -1,9 +1,11 @@
-"""Golden outputs: every file that ten robofp commands write, pinned by SHA-256.
+"""Golden outputs: every file that twelve robofp commands write, pinned by SHA-256.
 
 The commands run in-process through ``cli()`` on seed 42 with 8 captures
 per class and 2 folds, each into its own directory: ``generate``;
 ``featurize`` of the full and the summary set on generated captures, and of
-the full set on the saved manifest; ``evaluate``; ``defend`` with padding
+the full set on the saved manifest; ``kernels``, the template bank file;
+``train`` on the generated captures' full feature CSV and schema;
+``evaluate``; ``defend`` with padding
 x = 2 and with modulation at s_p = 500 B, t_i = 1 ms; ``sweep-threshold``;
 and ``sweep-defense`` of both kinds.  ``golden.json`` maps each output
 file's path to its SHA-256; a report is pinned through ``report_digest``,
@@ -33,7 +35,7 @@ def _config(path: Path, **kw) -> str:
 
 
 def commands(root: Path) -> dict[str, list[str]]:
-    """The ten commands by output directory, in run order; configs go to
+    """The twelve commands by output directory, in run order; configs go to
     ``root``, each command's files to ``root/out/<name>``."""
     out = root / "out"
     generated = _config(root / "generated.json")
@@ -49,6 +51,10 @@ def commands(root: Path) -> dict[str, list[str]]:
                               "--out", str(out / "featurize_summary" / "features.csv")],
         "featurize_manifest": ["featurize", "--config", saved,
                                "--out", str(out / "featurize_manifest" / "features.csv")],
+        "kernels": ["kernels", "--out", str(out / "kernels" / "kernels.json")],
+        "train": ["train", "--features", str(out / "featurize_full" / "features.csv"),
+                  "--schema", str(out / "featurize_full" / "features.schema.json"),
+                  "--out", str(out / "train" / "model.json")],
         "evaluate": ["evaluate", "--config", generated, "--out-dir", str(out / "evaluate")],
         "defend_padding": [*defend, "padding", "--x", "2",
                            "--out-dir", str(out / "defend_padding")],
@@ -64,7 +70,7 @@ def commands(root: Path) -> dict[str, list[str]]:
 
 
 def output_hashes(root: Path) -> dict[str, str]:
-    """Run the ten commands under ``root``; each output file's path below
+    """Run the twelve commands under ``root``; each output file's path below
     ``root/out`` mapped to its SHA-256, or a report's to its ``report_digest``."""
     for name, argv in commands(root).items():
         assert cli(argv) == 0, name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import make_trace, oracle_scan_same, oracle_sliding_pearson
 from robofp import errors, sigproc
 from robofp.defenses import apply_modulation_defense, modulation_preset
 from robofp.features import SigprocConfig, command_clusters
@@ -27,44 +27,6 @@ from robofp.sigproc import (
 )
 from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
 from robofp.trace import Trace
-
-
-# ---------------------------------------------------------------------------
-# independent oracles: plain double loops over the operator definitions
-
-
-def oracle_scan_same(x, h):
-    """Normalised sliding dot product, full alignment grid, centre slice."""
-    n, k = len(x), len(h)
-    norm2 = sum(float(v) * float(v) for v in h)
-    full = []
-    for p in range(n + k - 1):
-        acc = 0.0
-        for i in range(k):
-            j = p - (k - 1) + i
-            if 0 <= j < n:
-                acc += float(x[j]) * float(h[i])
-        full.append(acc / norm2)
-    lo = (k - 1) // 2
-    return full[lo : lo + n]
-
-
-def oracle_sliding_pearson(x, h):
-    k = len(h)
-    xs = [float(v) for v in x] + [0.0] * max(0, k - len(x))
-    out = []
-    mh = sum(h) / k
-    vh = sum((v - mh) ** 2 for v in h) / k
-    for m in range(len(xs) - k + 1):
-        w = xs[m : m + k]
-        mw = sum(w) / k
-        vw = sum((v - mw) ** 2 for v in w) / k
-        cov = sum((a - mw) * (b - mh) for a, b in zip(w, h)) / k
-        if vw <= 0 or vh <= 0:
-            out.append(0.0)
-        else:
-            out.append(max(-1.0, min(1.0, cov / math.sqrt(vw * vh))))
-    return out
 
 
 def sig(values, bw=0.01):
@@ -124,6 +86,16 @@ class TestBinTrace:
     def test_signal_refuses_nan_bin_width(self):
         with pytest.raises(errors.InvalidConfig, match="bin_width must be positive"):
             Signal([1.0], float("nan"))
+
+    def test_infinite_bin_width_refused(self):
+        tr = make_trace([(0.0, 1, 10)])
+        for refuse in (
+            lambda: bin_trace(tr, math.inf),
+            lambda: Signal([1.0], math.inf),
+            lambda: extract_kernel(tr, CommandKind.CARTESIAN_MOVE, 0.0, 0.5, math.inf),
+        ):
+            with pytest.raises(errors.InvalidConfig, match="positive and finite, got inf"):
+                refuse()
 
     def test_bin_cap_raises_before_allocating(self):
         # 1e9 bins of 10 ms; the last packet alone sets the count
@@ -747,11 +719,10 @@ def _mostly_distinct(draw):
 def test_moments_match_reference_bit_for_bit(values):
     with np.errstate(all="ignore"):  # overflowing powers and their inf / inf
         want = _reference_outcome(values)
-        for ordered in (None, np.sort(values)):
-            assert [float.hex(x) for x in sigproc._moments(values, ordered)] == want
+        assert [float.hex(x) for x in sigproc._moments(values, np.sort(values))] == want
 
 
-def searched_moments(v, ordered=None):
+def searched_moments(v):
     """_moments with every value, not each run's first, searched among the
     distinct values."""
     n = len(v)
@@ -760,8 +731,7 @@ def searched_moments(v, ordered=None):
     m2 = float(np.add.reduce(d * d) / n)
     if m2 <= sigproc._EPS:
         return mu, 0.0, 0.0, 0.0
-    if ordered is None:
-        ordered = np.sort(v)
+    ordered = np.sort(v)
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     if 2 * np.count_nonzero(new) > n:
         d3, d4 = d**3, d**4
@@ -786,8 +756,7 @@ def searched_moments(v, ordered=None):
 def test_moments_match_every_value_searched(values):
     with np.errstate(all="ignore"):
         want = [float.hex(x) for x in searched_moments(values)]
-        for ordered in (None, np.sort(values)):
-            assert [float.hex(x) for x in sigproc._moments(values, ordered)] == want
+        assert [float.hex(x) for x in sigproc._moments(values, np.sort(values))] == want
 
 
 def test_moments_call_no_unique(monkeypatch):
@@ -796,7 +765,7 @@ def test_moments_call_no_unique(monkeypatch):
 
     monkeypatch.setattr(np, "unique", refuse)
     values = np.repeat([0.0, 1.5, -2.0, 7.0], [900, 50, 30, 20])
-    assert sigproc._moments(values)[2] != 0.0
+    assert sigproc._moments(values, np.sort(values))[2] != 0.0
 
 
 # 1e80: d**4 and m2**2 pass float range; 1e160: d * d as well
@@ -805,7 +774,8 @@ def test_moments_overflowing_powers_warn_nothing(scale):
     """Past float range: NaN skewness and kurtosis, and no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, skewness, kurtosis = sigproc._moments(np.array([scale, -scale, 0.0]))
+        values = np.array([scale, -scale, 0.0])
+        _, _, skewness, kurtosis = sigproc._moments(values, np.sort(values))
     assert math.isnan(skewness) and math.isnan(kurtosis)
 
 
