@@ -130,11 +130,12 @@ def bin_weights(
     """
     if not 0 < bin_width < math.inf:  # NaN too
         raise InvalidConfig(f"bin_width must be positive and finite, got {bin_width}")
-    n_bins = max(1, math.ceil(span / bin_width - 1e-9))
-    if n_bins > MAX_BINS:
-        raise OutOfRange(
-            f"{span} s at bin width {bin_width} needs {n_bins} bins, more than {MAX_BINS}"
-        )
+    # compared before ceil, which an inf quotient would overflow; MAX_BINS is
+    # an integer, so the quotient passes exactly when its ceil does
+    quotient = span / bin_width - 1e-9
+    if quotient > MAX_BINS:
+        raise OutOfRange(f"{span} s at bin width {bin_width} needs more than {MAX_BINS} bins")
+    n_bins = max(1, math.ceil(quotient))
     idx = np.minimum((times / bin_width).astype(np.int64), n_bins - 1)
     return np.bincount(idx, weights=weights, minlength=n_bins)
 
@@ -296,41 +297,23 @@ class CommandStats(NamedTuple):
     avg_time_gap: float
 
 
-# a square or power past float range is inf, and a mean over infs of both
+# a square or product past float range is inf, and a mean over infs of both
 # signs is NaN; compute_features maps either to 0.0, as it does the NaNs below
 @np.errstate(over="ignore", invalid="ignore")
-def _moments(v: np.ndarray, ordered: np.ndarray) -> tuple[float, float, float, float]:
-    # population moments of v, given sorted as ``ordered``; zero-variance
-    # input maps skewness/kurtosis to 0.  Each mean is np.add.reduce(x) / n,
-    # what np.mean computes.
+def _moments(v: np.ndarray) -> tuple[float, float, float, float]:
+    # population moments of v; zero-variance input maps skewness/kurtosis to
+    # 0.  Each mean is np.add.reduce(x) / n, what np.mean computes.  The 3rd
+    # and 4th powers are products, not np.power: IEEE products round alike
+    # under every SIMD dispatch numpy picks, and power does not.
     n = len(v)
     mu = float(np.add.reduce(v) / n)
     d = v - mu
-    m2 = float(np.add.reduce(d * d) / n)
+    d2 = d * d
+    m2 = float(np.add.reduce(d2) / n)
     if m2 <= _EPS:
         return mu, 0.0, 0.0, 0.0
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    if 2 * np.count_nonzero(new) > n:
-        d3, d4 = d**3, d**4
-    else:
-        # responses repeat values heavily and pow is elementwise, so each
-        # distinct value is raised once and gathered back: distinct - mu
-        # equals v - mu element by element, and every mean adds the same
-        # values in the same order as over d**3 and d**4.  Equal values of
-        # both zero signs share one entry; they differ in d only when mu is
-        # +0.0, as zeros, which a sum holding a nonzero term ignores.
-        # Responses come in runs of one value, so only each run's first
-        # value is searched and its index repeated over the run; equal
-        # values compare alike, so they search alike.
-        distinct = ordered[new]
-        e = distinct - mu
-        edges = np.ones(n + 1, dtype=bool)  # run starts, and n
-        np.not_equal(v[1:], v[:-1], out=edges[1:n])
-        bounds = edges.nonzero()[0]
-        inverse = np.searchsorted(distinct, v[bounds[:-1]]).repeat(bounds[1:] - bounds[:-1])
-        d3, d4 = (e**3)[inverse], (e**4)[inverse]
-    m3 = float(np.add.reduce(d3) / n)
-    m4 = float(np.add.reduce(d4) / n)
+    m3 = float(np.add.reduce(d2 * d) / n)
+    m4 = float(np.add.reduce(d2 * d2) / n)
     sd = math.sqrt(m2)
     try:
         return mu, sd, m3 / m2**1.5, m4 / m2**2 - 3.0
@@ -386,7 +369,7 @@ def cluster_statistics(signal: Signal, clusters: list[Cluster]) -> CommandStats:
         mu = sd = sk = ku = med = p25 = p75 = vmax = vmin = 0.0
     else:
         ordered = np.sort(v)
-        mu, sd, sk, ku = _moments(v, ordered)
+        mu, sd, sk, ku = _moments(v)
         med, p25, p75 = linear_percentiles(ordered, _RESPONSE_PERCENTILES)
         vmax = float(v.max())
         vmin = float(v.min())

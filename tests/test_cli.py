@@ -15,6 +15,7 @@ from robofp.classifier import GBDTClassifier, GBDTParams
 from robofp.cli import build_parser, cli
 from robofp.features import SigprocConfig, make_schema
 from robofp.harness import ExperimentConfig, padding_sweep, write_csv
+from robofp.sigproc import CommandKind, Kernel, KernelBank
 from robofp.defenses import SlotPlan, apply_defense, modulation_preset
 from robofp.synthgen import GenConfig, default_kernel_bank, gen_dataset
 from robofp.trace import write_trace_csv
@@ -256,6 +257,18 @@ def test_featurize_bad_kernel_bank_exits_1(tmp_path, capsys, bank_width, edit, n
     _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
                    capsys, needle)
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_featurize_bin_width_past_bin_count_exits_1(tmp_path, capsys):
+    # a 0.5 s capture over 1e-320 s bins: the bin count overflows to inf
+    bank = tmp_path / "kernels.json"
+    KernelBank([Kernel(kind, 1e-320, [1.0, -1.0]) for kind in CommandKind]).save(bank)
+    manifest = _manifest(tmp_path, b"t,dir,size\n0.0,1,100\n0.5,-1,60\n")
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(manifest=manifest, kernel_bank_path=str(bank),
+                                       sigproc=SigprocConfig(bin_width=1e-320)).to_json())
+    _assert_exit_1(["featurize", "--config", str(config), "--out", str(tmp_path / "f.csv")],
+                   capsys, "bins")
 
 
 @pytest.mark.parametrize(

@@ -368,15 +368,15 @@ def test_featurize_dataset_refuses_an_empty_dataset(bank):
 @pytest.mark.parametrize(
     "defense, expected",
     [
-        (None, "4bd5c61a0dc2773878339ed85d37cf498fa89394c03458d952013144c6e57ddf"),
-        (PaddingConfig(3), "77b855e589e64b9131f6e5c54bad0c30882a04e581d907cfa5f4336d0eea082d"),
+        (None, "e209d656e3a4476fd9f348453826a193bdc59bb5b24275f8d2e1a5909764cec7"),
+        (PaddingConfig(3), "3365cbb1b000578b8e3a85c309a1e1d42dd2724018e7904b4d5c800f36b1481c"),
         (
             modulation_preset(500, 0.001),
-            "da3494cb5e49aca109b107765da9eee8b5218fa6ab52eae62961a4afa336ef9f",
+            "f7baebb40ad39b4cdc5b498cc81eb95ccae25aabf0094a597869e22d540090ed",
         ),
         (
             modulation_preset(300, 0.01),
-            "f73050ba812465e4f8eb0b67051279c8884d8ad87bd13ebeca6c0dadc4de2a48",
+            "a436e5d1a2765b9b8ff8afa4517b4a5f8e225efc635b11de5d385f649b342a4b",
         ),
     ],
     ids=["clean", "padding_x3", "modulation_500_1ms", "modulation_300_10ms"],

@@ -345,8 +345,8 @@ def test_sweep_plans_hold_only_their_odd_segments(monkeypatch):
     "s_p, t_i, expected",
     [
         # test_feature_matrix_pinned's digests for the same traces' wire packets
-        (500, 0.001, "da3494cb5e49aca109b107765da9eee8b5218fa6ab52eae62961a4afa336ef9f"),
-        (300, 0.01, "f73050ba812465e4f8eb0b67051279c8884d8ad87bd13ebeca6c0dadc4de2a48"),
+        (500, 0.001, "f7baebb40ad39b4cdc5b498cc81eb95ccae25aabf0094a597869e22d540090ed"),
+        (300, 0.01, "a436e5d1a2765b9b8ff8afa4517b4a5f8e225efc635b11de5d385f649b342a4b"),
         # recorded by featurizing the wire packets, before sweeps featurized slot plans
         (500, 0.0001, "2912ae32f15b033232392098f4980d5d0d49b48b89db81e69d078d6d90ec54f7"),
     ],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace, oracle_scan_same, oracle_sliding_pearson
+from conftest import make_trace, oracle_scan_same, oracle_sliding_pearson, run_python
 from robofp import errors, sigproc
 from robofp.defenses import apply_modulation_defense, modulation_preset
 from robofp.features import SigprocConfig, command_clusters
@@ -105,6 +105,12 @@ class TestBinTrace:
         one_over = make_trace([(0.0, 1, 100), (MAX_BINS + 1.0, -1, 100)])
         with pytest.raises(errors.OutOfRange):
             bin_trace(one_over, 1.0)
+        # 1 s over 1e-320 overflows to an inf bin count, which ceil cannot take
+        tiny = make_trace([(0.0, 1, 10), (1.0, 1, 10)])
+        with pytest.raises(errors.OutOfRange, match="bins"):
+            bin_trace(tiny, 1e-320)
+        with pytest.raises(errors.OutOfRange, match="bins"):
+            extract_kernel(tiny, CommandKind.CARTESIAN_MOVE, 0.0, 1.0, 1e-320)
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +654,14 @@ class TestClusterStatistics:
 
 
 def reference_moments(v):
-    """The moments as first written: every element raised to each power."""
+    """The moments from np.mean of each element's products."""
     mu = float(v.mean())
     d = v - mu
     m2 = float(np.mean(d * d))
     if m2 <= sigproc._EPS:
         return mu, 0.0, 0.0, 0.0
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
+    m3 = float(np.mean(d * d * d))
+    m4 = float(np.mean((d * d) * (d * d)))
     return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
@@ -710,7 +716,7 @@ def _mostly_distinct(draw):
 @example(np.array([0.0, -0.0] * 700 + [5e-324] * 9))
 @example(np.array([1e80, -1e80, 0.0]))
 @example(np.array([3.0]))
-# zeros of both signs share one distinct value; with mu = +0.0 their d differ
+# zeros of both signs; with mu = +0.0 their d differ in sign
 @example(np.array([0.0, -0.0, 1.0, -1.0, -0.0, 0.0] * 3))
 @example(np.array([math.inf, 1.0, 1.0, 2.0]))
 @example(np.array([-math.inf, math.inf, 1.0, 1.0]))
@@ -719,53 +725,7 @@ def _mostly_distinct(draw):
 def test_moments_match_reference_bit_for_bit(values):
     with np.errstate(all="ignore"):  # overflowing powers and their inf / inf
         want = _reference_outcome(values)
-        assert [float.hex(x) for x in sigproc._moments(values, np.sort(values))] == want
-
-
-def searched_moments(v):
-    """_moments with every value, not each run's first, searched among the
-    distinct values."""
-    n = len(v)
-    mu = float(np.add.reduce(v) / n)
-    d = v - mu
-    m2 = float(np.add.reduce(d * d) / n)
-    if m2 <= sigproc._EPS:
-        return mu, 0.0, 0.0, 0.0
-    ordered = np.sort(v)
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    if 2 * np.count_nonzero(new) > n:
-        d3, d4 = d**3, d**4
-    else:
-        distinct = ordered[new]
-        e = distinct - mu
-        inverse = np.searchsorted(distinct, v)
-        d3, d4 = (e**3)[inverse], (e**4)[inverse]
-    m3 = float(np.add.reduce(d3) / n)
-    m4 = float(np.add.reduce(d4) / n)
-    try:
-        return mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2 - 3.0
-    except OverflowError:
-        return mu, math.sqrt(m2), math.nan, math.nan
-
-
-@settings(max_examples=300, deadline=None)
-@given(_runs() | _mostly_distinct())
-@example(np.array([0.0, -0.0, -0.0, 0.0, 2.0, 2.0, -0.0]))  # one run, both zero signs
-@example(np.array([math.nan, math.nan, 1.0, 1.0, math.nan]))
-@example(np.array([2.0, 2.0]))
-def test_moments_match_every_value_searched(values):
-    with np.errstate(all="ignore"):
-        want = [float.hex(x) for x in searched_moments(values)]
-        assert [float.hex(x) for x in sigproc._moments(values, np.sort(values))] == want
-
-
-def test_moments_call_no_unique(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called")
-
-    monkeypatch.setattr(np, "unique", refuse)
-    values = np.repeat([0.0, 1.5, -2.0, 7.0], [900, 50, 30, 20])
-    assert sigproc._moments(values, np.sort(values))[2] != 0.0
+        assert [float.hex(x) for x in sigproc._moments(values)] == want
 
 
 # 1e80: d**4 and m2**2 pass float range; 1e160: d * d as well
@@ -775,8 +735,34 @@ def test_moments_overflowing_powers_warn_nothing(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = np.array([scale, -scale, 0.0])
-        _, _, skewness, kurtosis = sigproc._moments(values, np.sort(values))
+        _, _, skewness, kurtosis = sigproc._moments(values)
     assert math.isnan(skewness) and math.isnan(kurtosis)
+
+
+_MOMENT_BITS = """
+import hashlib
+import numpy as np
+from robofp import sigproc
+rng = np.random.default_rng(35)
+digest = hashlib.sha256()
+for n in rng.integers(2, 3000, 300):
+    values = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e6]), n)
+    digest.update(repr([float.hex(x) for x in sigproc._moments(values)]).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_moments_same_under_every_simd_dispatch():
+    """The moments' bits do not depend on which SIMD targets numpy dispatches
+    to: a run with every dispatched target this CPU has switched off prints
+    the same digest as a run with all of them on."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    disabled = run_python(_MOMENT_BITS, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert disabled == run_python(_MOMENT_BITS)
 
 
 # ---------------------------------------------------------------------------
